@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .graph import Graph, split_certificate
-from .oracle import PatternKind, contains_induced_using, find_induced, is_class_member
+from .graph import Graph
+from .oracle import PatternKind, contains_induced_using, find_induced, is_class_member, validate_hit
 from .modular import find_proper_homogeneous_set
-from .decomposer import NotClassMember, decompose, recompose, verify_tree
+from .decomposer import NotClassMember, SplitLeaf, Subst, decompose, recompose, verify_tree
 
 __all__ = ["SweepRow", "SweepResult", "pair_table", "labeled_graphs", "graph_from_pair_mask", "run_sweep", "member_masks"]
 
@@ -70,37 +70,38 @@ def run_sweep(
 ) -> SweepResult:
     """Check grammar/oracle equivalence over all labeled graphs up to max_n.
 
-    Per graph: the oracle decides membership; members must decompose (with
-    the given observer), pass verify_tree, and recompose label-exactly;
-    non-members must raise NotClassMember.  In triple mode no pentagon leaf
-    may appear.  Returns per-n counts plus mismatch descriptions.
+    Per graph, decompose (with the given observer) runs the oracle once:
+    a NotClassMember marks a non-member and its witness must induce the
+    pattern it names; members must decompose, pass verify_tree, and
+    recompose label-exactly.  The tree's root tells whether a member is
+    split (a split leaf) and, unless it is split, whether it is prime (a
+    pentagon or unification root).  In triple mode no pentagon leaf may
+    appear.  Returns per-n counts plus mismatch descriptions.
     """
     rows = []
     for n in range(max_n + 1):
         row = SweepRow(n=n)
         for g in labeled_graphs(n):
             row.total += 1
-            member = is_class_member(g, triple=triple)
-            if not member:
-                try:
-                    decompose(g, triple=triple, observer=observer)
-                except NotClassMember:
-                    pass
-                else:
-                    row.mismatches.append(f"n={n}: decompose accepted a non-member {g.edges()}")
+            try:
+                tree = decompose(g, triple=triple, observer=observer)
+            except NotClassMember as exc:
+                if not validate_hit(g, exc.hit):
+                    row.mismatches.append(f"n={n}: bad witness {exc.hit} on {g.edges()}")
+                continue
+            except Exception as exc:
+                row.members += 1
+                row.mismatches.append(f"n={n}: decompose failed on member {g.edges()}: {exc}")
                 continue
             row.members += 1
-            if split_certificate(g) is not None:
+            if isinstance(tree, SplitLeaf):
                 row.split_members += 1
-            if find_proper_homogeneous_set(g) is None:
+                if find_proper_homogeneous_set(g) is None:
+                    row.prime_members += 1
+            elif not isinstance(tree, Subst):
                 row.prime_members += 1
             if find_induced(g, PatternKind.C5) is not None:
                 row.pentagon_members += 1
-            try:
-                tree = decompose(g, triple=triple, observer=observer)
-            except Exception as exc:
-                row.mismatches.append(f"n={n}: decompose failed on member {g.edges()}: {exc}")
-                continue
             report = verify_tree(tree, g)
             if not report.ok:
                 row.mismatches.append(f"n={n}: verify failed on {g.edges()}: {report.failures[:1]}")

@@ -298,34 +298,83 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     return root
 
 
-def recompose(t: DecompTree, _path: str = "root") -> Graph:
+_LEAVES = (SplitLeaf, PentagonLeaf)
+
+
+def _render(path) -> str:
+    labels = []
+    while path is not None:
+        label, path = path
+        labels.append(label)
+    return "".join(reversed(labels))
+
+
+def _fold(t: DecompTree, visit):
+    """Return visit(node, path, kid_values) for the root, having computed
+    every node's value after its children's, left to right.
+
+    Driven by an explicit stack, so deep trees stay clear of interpreter
+    recursion limits.  A path is a (label, parent path) chain that _render
+    turns into "root.quotient.child"; it is rendered only where a message
+    needs it.  A lone leaf and a node over two leaves, the commonest trees
+    of small graphs, are visited without a trip through the stack."""
+    if isinstance(t, _LEAVES):
+        return visit(t, ("root", None), ())
+    work: list[tuple] = [(t, ("root", None), False)]
+    values: list = []
+    while work:
+        node, path, ready = work.pop()
+        if ready:
+            second = values.pop()
+            values.append(visit(node, path, (values.pop(), second)))
+            continue
+        if isinstance(node, Subst):
+            first, second, label1, label2 = node.quotient, node.child, ".quotient", ".child"
+        elif isinstance(node, (Sgu, CoSgu)):
+            first, second, label1, label2 = node.part1, node.part2, ".part1", ".part2"
+        else:
+            values.append(visit(node, path, ()))
+            continue
+        if isinstance(first, _LEAVES) and isinstance(second, _LEAVES):
+            kids = (visit(first, (label1, path), ()), visit(second, (label2, path), ()))
+            values.append(visit(node, path, kids))
+            continue
+        work.append((node, path, True))
+        work.append((second, (label2, path), False))
+        work.append((first, (label1, path), False))
+    return values[0]
+
+
+def _recompose_node(node, path, kids) -> Graph:
+    if isinstance(node, _LEAVES):
+        return node.graph
+    if isinstance(node, Subst):
+        quotient, child = kids
+        if node.marker not in quotient:
+            raise MalformedTree(_render(path), f"marker {node.marker} missing from quotient")
+        try:
+            return substitute(child, quotient, node.marker)
+        except ValueError as exc:
+            raise MalformedTree(_render(path), str(exc)) from exc
+    if isinstance(node, (Sgu, CoSgu)):
+        g1, g2 = kids
+        pair = ComposablePair(g1=g1, g2=g2, roles=node.roles)
+        try:
+            glued = unify(pair)
+        except Exception as exc:
+            raise MalformedTree(_render(path), str(exc)) from exc
+        return glued.complement() if isinstance(node, CoSgu) else glued
+    raise MalformedTree(_render(path), f"unknown node type {type(node).__name__}")
+
+
+def recompose(t: DecompTree) -> Graph:
     """Rebuild the graph a tree stands for, label-exactly.
 
     Leaves are taken as-is (their certificates are verify_tree's business);
     internal nodes apply substitution, unification, or complemented
     unification.  Structural problems raise MalformedTree with the node
     path."""
-    if isinstance(t, (SplitLeaf, PentagonLeaf)):
-        return t.graph
-    if isinstance(t, Subst):
-        quotient = recompose(t.quotient, _path + ".quotient")
-        child = recompose(t.child, _path + ".child")
-        if t.marker not in quotient:
-            raise MalformedTree(_path, f"marker {t.marker} missing from quotient")
-        try:
-            return substitute(child, quotient, t.marker)
-        except ValueError as exc:
-            raise MalformedTree(_path, str(exc)) from exc
-    if isinstance(t, (Sgu, CoSgu)):
-        g1 = recompose(t.part1, _path + ".part1")
-        g2 = recompose(t.part2, _path + ".part2")
-        pair = ComposablePair(g1=g1, g2=g2, roles=t.roles)
-        try:
-            glued = unify(pair)
-        except Exception as exc:
-            raise MalformedTree(_path, str(exc)) from exc
-        return glued.complement() if isinstance(t, CoSgu) else glued
-    raise MalformedTree(_path, f"unknown node type {type(t).__name__}")
+    return _fold(t, _recompose_node)
 
 
 @dataclass
@@ -339,19 +388,21 @@ class TreeReport:
 def tree_stats(t: DecompTree) -> tuple[int, dict[str, int]]:
     """(depth, leaf counts by kind); a lone leaf has depth 0."""
     counts = {"split": 0, "pentagon": 0}
-    def walk(node, depth) -> int:
-        if isinstance(node, SplitLeaf):
-            counts["split"] += 1
-            return depth
-        if isinstance(node, PentagonLeaf):
-            counts["pentagon"] += 1
-            return depth
+    depth = 0
+    work = [(t, 0)]
+    while work:
+        node, d = work.pop()
         if isinstance(node, Subst):
-            kids = (node.quotient, node.child)
+            work += ((node.quotient, d + 1), (node.child, d + 1))
+        elif isinstance(node, (Sgu, CoSgu)):
+            work += ((node.part1, d + 1), (node.part2, d + 1))
         else:
-            kids = (node.part1, node.part2)
-        return max(walk(k, depth + 1) for k in kids)
-    return walk(t, 0), counts
+            depth = max(depth, d)
+            if isinstance(node, SplitLeaf):
+                counts["split"] += 1
+            elif isinstance(node, PentagonLeaf):
+                counts["pentagon"] += 1
+    return depth, counts
 
 
 def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
@@ -365,13 +416,16 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
     """
     failures: list[tuple[str, str]] = []
 
-    def check(node, path: str) -> Graph | None:
+    def fail(path, reason: str) -> None:
+        failures.append((_render(path), reason))
+
+    def check(node, path, kids) -> Graph | None:
         if isinstance(node, SplitLeaf):
             gr, cert = node.graph, node.cert
             if cert.clique | cert.stable != gr.vertex_set or cert.clique & cert.stable:
-                failures.append((path, "certificate does not partition the leaf"))
+                fail(path, "certificate does not partition the leaf")
             elif not gr.is_clique(cert.clique) or not gr.is_stable(cert.stable):
-                failures.append((path, "certificate sides are not clique/stable"))
+                fail(path, "certificate sides are not clique/stable")
             return gr
         if isinstance(node, PentagonLeaf):
             gr = node.graph
@@ -384,44 +438,42 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
                 and gr.edge_count == 5
             )
             if not ok:
-                failures.append((path, "leaf is not the claimed pentagon"))
+                fail(path, "leaf is not the claimed pentagon")
             return gr
         if isinstance(node, Subst):
-            gq = check(node.quotient, path + ".quotient")
-            gc = check(node.child, path + ".child")
+            gq, gc = kids
             if gq is None or gc is None:
                 return None
             try:
                 composed = substitute(gc, gq, node.marker)
             except ValueError as exc:
-                failures.append((path, f"substitution impossible: {exc}"))
+                fail(path, f"substitution impossible: {exc}")
                 return None
             if not 2 <= gc.n <= composed.n - 1:
-                failures.append((path, "substituted set is not proper"))
+                fail(path, "substituted set is not proper")
             elif not is_homogeneous(composed, gc.vertex_set):
-                failures.append((path, "substituted set is not homogeneous"))
+                fail(path, "substituted set is not homogeneous")
             if gq.n >= composed.n or gc.n >= composed.n:
-                failures.append((path, "children fail to shrink"))
+                fail(path, "children fail to shrink")
             return composed
         if isinstance(node, (Sgu, CoSgu)):
-            g1 = check(node.part1, path + ".part1")
-            g2 = check(node.part2, path + ".part2")
+            g1, g2 = kids
             if g1 is None or g2 is None:
                 return None
             pair = ComposablePair(g1=g1, g2=g2, roles=node.roles)
             try:
                 glued = unify(pair)
             except InvalidPair as exc:
-                failures.append((path, str(exc)))
+                fail(path, str(exc))
                 return None
             composed = glued.complement() if isinstance(node, CoSgu) else glued
             if g1.n >= composed.n or g2.n >= composed.n:
-                failures.append((path, "children fail to shrink"))
+                fail(path, "children fail to shrink")
             return composed
-        failures.append((path, f"unknown node type {type(node).__name__}"))
+        fail(path, f"unknown node type {type(node).__name__}")
         return None
 
-    rebuilt = check(t, "root")
+    rebuilt = _fold(t, check)
     if rebuilt is not None and rebuilt != g:
         failures.append(("root", "recomposition does not match the input graph"))
     depth, leaf_counts = tree_stats(t)

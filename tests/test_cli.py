@@ -5,11 +5,15 @@ import pytest
 from p5house.cli import main
 from p5house.graph import Graph, cycle_graph
 from p5house.graph6 import emit_graph6
-from p5house.decomposer import recompose, verify_tree
+from p5house.decomposer import CoSgu, Sgu, Subst, decompose, recompose, verify_tree
 from p5house.generator import GenConfig, generate
 from p5house.treedoc import TreeDocumentError, document_to_tree, tree_to_document
 
 H6 = Graph(range(6), [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (4, 5)])
+
+
+def c4_plus_universal():
+    return Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3)] + [(4, v) for v in range(4)])
 
 
 def write_graph(tmp_path, g, name="g.g6"):
@@ -83,6 +87,18 @@ class TestVerifyCommand:
         main(["decompose", write_graph(tmp_path, H6), "--out", str(out)])
         assert main(["verify", str(out)]) == 0
 
+    def test_subst_without_members_exits_2(self, tmp_path, capsys):
+        g = c4_plus_universal()
+        out = tmp_path / "tree.json"
+        assert main(["decompose", write_graph(tmp_path, g), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["node"]["kind"] == "subst"
+        del doc["node"]["members"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert "node: missing field 'members'" in capsys.readouterr().err
+
     def test_tampered_document(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
         main(["decompose", write_graph(tmp_path, H6), "--out", str(out)])
@@ -120,6 +136,40 @@ class TestCensusCommand:
         rows = [ln.split() for ln in out.strip().splitlines()[1:]]
         assert [int(r[1]) for r in rows] == [1, 1, 2, 8, 64]
         assert all(int(r[-1]) == 0 for r in rows)
+
+
+class TestSweep:
+    def test_one_oracle_scan_per_graph(self, monkeypatch):
+        import p5house.census as census
+        import p5house.decomposer as decomposer
+
+        p5_scans = []
+        real = decomposer.find_induced
+
+        def counted(g, kind):
+            if kind.value == "P5":
+                p5_scans.append(g)
+            return real(g, kind)
+
+        monkeypatch.setattr(decomposer, "find_induced", counted)
+        monkeypatch.setattr(census, "find_induced", counted)
+        result = census.run_sweep(4)
+        assert result.mismatch_count == 0
+        assert len(p5_scans) == sum(r.total for r in result.rows) == 1 + 1 + 2 + 8 + 64
+
+    def test_false_witness_is_a_mismatch(self, monkeypatch):
+        import p5house.census as census
+        from p5house.decomposer import NotClassMember
+        from p5house.oracle import PatternHit, PatternKind
+
+        def lying(g, **_):
+            raise NotClassMember(PatternHit(kind=PatternKind.P5, embedding=tuple(g.vertices)))
+
+        monkeypatch.setattr(census, "decompose", lying)
+        result = census.run_sweep(5)
+        # the one graph whose witness holds: the path 0-1-2-3-4
+        assert [len(r.mismatches) for r in result.rows] == [1, 1, 2, 8, 64, 1023]
+        assert [r.members for r in result.rows] == [0] * 6
 
 
 class TestTreeDocument:
@@ -170,6 +220,61 @@ class TestTreeDocument:
     def test_missing_field_rejected(self):
         with pytest.raises(TreeDocumentError):
             document_to_tree(json.dumps({"version": 1}))
+
+    def test_subst_members_are_the_child_vertex_sets(self):
+        def walk(obj, node):
+            if isinstance(node, Subst):
+                assert obj["members"] == sorted(recompose(node.child).vertex_set)
+            for kid_obj, kid in zip(obj.get("children", ()), kids(node)):
+                walk(kid_obj, kid)
+
+        def kids(node):
+            if isinstance(node, Subst):
+                return node.quotient, node.child
+            if isinstance(node, (Sgu, CoSgu)):
+                return node.part1, node.part2
+            return ()
+
+        substs = 0
+        for seed in range(60):
+            g, t = generate(GenConfig(seed=seed, max_depth=4))
+            for tree in (t, decompose(g)):
+                doc = json.loads(tree_to_document(tree, g))
+                walk(doc["node"], tree)
+                substs += json.dumps(doc).count('"subst"')
+        assert substs > 50
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda n: n.pop("marker"), "node: missing field 'marker'"),
+            (lambda n: n.update(members=5), "node.members: not a list of integer ids"),
+            (lambda n: n.update(members=["0", "1"]), "node.members: not a list of integer ids"),
+            (lambda n: n.update(marker=1.5), "node.marker: not an integer"),
+            (lambda n: n.update(children=[{}, {}]), "node.children[0]: node without a kind"),
+            (lambda n: n["children"][0].pop("stable"), "node.children[0]: missing field 'stable'"),
+            (lambda n: n["children"][0].update(clique=[True]),
+             "node.children[0].clique: not a list of integer ids"),
+            (lambda n: n["children"][1].update(marker=None),
+             "node.children[1].marker: not an integer"),
+            (lambda n: n.update(children={}), "node: substitution node needs two children"),
+        ],
+    )
+    def test_malformed_node_names_its_path(self, edit, message):
+        g = c4_plus_universal()
+        doc = json.loads(tree_to_document(decompose(g), g))
+        assert doc["node"]["kind"] == "subst"
+        edit(doc["node"])
+        with pytest.raises(TreeDocumentError) as err:
+            document_to_tree(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_non_integer_vertex_ids_rejected(self):
+        g, t = generate(GenConfig(seed=1))
+        doc = json.loads(tree_to_document(t, g))
+        doc["vertexIds"] = [str(v) for v in doc["vertexIds"]]
+        with pytest.raises(TreeDocumentError):
+            document_to_tree(json.dumps(doc))
 
     def test_garbage_rejected(self):
         with pytest.raises(TreeDocumentError):

@@ -252,3 +252,39 @@ class TestProperties:
         decompose(h6(), observer=Obs())
         assert any(isinstance(e, tuple) for e in events)
         assert "skew" in events
+
+
+def edgeless_leaf(vs):
+    return SplitLeaf(graph=Graph(vs), cert=SplitCert(clique=frozenset(), stable=frozenset(vs)))
+
+
+def subst_chain(inner, depth):
+    """Wrap ``inner`` in ``depth`` substitution nodes, each over a
+    two-vertex quotient that adds one new isolated vertex."""
+    t = inner
+    for i in range(depth):
+        t = Subst(quotient=edgeless_leaf([0, 10_000 + i]), child=t, marker=0)
+    return t
+
+
+class TestDeepTrees:
+    def test_depth_5000_recomposes_verifies_and_reports_depth(self):
+        t = subst_chain(edgeless_leaf([0, 1]), 5000)
+        g = recompose(t)
+        assert g == Graph([0, 1] + [10_000 + i for i in range(5000)])
+        rep = verify_tree(t, g)
+        assert rep.ok, rep.failures[:1]
+        assert rep.depth == 5000
+        assert tree_stats(t) == (5000, {"split": 5001, "pentagon": 0})
+
+    def test_deep_failure_names_its_path(self):
+        bad = Subst(quotient=edgeless_leaf([1, 2]), child=edgeless_leaf([0, 5]), marker=99)
+        t = subst_chain(bad, 4999)
+        with pytest.raises(MalformedTree) as err:
+            recompose(t)
+        assert err.value.path == "root" + ".child" * 4999
+        rep = verify_tree(t, Graph([0]))
+        assert rep.failures == [
+            ("root" + ".child" * 4999,
+             "substitution impossible: substitution site 99 is not a vertex of the outer graph")
+        ]

@@ -33,6 +33,68 @@ def random_graph(rng, n, p=0.5):
     return Graph(range(n), edges)
 
 
+def pair_closure(g, seed):
+    """Smallest homogeneous set containing the seed, by adding mixed
+    vertices until none is left."""
+    m = g._mask_of(seed)
+    full = g._full_mask()
+    changed = True
+    while changed and m != full:
+        changed = False
+        rest = full & ~m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            hit = g._masks[b.bit_length() - 1] & m
+            if hit != 0 and hit != m:
+                m |= b
+                changed = True
+    return g._set_of(m)
+
+
+def reference_homogeneous_set(g):
+    """The all-pairs search: the largest proper pair closure, ties broken
+    by the smaller sorted member tuple; None iff the graph is prime."""
+    if g.n < 3:
+        return None
+    best = None
+    vs = g.vertices
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            closed = pair_closure(g, {u, v})
+            if len(closed) > g.n - 1:
+                continue
+            if (
+                best is None
+                or len(closed) > len(best)
+                or (len(closed) == len(best) and sorted(closed) < sorted(best))
+            ):
+                best = closed
+    return best
+
+
+def found_members(g):
+    hs = find_proper_homogeneous_set(g)
+    return None if hs is None else hs.members
+
+
+def substitution_graph(rng, n_max):
+    """A random graph grown by substituting random graphs for vertices, so
+    that its modular decomposition has prime and degenerate nodes at
+    several levels; vertex ids are scattered."""
+    def rnd(ids):
+        p = rng.random()
+        return Graph(ids, [(u, v) for u, v in itertools.combinations(ids, 2) if rng.random() < p])
+
+    target = rng.randint(1, n_max)
+    ids = iter(rng.sample(range(1000), 1000))
+    g = rnd([next(ids) for _ in range(min(target, rng.randint(1, 5)))])
+    while g.n < target:
+        inner = rnd([next(ids) for _ in range(rng.randint(2, min(5, target - g.n + 1)))])
+        g = substitute(inner, g, rng.choice(g.vertices))
+    return g
+
+
 class TestFindProperHomogeneousSet:
     def test_diamond(self):
         g = diamond()
@@ -66,7 +128,98 @@ class TestFindProperHomogeneousSet:
                 assert hs.members in brute
 
 
+class TestSameChoiceAsPairSearch:
+    """The search reads the answer off the top of the modular
+    decomposition; the all-pairs closure search above is the reference."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        from p5house.census import labeled_graphs
+
+        for n in range(7):
+            for g in labeled_graphs(n):
+                assert found_members(g) == reference_homogeneous_set(g), g.edges()
+
+    def test_random_graphs_up_to_sixteen_vertices(self):
+        rng = random.Random(2024)
+        for i in range(3000):
+            if i % 3:
+                g = substitution_graph(rng, 16)
+            else:
+                g = random_graph(rng, rng.randint(1, 16), rng.random())
+            assert found_members(g) == reference_homogeneous_set(g), (g.vertices, g.edges())
+
+    def test_every_graph_decompose_reaches(self, monkeypatch):
+        import p5house.decomposer as decomposer
+        from p5house.generator import GenConfig, generate
+
+        seen = []
+
+        def checked(g):
+            hs = find_proper_homogeneous_set(g)
+            assert (None if hs is None else hs.members) == reference_homogeneous_set(g)
+            seen.append(hs is not None)
+            return hs
+
+        monkeypatch.setattr(decomposer, "find_proper_homogeneous_set", checked)
+        for seed in range(60):
+            g, _ = generate(GenConfig(seed=seed, max_depth=4))
+            decomposer.decompose(g)
+        assert sum(seen) > 100 and not all(seen)
+
+    def test_degenerate_root_with_three_children(self):
+        # components {0}, {1, 2}, {3, 4, 5}: the two largest, not all but
+        # the smallest child alone
+        g = Graph(range(6), [(1, 2), (3, 4), (4, 5)])
+        assert found_members(g) == frozenset({1, 2, 3, 4, 5})
+        # the complement: a series root, same answer
+        assert found_members(g.complement()) == frozenset({1, 2, 3, 4, 5})
+        # three components of size two: the two with the lowest ids win
+        g = Graph(range(8), [(0, 5), (1, 2), (3, 7)])
+        assert found_members(g) == frozenset({0, 1, 2, 5})
+        for h in (g, g.complement()):
+            assert found_members(h) == reference_homogeneous_set(h)
+
+    def test_equal_size_ties(self):
+        # P4 with each end blown up into an edge: two prime-root children
+        # of size two tie, and the lower sorted tuple wins
+        g = Graph([1, 2, 3, 4, 5, 6], [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+        assert found_members(g) == frozenset({1, 2}) == reference_homogeneous_set(g)
+        # the same with ids that put the other child first
+        g = Graph([9, 8, 3, 4, 5, 6], [(9, 8), (9, 3), (8, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+        assert found_members(g) == frozenset({5, 6}) == reference_homogeneous_set(g)
+
+    def test_two_child_root_with_a_wide_degenerate_child(self):
+        # K1 plus a disjoint triangle bcd: the pair closures inside the
+        # triangle are its edges, so the answer is {b, c}, not the module
+        # {b, c, d}
+        a, b, c, d = 1, 2, 3, 4
+        g = Graph([a, b, c, d], [(b, c), (b, d), (c, d)])
+        assert found_members(g) == frozenset({b, c}) == reference_homogeneous_set(g)
+
+
+def substitute_by_edges(g1, g2, u):
+    """Substitution spelled out on edge lists: g1's edges, g2's edges away
+    from u, and every g2-neighbour of u joined to all of g1."""
+    verts = list(g1.vertices) + [v for v in g2.vertices if v != u]
+    edges = g1.edges() + [(a, b) for a, b in g2.edges() if u not in (a, b)]
+    for v in g2.neighbors(u):
+        edges.extend((v, w) for w in g1.vertices)
+    return Graph(verts, edges)
+
+
 class TestSubstitute:
+    def test_same_graph_as_edge_lists(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            n1, n2 = rng.randint(1, 9), rng.randint(1, 9)
+            ids = rng.sample(range(60), n1 + n2)
+            g1 = Graph(ids[:n1], [e for e in itertools.combinations(ids[:n1], 2) if rng.random() < 0.5])
+            g2 = Graph(ids[n1:], [e for e in itertools.combinations(ids[n1:], 2) if rng.random() < 0.5])
+            u = rng.choice(g2.vertices)
+            assert substitute(g1, g2, u) == substitute_by_edges(g1, g2, u)
+            # the marker convention: u may also be a vertex of g1
+            g1u = Graph(g1.vertices + (u,), g1.edges() + [(u, v) for v in g1.vertices if rng.random() < 0.5])
+            assert substitute(g1u, g2, u) == substitute_by_edges(g1u, g2, u)
     def test_k2_into_path_center_gives_diamond(self):
         g1 = complete_graph([8, 9])
         g2 = path_graph([1, 2, 3])
