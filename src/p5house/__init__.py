@@ -29,6 +29,7 @@ from .oracle import (
     PatternKind,
     find_induced,
     find_special_h6,
+    first_forbidden,
     is_class_member,
 )
 from .modular import (

@@ -2,9 +2,9 @@
 
 The sweep is the equivalence check between the grammar and the oracle:
 every member must decompose, verify, and recompose label-exactly, and every
-non-member must be rejected with a witness.  Membership of (n+1)-vertex
-extensions is decided incrementally (a new forbidden pattern must pass
-through the new vertex), which keeps seven-vertex sweeps affordable.
+non-member must be rejected with a witness.  The (n+1)-vertex members are
+enumerated as extensions of the n-vertex members, which keeps seven-vertex
+sweeps affordable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .graph import Graph
-from .oracle import PatternKind, contains_induced_using, find_induced, is_class_member, validate_hit
+from .oracle import PatternKind, find_induced, is_class_member, validate_hit
 from .modular import find_proper_homogeneous_set
 from .decomposer import NotClassMember, SplitLeaf, Subst, decompose, recompose, verify_tree
 
@@ -131,18 +131,17 @@ def member_masks(n: int) -> list[int]:
 def extend_members(n: int, base_masks: list[int]) -> Iterator[Graph]:
     """All (n+1)-vertex members, derived from the n-vertex member masks.
 
-    Every member on n+1 vertices restricts to a member on the first n, so
-    attaching the new vertex to each base member in all 2^n ways and
-    checking only patterns through the new vertex covers the class exactly.
+    Precondition: every mask in ``base_masks`` is a member on 0..n-1 (as
+    ``member_masks(n)`` gives).  Every member on n+1 vertices restricts to a
+    member on the first n, so attaching the new vertex to each base member
+    in all 2^n ways covers the class.  Any P5 or house in an extension then
+    passes through the new vertex, so the whole-graph membership test
+    decides exactly what a search pinned to the new vertex would.
     """
     pairs = pair_table(n + 1)
-    new_vertex = n
     for base in base_masks:
         for att in range(1 << n):
             mask = base | att << (n * (n - 1) // 2)
             g = graph_from_pair_mask(n + 1, mask, pairs)
-            if contains_induced_using(g, PatternKind.P5, new_vertex):
-                continue
-            if contains_induced_using(g, PatternKind.HOUSE, new_vertex):
-                continue
-            yield g
+            if is_class_member(g):
+                yield g

@@ -20,7 +20,7 @@ from typing import Union
 
 from .graph import Graph, SplitCert, split_certificate
 from .modular import find_proper_homogeneous_set, is_homogeneous, quotient_factor, substitute
-from .oracle import PatternHit, PatternKind, find_induced, find_special_h6
+from .oracle import PatternHit, find_special_h6, first_forbidden
 from .skewpart import (
     CaseTag,
     ConstructionFailed,
@@ -115,16 +115,6 @@ class CoSgu:
 
 
 DecompTree = Union[SplitLeaf, PentagonLeaf, Subst, Sgu, CoSgu]
-
-
-def _refutation(g: Graph, triple: bool) -> PatternHit | None:
-    for kind in (PatternKind.P5, PatternKind.HOUSE) + (
-        (PatternKind.C5,) if triple else ()
-    ):
-        hit = find_induced(g, kind)
-        if hit is not None:
-            return hit
-    return None
 
 
 def _pentagon_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -225,13 +215,12 @@ def _unification_step(g: Graph, observer) -> tuple[bool, ComposablePair]:
 
 def _assert_factors_free(pair: ComposablePair) -> None:
     for part in (pair.g1, pair.g2):
-        for kind in (PatternKind.P5, PatternKind.HOUSE, PatternKind.C5):
-            hit = find_induced(part, kind)
-            if hit is not None:
-                raise InternalStructureError(
-                    f"factor of a member contains an induced {kind.value} "
-                    f"at {hit.embedding}"
-                )
+        hit = first_forbidden(part, triple=True)
+        if hit is not None:
+            raise InternalStructureError(
+                f"factor of a member contains an induced {hit.kind.value} "
+                f"at {hit.embedding}"
+            )
 
 
 def _expand(g: Graph, observer):
@@ -265,7 +254,7 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     The recursion is driven by an explicit work stack, so deep trees stay
     clear of interpreter recursion limits.
     """
-    hit = _refutation(g, triple)
+    hit = first_forbidden(g, triple)
     if hit is not None:
         raise NotClassMember(hit)
     work: list[tuple] = [("expand", g)]

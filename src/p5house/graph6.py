@@ -1,9 +1,12 @@
 """graph6 encoding and the one-edge-per-line text format.
 
-Only the short graph6 form is supported (n <= 62, single length byte):
-byte n+63, then the upper triangle of the adjacency matrix column by column,
-six bits per byte, each byte offset by 63.  Parsing is strict; malformed
-input is rejected with the byte offset of the problem.
+A graph6 line is the size, then the upper triangle of the adjacency matrix
+column by column, six bits per byte, each byte offset by 63.  The size is one
+byte n+63 for n <= 62, or ``~`` and three bytes holding n in 18 bits,
+high bits first, for 63 <= n <= 258,047.  The eight-byte ``~~`` form for
+larger n is not supported.  Parsing is strict: a size that fits the shorter
+form must use it, and malformed input is rejected with the byte offset of
+the problem.
 """
 
 from __future__ import annotations
@@ -23,6 +26,25 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+_LONG_MAX_N = 258_047
+
+
+def _parse_size(s: str) -> tuple[int, int]:
+    """The size field: (n, offset of the first adjacency byte)."""
+    if s[0] != "~":
+        return ord(s[0]) - 63, 1
+    if s[1:2] == "~":
+        raise Graph6Error(0, f"the eight-byte size form (n > {_LONG_MAX_N}) is not supported")
+    if len(s) < 4:
+        raise Graph6Error(len(s), "truncated long-form size")
+    n = 0
+    for ch in s[1:4]:
+        n = n << 6 | ord(ch) - 63
+    if n <= 62:
+        raise Graph6Error(1, f"long-form size {n} must use the one-byte form")
+    return n, 4
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a graph on vertices 0..n-1."""
     s = text.rstrip("\n")
@@ -31,22 +53,21 @@ def parse_graph6(text: str) -> Graph:
     for off, ch in enumerate(s):
         if not 63 <= ord(ch) <= 126:
             raise Graph6Error(off, f"byte {ord(ch)} outside graph6 range")
-    n = ord(s[0]) - 63
-    if n > 62:
-        raise Graph6Error(0, "only single-byte sizes (n <= 62) are supported")
+    n, start = _parse_size(s)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(s) - 1 != nbytes:
+    if len(s) - start != nbytes:
         raise Graph6Error(
-            min(len(s), 1 + nbytes), f"expected {nbytes} adjacency bytes, got {len(s) - 1}"
+            min(len(s), start + nbytes),
+            f"expected {nbytes} adjacency bytes, got {len(s) - start}",
         )
     bits: list[int] = []
-    for off, ch in enumerate(s[1:], start=1):
+    for ch in s[start:]:
         val = ord(ch) - 63
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
     for idx in range(nbits, len(bits)):
         if bits[idx]:
-            raise Graph6Error(1 + idx // 6, "nonzero padding bits")
+            raise Graph6Error(start + idx // 6, "nonzero padding bits")
     edges = [pair for pair, bit in zip(_pairs(n), bits) if bit]
     return Graph(range(n), edges)
 
@@ -54,13 +75,16 @@ def parse_graph6(text: str) -> Graph:
 def emit_graph6(g: Graph) -> str:
     """Encode a graph; vertex ids map to positions 0..n-1 in sorted order."""
     n = g.n
-    if n > 62:
-        raise Graph6Error(0, "only graphs with n <= 62 can be emitted")
+    if n > _LONG_MAX_N:
+        raise Graph6Error(0, f"only graphs with n <= {_LONG_MAX_N} can be emitted")
     vs = g.vertices
     bits = [1 if g.has_edge(vs[i], vs[j]) else 0 for i, j in _pairs(n)]
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(n + 63)]
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for at in range(0, len(bits), 6):
         val = 0
         for b in bits[at : at + 6]:

@@ -1,10 +1,21 @@
 """Brute-force ground truth: induced-pattern search and class membership.
 
-The five patterns are fixed and tiny, so an exhaustive backtracking search
-over vertex tuples is both the simplest and the most trustworthy oracle.
-Embeddings are enumerated in ascending lexicographic order, with each
-pattern's automorphisms quotiented away by canonical position constraints,
-so results are reproducible.  Intended scale is n up to roughly 60.
+The five patterns are fixed and tiny, so an exhaustive search over vertex
+tuples is both the simplest and the most trustworthy oracle.  Embeddings
+are enumerated in ascending lexicographic order, with each pattern's
+automorphisms quotiented away by canonical position constraints, so a
+search's first hit is reproducible.
+
+Two searches produce that order.  The bitmask kernel (``_kernel``) walks
+the five positions in nested loops over adjacency masks, carrying down the
+masks that earlier positions rule out, and tests the fifth vertex with one
+mask operation.  It serves P5, C5 (the same walk with the closing edge and
+its order constraints) and the house, which on positions 0..4 is exactly
+the complement of P5 with the same constraint v0 < v4.  The generic
+generator ``_embeddings`` serves P4, H6 and the vertex-pinned search, and
+is the reference the kernel is tested against.  Both are O(n^5) in the
+worst case; the kernel spends a few mask operations per induced
+four-vertex prefix, with no generator frames.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ __all__ = [
     "H6Hit",
     "find_induced",
     "contains_induced_using",
+    "first_forbidden",
     "is_class_member",
     "find_special_h6",
 ]
@@ -73,6 +85,9 @@ def _compile(kind: PatternKind):
 
 
 _COMPILED = {kind: _compile(kind) for kind in PatternKind}
+
+_FORBIDDEN = (PatternKind.P5, PatternKind.HOUSE)
+_FORBIDDEN_TRIPLE = _FORBIDDEN + (PatternKind.C5,)
 
 
 @dataclass(frozen=True)
@@ -149,22 +164,107 @@ def _embeddings(
             yield from search(p)
 
 
-def find_induced(g: Graph, kind: PatternKind) -> PatternHit | None:
-    """First induced copy of the pattern in lexicographic order, or None."""
-    for emb in _embeddings(g, kind):
-        return PatternHit(kind=kind, embedding=emb)
+def _kernel(masks: tuple[int, ...], cycle: bool) -> tuple[int, ...] | None:
+    """Bit positions of the first induced P5 (v0 < v4) in lexicographic
+    order or, with ``cycle``, of the first induced C5 (v0 least, v1 < v4).
+
+    Nested levels over adjacency masks, one per position.  ``allow`` holds
+    the vertices positions 1..3 may take (above v0 for the cycle), and
+    ``reach_k`` the vertices still allowed at position 4 once positions
+    0..k are fixed, so the fifth vertex is one mask test.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    for i0 in range(n):
+        n0 = masks[i0]
+        above0 = full >> (i0 + 1) << (i0 + 1)
+        if cycle:
+            allow, reach0 = above0, above0 & n0
+        else:
+            allow, reach0 = full, above0 & ~n0
+        if not reach0:
+            continue
+        off0 = n0 | 1 << i0
+        c1 = n0 & allow
+        while c1:
+            b1 = c1 & -c1
+            c1 ^= b1
+            i1 = b1.bit_length() - 1
+            n1 = masks[i1]
+            reach1 = reach0 & ~n1
+            if cycle:
+                reach1 &= full >> (i1 + 1) << (i1 + 1)
+            if not reach1:
+                continue
+            off01 = n0 | n1
+            c2 = n1 & ~off0 & allow
+            while c2:
+                b2 = c2 & -c2
+                c2 ^= b2
+                n2 = masks[b2.bit_length() - 1]
+                reach2 = reach1 & ~n2
+                if not reach2:
+                    continue
+                c3 = n2 & ~off01 & allow
+                while c3:
+                    b3 = c3 & -c3
+                    c3 ^= b3
+                    c4 = masks[b3.bit_length() - 1] & reach2
+                    if c4:
+                        return (
+                            i0,
+                            i1,
+                            b2.bit_length() - 1,
+                            b3.bit_length() - 1,
+                            (c4 & -c4).bit_length() - 1,
+                        )
     return None
+
+
+def find_induced(g: Graph, kind: PatternKind) -> PatternHit | None:
+    """First induced copy of the pattern in lexicographic order, or None.
+
+    P5, house and C5 go through the bitmask kernel; the house is the P5 of
+    the complement on the same positions, with the same v0 < v4 constraint.
+    Other patterns take the generic search.
+    """
+    if kind is PatternKind.P5:
+        pos = _kernel(g._masks, cycle=False)
+    elif kind is PatternKind.HOUSE:
+        pos = _kernel(g.complement()._masks, cycle=False)
+    elif kind is PatternKind.C5:
+        pos = _kernel(g._masks, cycle=True)
+    else:
+        for emb in _embeddings(g, kind):
+            return PatternHit(kind=kind, embedding=emb)
+        return None
+    if pos is None:
+        return None
+    vs = g.vertices
+    return PatternHit(kind=kind, embedding=tuple(vs[i] for i in pos))
 
 
 def contains_induced_using(g: Graph, kind: PatternKind, v: int) -> bool:
     """True iff some induced copy of the pattern goes through vertex v.
 
-    Used for incremental membership checks when a graph grows by one vertex:
-    any new forbidden pattern must pass through the new vertex.
+    A vertex added to a member creates a forbidden pattern exactly when
+    one goes through it, so this decides membership of one-vertex
+    extensions on its own.
     """
     for _ in _embeddings(g, kind, pin=v):
         return True
     return False
+
+
+def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
+    """The refutation of membership: the first induced P5, else the first
+    house, else (with ``triple``) the first pentagon; None for a member."""
+    kinds = _FORBIDDEN_TRIPLE if triple else _FORBIDDEN
+    for kind in kinds:
+        hit = find_induced(g, kind)
+        if hit is not None:
+            return hit
+    return None
 
 
 def is_class_member(g: Graph, triple: bool = False) -> bool:
@@ -172,13 +272,7 @@ def is_class_member(g: Graph, triple: bool = False) -> bool:
 
     With ``triple`` the pentagon is forbidden as well.
     """
-    if find_induced(g, PatternKind.P5) is not None:
-        return False
-    if find_induced(g, PatternKind.HOUSE) is not None:
-        return False
-    if triple and find_induced(g, PatternKind.C5) is not None:
-        return False
-    return True
+    return first_forbidden(g, triple) is None
 
 
 _H6_SWAP = (3, 2, 1, 0, 5, 4)  # the H6 automorphism exchanging its two halves

@@ -47,6 +47,22 @@ class TestRecognize:
     def test_missing_file_exit_2(self):
         assert main(["recognize", "/nonexistent/file.g6"]) == 2
 
+    def test_one_scan_per_non_member(self, tmp_path, capsys, monkeypatch):
+        import p5house.oracle as oracle
+        from p5house.graph import path_graph
+
+        scans = []
+        real = oracle.find_induced
+
+        def counted(g, kind):
+            scans.append(kind.value)
+            return real(g, kind)
+
+        monkeypatch.setattr(oracle, "find_induced", counted)
+        assert main(["recognize", write_graph(tmp_path, path_graph(range(5)))]) == 1
+        assert capsys.readouterr().out == "non-member: induced P5 at (0, 1, 2, 3, 4)\n"
+        assert scans == ["P5"]
+
     def test_edge_list_input(self, tmp_path, capsys):
         p = tmp_path / "edges.txt"
         p.write_text("0 1\n1 2\n2 3\n")
@@ -71,6 +87,20 @@ class TestDecomposeRecompose:
         from p5house.graph import path_graph
 
         assert main(["decompose", write_graph(tmp_path, path_graph(range(5)))]) == 1
+
+    def test_chain_past_62_vertices(self, tmp_path, capsys):
+        # C4 on 0..3, then even vertices joined to every earlier vertex and
+        # odd ones isolated when added: a substitution chain on 63 vertices
+        n = 63
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        edges += [(u, v) for v in range(4, n, 2) for u in range(v)]
+        src = tmp_path / "chain.txt"
+        src.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        out = tmp_path / "tree.json"
+        assert main(["decompose", str(src), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rootGraph"].startswith("~??~")
+        assert main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
 
     def test_round_trip_bytes(self, tmp_path, capsys):
         src = write_graph(tmp_path, H6)
@@ -141,17 +171,17 @@ class TestCensusCommand:
 class TestSweep:
     def test_one_oracle_scan_per_graph(self, monkeypatch):
         import p5house.census as census
-        import p5house.decomposer as decomposer
+        import p5house.oracle as oracle
 
         p5_scans = []
-        real = decomposer.find_induced
+        real = oracle.find_induced
 
         def counted(g, kind):
             if kind.value == "P5":
                 p5_scans.append(g)
             return real(g, kind)
 
-        monkeypatch.setattr(decomposer, "find_induced", counted)
+        monkeypatch.setattr(oracle, "find_induced", counted)
         monkeypatch.setattr(census, "find_induced", counted)
         result = census.run_sweep(4)
         assert result.mismatch_count == 0

@@ -55,6 +55,44 @@ class TestRoundTrip:
             assert parse_graph6(emit_graph6(g)) == g
 
 
+class TestLongForm:
+    def test_size_header(self):
+        # n = 63 is 000000 000000 111111 in 18 bits
+        s = emit_graph6(Graph(range(63)))
+        assert s == "~??~" + "?" * 326
+        assert parse_graph6(s) == Graph(range(63))
+
+    @pytest.mark.parametrize("n", [63, 100, 200])
+    def test_round_trip(self, n):
+        rng = random.Random(n)
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        g = Graph(range(n), edges)
+        assert parse_graph6(emit_graph6(g)) == g
+
+    @pytest.mark.parametrize("text", ["~", "~?", "~??"])
+    def test_truncated_header(self, text):
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6(text)
+        assert err.value.offset == len(text)
+
+    def test_truncated_adjacency(self):
+        s = emit_graph6(Graph(range(70)))
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6(s[:-1])
+        assert err.value.offset == len(s) - 1
+
+    def test_eight_byte_form_rejected(self):
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6("~~??????")
+        assert err.value.offset == 0
+
+    def test_small_size_in_long_form_rejected(self):
+        # K2 written with the long size field: the one-byte form is canonical
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6("~??A_")
+        assert err.value.offset == 1
+
+
 class TestErrors:
     def test_empty_input(self):
         with pytest.raises(Graph6Error):
@@ -85,7 +123,7 @@ class TestErrors:
 
     def test_too_big_to_emit(self):
         with pytest.raises(Graph6Error):
-            emit_graph6(Graph(range(63)))
+            emit_graph6(Graph(range(258_048)))
 
 
 class TestEdgeList:

@@ -2,11 +2,15 @@ import itertools
 import random
 
 from p5house.graph import Graph, complete_graph, cycle_graph, path_graph, split_certificate
+from p5house.census import labeled_graphs
 from p5house.oracle import (
     PatternKind,
+    _embeddings,
+    _kernel,
     contains_induced_using,
     find_induced,
     find_special_h6,
+    first_forbidden,
     is_class_member,
     validate_h6_hit,
     validate_hit,
@@ -111,6 +115,80 @@ class TestFindInduced:
                         for t in itertools.permutations(g.vertices, 5)
                     )
                     assert contains_induced_using(g, kind, v) == expected
+
+
+KERNEL_KINDS = (PatternKind.P5, PatternKind.HOUSE, PatternKind.C5)
+
+
+def assert_kernels_match_generic(graphs, complements=True):
+    """The kernels' hit is the generic search's first embedding, exactly,
+    on each graph and (with ``complements``) on its complement."""
+    for g in graphs:
+        for h in (g, g.complement()) if complements else (g,):
+            for kind in KERNEL_KINDS:
+                hit = find_induced(h, kind)
+                first = next(_embeddings(h, kind), None)
+                assert (None if hit is None else hit.embedding) == first, (kind, h.edges())
+
+
+def seeded_random_graphs(count, max_n, seed):
+    """Graphs with n <= max_n over the full density range, on shuffled
+    non-contiguous ids so that positions and ids differ."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        ids = rng.sample(range(3 * max_n), n)
+        p = rng.random()
+        edges = [(u, v) for u, v in itertools.combinations(ids, 2) if rng.random() < p]
+        out.append(Graph(ids, edges))
+    return out
+
+
+class TestKernels:
+    def test_first_hits_match_generic_on_all_small_graphs(self):
+        # the labelled graphs on 0..n-1 are closed under complement
+        graphs = (g for n in range(7) for g in labeled_graphs(n))
+        assert_kernels_match_generic(graphs, complements=False)
+
+    def test_first_hits_match_generic_on_random_graphs(self):
+        assert_kernels_match_generic(seeded_random_graphs(2000, 16, seed=303))
+
+    def test_house_hit_is_p5_kernel_hit_on_complement(self):
+        hits = 0
+        for g in seeded_random_graphs(400, 14, seed=404):
+            house = find_induced(g, PatternKind.HOUSE)
+            pos = _kernel(g.complement()._masks, cycle=False)
+            expected = None if pos is None else tuple(g.vertices[i] for i in pos)
+            assert (None if house is None else house.embedding) == expected
+            hits += house is not None
+        assert hits > 50
+
+    def test_c5_hit_is_canonical(self):
+        # pentagon 3-9-4-7-5-3: least vertex first, then its smaller neighbour
+        g = cycle_graph([3, 9, 4, 7, 5])
+        assert find_induced(g, PatternKind.C5).embedding == (3, 5, 7, 4, 9)
+
+
+class TestFirstForbidden:
+    def test_p5_before_house(self):
+        # a house on 0..4 plus a pendant path making a P5 with larger ids:
+        # the P5 is reported first
+        g = house_from_path_labels([0, 1, 2, 3, 4])
+        assert first_forbidden(g).kind is PatternKind.HOUSE
+        g2 = Graph(range(9), g.edges() + [(4, 5), (5, 6), (6, 7), (7, 8)])
+        hit = first_forbidden(g2)
+        assert hit.kind is PatternKind.P5
+        assert hit == find_induced(g2, PatternKind.P5)
+
+    def test_agrees_with_kinds_in_order(self):
+        for g in seeded_random_graphs(300, 10, seed=505):
+            for triple in (False, True):
+                kinds = KERNEL_KINDS if triple else KERNEL_KINDS[:2]
+                hits = [find_induced(g, kind) for kind in kinds]
+                expected = next((h for h in hits if h is not None), None)
+                assert first_forbidden(g, triple) == expected
+                assert is_class_member(g, triple) == (expected is None)
 
 
 class TestClassMember:
