@@ -187,29 +187,28 @@ def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
 def _unification_step(g: Graph, observer) -> tuple[bool, ComposablePair]:
     """Find the composable pair of a prime, non-split, pentagon-free member.
 
-    Tries the decorated H6 of g first (pipeline in the complement), then the
-    one of the complement (pipeline in g), returning (co, pair) where ``co``
-    says the pair factors the complement of g."""
-    attempts = []
-    hit = find_special_h6(g)
-    if hit is not None:
-        attempts.append((True, g.complement(), hit))
-    co_hit = find_special_h6(g.complement())
-    if co_hit is not None:
-        attempts.append((False, g, co_hit))
-    if not attempts:
-        raise InternalStructureError(
-            "no decorated H6 in a prime non-split member or its complement"
-        )
+    Tries the decorated H6 of g first (pipeline in the complement).  The
+    complement is searched for its own decorated H6 (pipeline in g) only
+    when g has none or its pipeline raises ConstructionFailed.  Returns
+    (co, pair) where ``co`` says the pair factors the complement of g."""
+    co_g = g.complement()
     failure: Exception | None = None
-    for work_is_complement, work, work_hit in attempts:
+    found = False
+    for work_is_complement, host, work in ((True, g, co_g), (False, co_g, g)):
+        hit = find_special_h6(host)
+        if hit is None:
+            continue
+        found = True
         try:
-            flipped, pair = _run_pipeline(work, work_hit, observer)
+            flipped, pair = _run_pipeline(work, hit, observer)
         except ConstructionFailed as exc:
             failure = exc
             continue
-        co = work_is_complement != flipped
-        return co, pair
+        return work_is_complement != flipped, pair
+    if not found:
+        raise InternalStructureError(
+            "no decorated H6 in a prime non-split member or its complement"
+        )
     raise InternalStructureError(f"both construction sides failed: {failure}")
 
 

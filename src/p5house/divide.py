@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, MixedStatus, VertexSet
+from .graph import Graph, VertexSet
 from .skewpart import CaseTag, UsableCase
 
 __all__ = [
@@ -75,26 +75,41 @@ class ComposablePair:
 
 def validate_divide(g: Graph, d: SplitGraphDivide) -> bool:
     """Check all nine divide conditions; True iff every one holds."""
-    parts = [d.a, d.b, d.c, d.l, d.t]
-    if sum(len(p) for p in parts) != len(frozenset().union(*parts)):
+    masks = _role_masks(g, d.a, d.b, d.c, d.l, d.t)
+    return masks is not None and _divide_holds(g, *masks)
+
+
+def _role_masks(g: Graph, *sets) -> list[int] | None:
+    """The masks of the sets on g, or None when one leaves g."""
+    try:
+        return [g._mask_of(s) for s in sets]
+    except ValueError:
+        return None
+
+
+def _divide_holds(g: Graph, a: int, b: int, c: int, l: int, t: int) -> bool:
+    """The nine divide conditions on the masks of A, B, C, L and T."""
+    union = a | b | c | l | t
+    if sum(m.bit_count() for m in (a, b, c, l, t)) != union.bit_count():
         return False
-    if frozenset().union(*parts) != g.vertex_set:
+    if union != g._full_mask():
         return False
-    if len(d.a) < 2 or len(d.c) < 2:
+    if a.bit_count() < 2 or c.bit_count() < 2:
         return False
-    if not d.l or not g.is_clique(d.l):
+    if not l or not g._clique(l):
         return False
-    if not g.is_stable(d.t):
+    if not g._stable(t):
         return False
-    if not all(g.mixed_status(v, d.a) is MixedStatus.MIXED for v in d.l):
+    touch, common = g._attach(a)
+    if l & ~(touch & ~common):
         return False
-    if not g.is_complete_between(d.a, d.b):
+    if not g._complete(a, b):
         return False
-    if not g.is_anti_complete_between(d.a, d.c | d.t):
+    if not g._anti_complete(a, c | t):
         return False
-    if not g.is_complete_between(d.l, d.b | d.c):
+    if not g._complete(l, b | c):
         return False
-    if not g.is_anti_complete_between(d.t, d.c):
+    if not g._anti_complete(t, c):
         return False
     return True
 
@@ -112,29 +127,26 @@ def build_divide(g: Graph, case: UsableCase) -> SplitGraphDivide:
         raise ValueError("divides are built from component-side witnesses only")
     d = case.decomposition
     i = case.special_index
-    a = d.x_parts[i]
-    l = d.k_mixed[i]
-    b: set[int] = set()
-    c: set[int] = set()
-    for v in d.y - l:
-        status = g.mixed_status(v, a)
-        if status is MixedStatus.COMPLETE:
-            b.add(v)
-        elif status is MixedStatus.ANTI_COMPLETE:
-            c.add(v)
-        else:
-            raise DivideInvalid(f"vertex {v} outside the mixed clique is mixed on A")
+    a, l = d.x_parts[i], d.k_mixed[i]
+    a_mask, l_mask = g._mask_of(a), g._mask_of(l)
+    touch, common = g._attach(a_mask)
+    rest = g._mask_of(d.y) & ~l_mask
+    if rest & touch & ~common:
+        for v in d.y - l:
+            if g.is_mixed(v, a):
+                raise DivideInvalid(f"vertex {v} outside the mixed clique is mixed on A")
+    b, c = rest & common, rest & ~touch
     for j, xj in enumerate(d.x_parts):
         if j != i:
-            c |= xj
-    t: set[int] = set()
-    for v in d.s:
-        if g.mixed_status(v, l) is MixedStatus.COMPLETE:
-            c.add(v)
-        else:
-            t.add(v)
-    out = SplitGraphDivide(a=a, b=frozenset(b), c=frozenset(c), l=l, t=frozenset(t))
-    if not validate_divide(g, out):
+            c |= g._mask_of(xj)
+    s = g._mask_of(d.s)
+    if s and not l_mask:  # where classing S against L would ask mixed_status
+        raise ValueError("mixed_status against an empty set")
+    l_common = g._attach(l_mask)[1]
+    c |= s & l_common
+    t = s & ~l_common
+    out = SplitGraphDivide(a=a, b=g._set_of(b), c=g._set_of(c), l=l, t=g._set_of(t))
+    if not _divide_holds(g, a_mask, b, c, l_mask, t):
         raise DivideInvalid("constructed divide fails validation")
     return out
 
@@ -153,30 +165,37 @@ def _pair_violation(p: ComposablePair) -> str | None:
         return "markers coincide"
     if {r.marker_a, r.marker_c} & frozenset().union(*sets):
         return "a marker collides with a role vertex"
+    # The role sets and markers are disjoint from here on, so a factor's
+    # vertex set is the union of its roles iff each lies inside it and
+    # together they fill it.
     g1, g2 = p.g1, p.g2
-    if g1.vertex_set != r.a_set | r.l_set | r.t_set | {r.marker_c}:
+    masks = _role_masks(g1, r.a_set, r.l_set, r.t_set, (r.marker_c,))
+    if masks is None or masks[0] | masks[1] | masks[2] | masks[3] != g1._full_mask():
         return "g1 vertex set is not A, L, T plus its marker"
-    if not g1.is_clique(r.l_set):
+    a, l1, t1, mc = masks
+    if not g1._clique(l1):
         return "L is not a clique in g1"
-    if not g1.is_stable(r.t_set):
+    if not g1._stable(t1):
         return "T is not stable in g1"
-    if not g1.is_anti_complete_between(r.a_set, r.t_set):
+    if not g1._anti_complete(a, t1):
         return "A is not anti-complete to T in g1"
-    if not g1.is_complete_between({r.marker_c}, r.l_set):
+    if not g1._complete(mc, l1):
         return "g1 marker is not complete to L"
-    if not g1.is_anti_complete_between({r.marker_c}, r.a_set | r.t_set):
+    if not g1._anti_complete(mc, a | t1):
         return "g1 marker is not anti-complete to A and T"
-    if g2.vertex_set != r.b_set | r.c_set | r.l_set | r.t_set | {r.marker_a}:
+    masks = _role_masks(g2, r.b_set, r.c_set, r.l_set, r.t_set, (r.marker_a,))
+    if masks is None or masks[0] | masks[1] | masks[2] | masks[3] | masks[4] != g2._full_mask():
         return "g2 vertex set is not B, C, L, T plus its marker"
-    if g1.induced(r.l_set | r.t_set) != g2.induced(r.l_set | r.t_set):
+    b, c, l2, t2, ma = masks
+    if g1._induced(l1 | t1) != g2._induced(l2 | t2):
         return "the two sides disagree on the common split subgraph"
-    if not g2.is_anti_complete_between(r.t_set, r.c_set):
+    if not g2._anti_complete(t2, c):
         return "T is not anti-complete to C in g2"
-    if not g2.is_complete_between(r.l_set, r.b_set | r.c_set):
+    if not g2._complete(l2, b | c):
         return "L is not complete to B and C in g2"
-    if not g2.is_complete_between({r.marker_a}, r.b_set):
+    if not g2._complete(ma, b):
         return "g2 marker is not complete to B"
-    if not g2.is_anti_complete_between({r.marker_a}, r.c_set | r.l_set | r.t_set):
+    if not g2._anti_complete(ma, c | l2 | t2):
         return "g2 marker is not anti-complete to C, L and T"
     return None
 
@@ -192,21 +211,15 @@ def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
     Note that g1 is an induced subgraph of g up to the marker, while g2
     need not be: factoring deletes the A-L edges before contracting A.
     """
-    if not validate_divide(g, d):
+    masks = _role_masks(g, d.a, d.b, d.c, d.l, d.t)
+    if masks is None or not _divide_holds(g, *masks):
         raise DivideInvalid("factor called with an invalid divide")
-    top = max(g.vertices)
+    a, b, c, l, t = masks
+    top = g.vertices[-1]
     marker_c, marker_a = top + 1, top + 2
-    g1_verts = list(d.a | d.l | d.t) + [marker_c]
-    g1_edges = [e for e in g.induced(d.a | d.l | d.t).edges()]
-    g1_edges += [(marker_c, v) for v in d.l]
-    g1 = Graph(g1_verts, g1_edges)
-    g2_verts = list(d.b | d.c | d.l | d.t) + [marker_a]
-    g2_edges = [e for e in g.induced(d.b | d.c | d.l | d.t).edges()]
-    g2_edges += [(marker_a, v) for v in d.b]
-    g2 = Graph(g2_verts, g2_edges)
     pair = ComposablePair(
-        g1=g1,
-        g2=g2,
+        g1=g._induced(a | l | t, marker_c, l),
+        g2=g._induced(b | c | l | t, marker_a, b),
         roles=PairRoles(
             a_set=d.a, b_set=d.b, c_set=d.c, l_set=d.l, t_set=d.t,
             marker_a=marker_a, marker_c=marker_c,

@@ -184,25 +184,103 @@ class Graph:
             rest &= ~comp
         return comps
 
+    def _clique(self, m: int) -> bool:
+        masks = self._masks
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if m & ~masks[b.bit_length() - 1] & ~b:
+                return False
+        return True
+
+    def _stable(self, m: int) -> bool:
+        masks = self._masks
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if m & masks[b.bit_length() - 1]:
+                return False
+        return True
+
+    def _complete(self, mx: int, my: int) -> bool:
+        """Every mx-my pair over distinct vertices is an edge."""
+        masks = self._masks
+        while mx:
+            b = mx & -mx
+            mx ^= b
+            if my & ~b & ~masks[b.bit_length() - 1]:
+                return False
+        return True
+
+    def _anti_complete(self, mx: int, my: int) -> bool:
+        masks = self._masks
+        while mx:
+            b = mx & -mx
+            mx ^= b
+            if my & masks[b.bit_length() - 1]:
+                return False
+        return True
+
+    def _attach(self, m: int) -> tuple[int, int]:
+        """(vertices with a neighbour in m, vertices adjacent to all of m).
+
+        Outside m these read off every vertex's mixed status at once: a
+        vertex is complete to m in the second mask, anti-complete outside
+        the first, and mixed in the first but not the second."""
+        masks = self._masks
+        touch, common = 0, self._full_mask()
+        while m:
+            b = m & -m
+            m ^= b
+            nb = masks[b.bit_length() - 1]
+            touch |= nb
+            common &= nb
+        return touch, common
+
     # -- derived graphs ----------------------------------------------------
 
     def induced(self, xs: Iterable[int]) -> "Graph":
         """Subgraph induced on ``xs``; ids are kept as they are."""
-        keep = self._mask_of(xs)
-        g = Graph.__new__(Graph)
-        vs = tuple(v for v in self._vs if keep >> self._pos[v] & 1)
-        pos = {v: i for i, v in enumerate(vs)}
+        return self._induced(self._mask_of(xs))
+
+    def _induced(self, keep: int, marker: int | None = None, attach: int = 0) -> "Graph":
+        """Subgraph induced on the mask ``keep``; with ``marker`` (an id
+        above every id of this graph) one more vertex, adjacent to the
+        vertices of ``attach``, which must lie inside ``keep``."""
+        rank = [0] * len(self._vs)
+        vs = []
+        rest = keep
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            i = b.bit_length() - 1
+            rank[i] = 1 << len(vs)
+            vs.append(self._vs[i])
+        k = len(vs)
         masks = []
-        for v in vs:
-            m = self._masks[self._pos[v]] & keep
+        around = 0
+        rest = keep
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            m = self._masks[b.bit_length() - 1] & keep
             out = 0
             while m:
-                b = m & -m
-                m ^= b
-                out |= 1 << pos[self._vs[b.bit_length() - 1]]
+                c = m & -m
+                m ^= c
+                out |= rank[c.bit_length() - 1]
+            if attach & b:
+                out |= 1 << k
+                around |= 1 << len(masks)
             masks.append(out)
-        g._vs = vs
-        g._pos = pos
+        if marker is not None:
+            masks.append(around)
+            vs.append(marker)
+        g = Graph.__new__(Graph)
+        g._vs = tuple(vs)
+        g._pos = {v: i for i, v in enumerate(vs)}
         g._masks = tuple(masks)
         g._hash = None
         return g
@@ -245,45 +323,17 @@ class Graph:
     # -- completeness and mixing -------------------------------------------
 
     def is_clique(self, xs: Iterable[int]) -> bool:
-        m = self._mask_of(xs)
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if m & ~self._masks[b.bit_length() - 1] & ~b:
-                return False
-        return True
+        return self._clique(self._mask_of(xs))
 
     def is_stable(self, xs: Iterable[int]) -> bool:
-        m = self._mask_of(xs)
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if m & self._masks[b.bit_length() - 1]:
-                return False
-        return True
+        return self._stable(self._mask_of(xs))
 
     def is_complete_between(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
         """True iff every xs-ys pair (over distinct vertices) is an edge."""
-        mx, my = self._mask_of(xs), self._mask_of(ys)
-        rest = mx
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if my & ~b & ~self._masks[b.bit_length() - 1]:
-                return False
-        return True
+        return self._complete(self._mask_of(xs), self._mask_of(ys))
 
     def is_anti_complete_between(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
-        mx, my = self._mask_of(xs), self._mask_of(ys)
-        rest = mx
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if my & self._masks[b.bit_length() - 1]:
-                return False
-        return True
+        return self._anti_complete(self._mask_of(xs), self._mask_of(ys))
 
     def mixed_status(self, v: int, xs: Iterable[int]) -> MixedStatus:
         """Classify v against the nonempty set xs (v must lie outside xs)."""
@@ -304,25 +354,11 @@ class Graph:
 
     def is_simplicial(self, v: int) -> bool:
         """True iff the neighborhood of v is a clique."""
-        m = self._adj_mask(v)
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if m & ~self._masks[b.bit_length() - 1] & ~b:
-                return False
-        return True
+        return self._clique(self._adj_mask(v))
 
     def is_anti_simplicial(self, v: int) -> bool:
         """True iff the non-neighbors of v form a stable set."""
-        m = self._full_mask() & ~self._adj_mask(v) & ~(1 << self._pos[v])
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if m & self._masks[b.bit_length() - 1]:
-                return False
-        return True
+        return self._stable(self._full_mask() & ~self._adj_mask(v) & ~(1 << self._pos[v]))
 
     # -- value semantics -----------------------------------------------------
 
@@ -406,21 +442,35 @@ def find_mixed_witness(
     (respectively anti-connected); under those preconditions such a pair
     always exists.  The lexicographically least pair is returned.
     """
-    x = frozenset(xs)
-    if g.mixed_status(v, x) is not MixedStatus.MIXED:
+    return _mixed_witness(g, v, g._mask_of(xs), mode)
+
+
+def _mixed_witness(g: Graph, v: int, m: int, mode: WitnessMode) -> tuple[int, int]:
+    """find_mixed_witness on the mask m of the set, with the same checks."""
+    if not m:
+        raise ValueError("mixed_status against an empty set")
+    vb = 1 << g._pos[v]
+    if m & vb:
+        raise ValueError(f"vertex {v} belongs to the probed set")
+    masks = g._masks
+    nb = masks[vb.bit_length() - 1] & m
+    if not nb or nb == m:
         raise ValueError(f"vertex {v} is not mixed on the given set")
     if mode is WitnessMode.CONNECTED_EDGE:
-        if not g.connected_on(x):
+        if len(g._components_masks(m)) != 1:
             raise ValueError("witness requested on a disconnected set")
         want_edge = True
     else:
-        if not g.anti_connected_on(x):
+        if len(g._anti_components_masks(m)) != 1:
             raise ValueError("witness requested on a non-anti-connected set")
         want_edge = False
-    nb = sorted(u for u in x if g.has_edge(v, u))
-    nnb = sorted(u for u in x if not g.has_edge(v, u))
-    for x1 in nb:
-        for x2 in nnb:
-            if g.has_edge(x1, x2) == want_edge:
-                return (x1, x2)
+    nnb = m & ~nb
+    vs = g._vs
+    while nb:
+        b = nb & -nb
+        nb ^= b
+        adj = masks[b.bit_length() - 1]
+        far = nnb & adj if want_edge else nnb & ~adj
+        if far:
+            return (vs[b.bit_length() - 1], vs[(far & -far).bit_length() - 1])
     raise RuntimeError("no witness pair found despite preconditions")

@@ -6,16 +6,21 @@ are enumerated in ascending lexicographic order, with each pattern's
 automorphisms quotiented away by canonical position constraints, so a
 search's first hit is reproducible.
 
-Two searches produce that order.  The bitmask kernel (``_kernel``) walks
-the five positions in nested loops over adjacency masks, carrying down the
-masks that earlier positions rule out, and tests the fifth vertex with one
-mask operation.  It serves P5, C5 (the same walk with the closing edge and
-its order constraints) and the house, which on positions 0..4 is exactly
-the complement of P5 with the same constraint v0 < v4.  The generic
-generator ``_embeddings`` serves P4, H6 and the vertex-pinned search, and
-is the reference the kernel is tested against.  Both are O(n^5) in the
-worst case; the kernel spends a few mask operations per induced
-four-vertex prefix, with no generator frames.
+Two kinds of search produce that order.  The bitmask kernels walk the
+positions in nested loops over adjacency masks, carrying down the masks
+that earlier positions rule out, and test the last vertex with one mask
+operation.  ``_kernel`` serves P5, C5 (the same walk with the closing edge
+and its order constraints) and the house, which on positions 0..4 is
+exactly the complement of P5 with the same constraint v0 < v4.
+``_h6_kernel`` serves the decorated-H6 search: it walks H6's six
+positions and prunes with the simplicial and anti-simplicial vertex
+masks, which only drops prefixes no decorated copy extends, so it returns
+the first decorated embedding of the generic order.  The generic
+generator ``_embeddings`` serves P4 (and a plain, undecorated H6 asked of
+``find_induced``) and the vertex-pinned search, and is the reference the
+kernels are tested against.  All are O(n^5) or O(n^6)
+in the worst case; the kernels spend a few mask operations per prefix,
+with no generator frames.
 """
 
 from __future__ import annotations
@@ -278,6 +283,86 @@ def is_class_member(g: Graph, triple: bool = False) -> bool:
 _H6_SWAP = (3, 2, 1, 0, 5, 4)  # the H6 automorphism exchanging its two halves
 
 
+def _decorations(g: Graph) -> tuple[int, int]:
+    """(simplicial, anti-simplicial) vertex masks: a vertex's neighbours
+    form a clique, respectively its non-neighbours a stable set."""
+    full = g._full_mask()
+    simp = anti = 0
+    for i, m in enumerate(g._masks):
+        b = 1 << i
+        if g._clique(m):
+            simp |= b
+        if g._stable(full & ~m & ~b):
+            anti |= b
+    return simp, anti
+
+
+def _h6_kernel(masks: tuple[int, ...], simp: int, anti: int) -> tuple[int, ...] | None:
+    """Bit positions of the first decorated induced H6 (v0 < v3) in
+    lexicographic order: v0 and v3 simplicial, v1 or v2 anti-simplicial.
+
+    The positions are walked in order over adjacency masks, like
+    ``_kernel``.  Each prune is a necessary condition of a decorated copy:
+    v0 and v3 come from ``simp``, v2 from ``anti`` unless v1 is in it, and
+    a prefix is dropped once position 3, 4 or 5 has no candidate left
+    (``allow3``, ``reach4``, ``reach5``), so the first hit is the first
+    decorated embedding of the generic search.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    c0 = simp
+    while c0:
+        b0 = c0 & -c0
+        c0 ^= b0
+        i0 = b0.bit_length() - 1
+        n0 = masks[i0]
+        off0 = n0 | b0
+        allow3 = simp & ~n0 & (full >> (i0 + 1) << (i0 + 1))
+        if not allow3:
+            continue
+        c1 = n0
+        while c1:
+            b1 = c1 & -c1
+            c1 ^= b1
+            n1 = masks[b1.bit_length() - 1]
+            allow3_1 = allow3 & ~n1
+            reach4_1 = n1 & ~off0
+            if not (allow3_1 and reach4_1):
+                continue
+            c2 = reach4_1 if b1 & anti else reach4_1 & anti
+            while c2:
+                b2 = c2 & -c2
+                c2 ^= b2
+                n2 = masks[b2.bit_length() - 1]
+                c3 = n2 & allow3_1
+                reach4 = reach4_1 & ~n2 & ~b2
+                reach5 = n2 & ~n0 & ~n1
+                if not (c3 and reach4 and reach5):
+                    continue
+                while c3:
+                    b3 = c3 & -c3
+                    c3 ^= b3
+                    n3 = masks[b3.bit_length() - 1]
+                    reach5_3 = reach5 & ~n3 & ~b3
+                    if not reach5_3:
+                        continue
+                    c4 = reach4 & ~n3
+                    while c4:
+                        b4 = c4 & -c4
+                        c4 ^= b4
+                        c5 = reach5_3 & masks[b4.bit_length() - 1]
+                        if c5:
+                            return (
+                                i0,
+                                b1.bit_length() - 1,
+                                b2.bit_length() - 1,
+                                b3.bit_length() - 1,
+                                b4.bit_length() - 1,
+                                (c5 & -c5).bit_length() - 1,
+                            )
+    return None
+
+
 def find_special_h6(g: Graph) -> H6Hit | None:
     """Search for an induced H6 whose degree-one vertices are simplicial in g
     and at least one of whose degree-three vertices is anti-simplicial.
@@ -285,25 +370,22 @@ def find_special_h6(g: Graph) -> H6Hit | None:
     The first qualifying embedding (in enumeration order) is returned,
     normalized so that the anti-simplicial degree-three vertex sits at v2.
     """
-    simp = {v: g.is_simplicial(v) for v in g.vertices}
-    anti = {v: g.is_anti_simplicial(v) for v in g.vertices}
-    for emb in _embeddings(g, PatternKind.H6):
-        if not (simp[emb[0]] and simp[emb[3]]):
-            continue
-        a2, a3 = anti[emb[1]], anti[emb[2]]
-        if not (a2 or a3):
-            continue
-        if not a2:
-            emb = tuple(emb[i] for i in _H6_SWAP)
-            a2, a3 = a3, a2
-        return H6Hit(
-            embedding=emb,
-            v1_simplicial=True,
-            v4_simplicial=True,
-            v2_anti_simplicial=a2,
-            v3_anti_simplicial=a3,
-        )
-    return None
+    simp, anti = _decorations(g)
+    pos = _h6_kernel(g._masks, simp, anti)
+    if pos is None:
+        return None
+    a2, a3 = bool(anti >> pos[1] & 1), bool(anti >> pos[2] & 1)
+    if not a2:
+        pos = tuple(pos[i] for i in _H6_SWAP)
+        a2, a3 = a3, a2
+    vs = g.vertices
+    return H6Hit(
+        embedding=tuple(vs[i] for i in pos),
+        v1_simplicial=True,
+        v4_simplicial=True,
+        v2_anti_simplicial=a2,
+        v3_anti_simplicial=a3,
+    )
 
 
 def validate_hit(g: Graph, hit: PatternHit) -> bool:

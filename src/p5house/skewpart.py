@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Graph, MixedStatus, VertexSet, WitnessMode, find_mixed_witness, split_certificate
+from .graph import Graph, VertexSet, WitnessMode, _mixed_witness, split_certificate
 from .oracle import H6Hit, validate_h6_hit
 
 __all__ = [
@@ -72,14 +72,30 @@ class SkewPartition:
     y: VertexSet
 
     def validate(self, g: Graph) -> None:
+        self._masks(g)
+
+    def _masks(self, g: Graph) -> tuple[int, int]:
+        """Validate on g and return the masks of X and Y."""
         if not self.x or not self.y:
             raise ValueError("skew-partition sides must be nonempty")
-        if self.x & self.y or self.x | self.y != g.vertex_set:
-            raise ValueError("skew-partition must partition the vertex set")
-        if g.connected_on(self.x):
-            raise ValueError("X side must induce a disconnected subgraph")
-        if g.anti_connected_on(self.y):
-            raise ValueError("Y side must induce a non-anti-connected subgraph")
+        try:
+            x, y = g._mask_of(self.x), g._mask_of(self.y)
+        except ValueError:
+            raise ValueError("skew-partition must partition the vertex set") from None
+        _check_skew(g, x, y)
+        return x, y
+
+
+def _check_skew(g: Graph, x: int, y: int) -> None:
+    """The skew-partition conditions on the masks of X and Y."""
+    if not x or not y:
+        raise ValueError("skew-partition sides must be nonempty")
+    if x & y or x | y != g._full_mask():
+        raise ValueError("skew-partition must partition the vertex set")
+    if len(g._components_masks(x)) == 1:
+        raise ValueError("X side must induce a disconnected subgraph")
+    if len(g._anti_components_masks(y)) == 1:
+        raise ValueError("Y side must induce a non-anti-connected subgraph")
 
 
 @dataclass(frozen=True)
@@ -150,6 +166,7 @@ _SIGNATURES = {
     (0, 1, 1, 0): "b_set",
     (1, 1, 1, 1): "c_set",
 }
+_CLASS_NAMES = ("clone_a", "clone_b", "clone_c", "clone_d", "a_set", "b_set", "c_set")
 
 
 def attachment_classes(g: Graph, a: int, b: int, c: int, d: int) -> AttachmentClasses:
@@ -157,25 +174,34 @@ def attachment_classes(g: Graph, a: int, b: int, c: int, d: int) -> AttachmentCl
     a-b-c-d.  Raises UnclassifiableVertex when a vertex carries one of the
     signatures that cannot occur in a class member; callers use that as a
     cheap membership refutation."""
-    path = (a, b, c, d)
+    classes = _attachment_masks(g, (a, b, c, d))
+    return AttachmentClasses(
+        path=(a, b, c, d), **{name: g._set_of(m) for name, m in classes.items()}
+    )
+
+
+def _attachment_masks(g: Graph, path: tuple[int, int, int, int]) -> dict[str, int]:
+    """attachment_classes on masks: class name -> mask."""
+    a, b, c, d = path
     if len(set(path)) != 4:
         raise ValueError("path vertices must be distinct")
     want = {(a, b): True, (b, c): True, (c, d): True, (a, c): False, (a, d): False, (b, d): False}
     for (u, v), adj in want.items():
         if g.has_edge(u, v) != adj:
             raise ValueError(f"{a}-{b}-{c}-{d} is not an induced three-edge path")
-    buckets: dict[str, set[int]] = {name: set() for name in
-                                    ("clone_a", "clone_b", "clone_c", "clone_d",
-                                     "a_set", "b_set", "c_set")}
-    for v in g.vertices:
-        if v in path:
-            continue
-        sig = tuple(int(g.has_edge(v, p)) for p in path)
-        name = _SIGNATURES.get(sig)
-        if name is None:
-            raise UnclassifiableVertex(v, sig)
-        buckets[name].add(v)
-    return AttachmentClasses(path=path, **{k: frozenset(vs) for k, vs in buckets.items()})
+    nbrs = [g._adj_mask(p) for p in path]
+    rest = g._full_mask() & ~g._mask_of(path)
+    classes = dict.fromkeys(_CLASS_NAMES, 0)
+    for sig, name in _SIGNATURES.items():
+        m = rest
+        for bit, nb in zip(sig, nbrs):
+            m &= nb if bit else ~nb
+        classes[name] |= m
+        rest &= ~m
+    if rest:
+        i = (rest & -rest).bit_length() - 1
+        raise UnclassifiableVertex(g.vertices[i], tuple(nb >> i & 1 for nb in nbrs))
+    return classes
 
 
 def _require(cond: bool, what: str) -> None:
@@ -200,34 +226,43 @@ def _construct_on(work: Graph, hit: H6Hit) -> SkewPartition:
              "path middle is not anti-simplicial")
     _require(not work.has_edge(bp, cp), "clone pair is adjacent")
     try:
-        ac = attachment_classes(work, a, b, c, d)
+        ac = _attachment_masks(work, (a, b, c, d))
     except (ValueError, UnclassifiableVertex) as exc:
         raise ConstructionFailed(f"attachment analysis failed: {exc}") from exc
-    _require(bp in ac.clone_b and cp in ac.clone_c, "clone pair not in its classes")
-    _require(work.is_clique(ac.c_set | ac.clone_b | {b}),
+    bit = {v: 1 << work._pos[v] for v in (a, b, c, d, bp, cp)}
+    clone_b, clone_c = ac["clone_b"], ac["clone_c"]
+    _require(bool(bit[bp] & clone_b and bit[cp] & clone_c), "clone pair not in its classes")
+    _require(work._clique(ac["c_set"] | clone_b | bit[b]),
              "neighborhood of the simplicial path start is not a clique")
-    _require(work.is_stable(ac.a_set | ac.clone_a | ac.clone_d | {a, d}),
+    _require(work._stable(ac["a_set"] | ac["clone_a"] | ac["clone_d"] | bit[a] | bit[d]),
              "path-end side is not a stable set")
     # b1: the b-clone with fewest neighbors among the c-clones (ties: least
     # id); N: those neighbors, necessarily complete to the other b-clones.
-    b1 = min(ac.clone_b, key=lambda v: (len(work.neighbors(v) & ac.clone_c), v))
-    n_set = work.neighbors(b1) & ac.clone_c
-    _require(work.is_complete_between(n_set, ac.clone_b - {b1}),
+    masks = work._masks
+    b1, fewest = 0, -1
+    rest = clone_b
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        count = (masks[v.bit_length() - 1] & clone_c).bit_count()
+        if fewest < 0 or count < fewest:
+            b1, fewest = v, count
+    n_set = masks[b1.bit_length() - 1] & clone_c
+    _require(work._complete(n_set, clone_b & ~b1),
              "minimal clone neighborhood is not complete to the clone class")
-    y = ac.c_set | n_set | (ac.clone_b - {b1}) | {b, c}
-    x = work.vertex_set - y
-    _require(x == ac.a_set | ac.b_set | ac.clone_a | ac.clone_d
-             | (ac.clone_c - n_set) | {a, d, b1},
+    y = ac["c_set"] | n_set | (clone_b & ~b1) | bit[b] | bit[c]
+    x = work._full_mask() & ~y
+    _require(x == ac["a_set"] | ac["b_set"] | ac["clone_a"] | ac["clone_d"]
+             | (clone_c & ~n_set) | bit[a] | bit[d] | b1,
              "partition does not match its intended composition")
-    _require(bool(ac.clone_c - n_set), "no clone of c escapes the minimal neighborhood")
-    sp = SkewPartition(x=x, y=y)
+    _require(bool(clone_c & ~n_set), "no clone of c escapes the minimal neighborhood")
     try:
-        sp.validate(work)
+        _check_skew(work, x, y)
     except ValueError as exc:
         raise ConstructionFailed(f"constructed partition invalid: {exc}") from exc
-    nontrivial = [m for m in work._components_masks(work._mask_of(x)) if m.bit_count() >= 2]
+    nontrivial = [m for m in work._components_masks(x) if m.bit_count() >= 2]
     _require(len(nontrivial) >= 2, "X side lacks two non-trivial components")
-    return sp
+    return SkewPartition(x=work._set_of(x), y=work._set_of(y))
 
 
 def skew_from_special_h6(g: Graph, hit: H6Hit, side: Side) -> SkewPartition:
@@ -262,11 +297,9 @@ def maximize_skew(g: Graph, sp: SkewPartition) -> SkewPartition:
     the result is still a skew-partition whose X side keeps at least two
     non-trivial components.  The scan restarts after each accepted move.
     """
-    sp.validate(g)
-    x_mask = g._mask_of(sp.x)
+    x_mask, y_mask = sp._masks(g)
     if sum(1 for m in g._components_masks(x_mask) if m.bit_count() >= 2) < 2:
         raise ValueError("X side must already have two non-trivial components")
-    y_mask = g._mask_of(sp.y)
     moved = True
     while moved:
         moved = False
@@ -283,82 +316,101 @@ def maximize_skew(g: Graph, sp: SkewPartition) -> SkewPartition:
             x_mask, y_mask = nx, ny
             moved = True
             break
-    out = SkewPartition(x=g._set_of(x_mask), y=g._set_of(y_mask))
-    out.validate(g)
-    return out
+    _check_skew(g, x_mask, y_mask)
+    return SkewPartition(x=g._set_of(x_mask), y=g._set_of(y_mask))
 
 
 def decompose_skew(g: Graph, sp: SkewPartition) -> SkewDecomposition:
     """Compute the six-tuple of a skew-partition, literally by definition."""
-    sp.validate(g)
-    x_masks = g._components_masks(g._mask_of(sp.x))
-    y_masks = g._anti_components_masks(g._mask_of(sp.y))
-    x_parts = tuple(g._set_of(m) for m in x_masks if m.bit_count() >= 2)
-    y_parts = tuple(g._set_of(m) for m in y_masks if m.bit_count() >= 2)
-    s = sp.x - frozenset().union(frozenset(), *x_parts)
-    k = sp.y - frozenset().union(frozenset(), *y_parts)
-    if not g.is_stable(s):
+    x, y = sp._masks(g)
+    x_parts = [m for m in g._components_masks(x) if m.bit_count() >= 2]
+    y_parts = [m for m in g._anti_components_masks(y) if m.bit_count() >= 2]
+    s, k = x, y
+    for m in x_parts:
+        s &= ~m
+    for m in y_parts:
+        k &= ~m
+    if not g._stable(s):
         raise RuntimeError("trivial-component leftovers are not a stable set")
-    if not g.is_clique(k):
+    if not g._clique(k):
         raise RuntimeError("trivial-anti-component leftovers are not a clique")
-    s_mixed = tuple(frozenset(v for v in s if g.is_mixed(v, yj)) for yj in y_parts)
-    k_mixed = tuple(frozenset(v for v in k if g.is_mixed(v, xi)) for xi in x_parts)
+    sets = g._set_of
     return SkewDecomposition(
-        x_parts=x_parts, y_parts=y_parts, s=s, k=k, s_mixed=s_mixed, k_mixed=k_mixed
+        x_parts=tuple(map(sets, x_parts)),
+        y_parts=tuple(map(sets, y_parts)),
+        s=sets(s),
+        k=sets(k),
+        s_mixed=tuple(sets(s & _mixed_on(g, m)) for m in y_parts),
+        k_mixed=tuple(sets(k & _mixed_on(g, m)) for m in x_parts),
     )
 
 
-def _case3_conditions(g: Graph, d: SkewDecomposition) -> int | None:
+def _mixed_on(g: Graph, m: int) -> int:
+    """The vertices outside m that are mixed on it."""
+    touch, common = g._attach(m)
+    return touch & ~common & ~m
+
+
+class _SixMasks:
+    """The masks of a six-tuple's parts on g, each taken once, with the
+    vertices mixed on, complete to and touching each non-trivial part."""
+
+    __slots__ = ("x_parts", "y_parts", "s", "k", "s_mixed", "k_mixed", "x", "y",
+                 "x_touch", "x_mixed", "y_common", "y_mixed")
+
+    def __init__(self, g: Graph, d: SkewDecomposition):
+        mask = g._mask_of
+        self.x_parts = [mask(p) for p in d.x_parts]
+        self.y_parts = [mask(p) for p in d.y_parts]
+        self.s, self.k = mask(d.s), mask(d.k)
+        self.s_mixed = [mask(p) for p in d.s_mixed]
+        self.k_mixed = [mask(p) for p in d.k_mixed]
+        self.x, self.y = self.s, self.k
+        self.x_touch, self.x_mixed = [], []
+        for m in self.x_parts:
+            self.x |= m
+            touch, common = g._attach(m)
+            self.x_touch.append(touch)
+            self.x_mixed.append(touch & ~common & ~m)
+        self.y_common, self.y_mixed = [], []
+        for m in self.y_parts:
+            self.y |= m
+            touch, common = g._attach(m)
+            self.y_common.append(common)
+            self.y_mixed.append(touch & ~common & ~m)
+
+
+def _case3_conditions(g: Graph, d: _SixMasks) -> int | None:
     """Check the component-side condition set; return the least index whose
     mixed-clique is complete to the other components, or None."""
-    m = len(d.x_parts)
-    if m < 1:
+    if not d.x_parts or not all(d.k_mixed) or _twice(d.k_mixed):
         return None
-    seen: set[int] = set()
-    for ki in d.k_mixed:
-        if not ki or seen & ki:
+    for mixed, ki in zip(d.x_mixed, d.k_mixed):
+        if d.y & ~ki & mixed:
             return None
-        seen |= ki
-    x, y = d.x, d.y
-    for xi, ki in zip(d.x_parts, d.k_mixed):
-        for v in y - ki:
-            if g.is_mixed(v, xi):
-                return None
-    for xi in d.x_parts:
-        others = (g.vertex_set - xi) - d.s
-        anti = sum(1 for v in others if g.mixed_status(v, xi) is MixedStatus.ANTI_COMPLETE)
-        if anti < 2:
+    full = g._full_mask()
+    for xi, touch in zip(d.x_parts, d.x_touch):
+        if (full & ~xi & ~d.s & ~touch).bit_count() < 2:
             return None
     for i, xi in enumerate(d.x_parts):
-        rest = (x - xi) - d.s
-        if g.is_complete_between(d.k_mixed[i], rest):
+        if g._complete(d.k_mixed[i], d.x & ~xi & ~d.s):
             return i
     return None
 
 
-def _case4_conditions(g: Graph, d: SkewDecomposition) -> int | None:
+def _case4_conditions(g: Graph, d: _SixMasks) -> int | None:
     """Dual of the component-side check, on the anti-component side."""
-    n = len(d.y_parts)
-    if n < 1:
+    if not d.y_parts or not all(d.s_mixed) or _twice(d.s_mixed):
         return None
-    seen: set[int] = set()
-    for sj in d.s_mixed:
-        if not sj or seen & sj:
+    for mixed, sj in zip(d.y_mixed, d.s_mixed):
+        if d.x & ~sj & mixed:
             return None
-        seen |= sj
-    x, y = d.x, d.y
-    for yj, sj in zip(d.y_parts, d.s_mixed):
-        for v in x - sj:
-            if g.is_mixed(v, yj):
-                return None
-    for yj in d.y_parts:
-        others = (g.vertex_set - yj) - d.k
-        comp = sum(1 for v in others if g.mixed_status(v, yj) is MixedStatus.COMPLETE)
-        if comp < 2:
+    full = g._full_mask()
+    for yj, common in zip(d.y_parts, d.y_common):
+        if (full & ~yj & ~d.k & common).bit_count() < 2:
             return None
     for j, yj in enumerate(d.y_parts):
-        rest = (y - yj) - d.k
-        if g.is_anti_complete_between(d.s_mixed[j], rest):
+        if g._anti_complete(d.s_mixed[j], d.y & ~yj & ~d.k):
             return j
     return None
 
@@ -370,10 +422,11 @@ def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
     index realizing the completeness (resp. anti-completeness) condition.
     Raises NeitherCaseHolds when neither set of five conditions checks out.
     """
-    i = _case3_conditions(g, d)
+    dm = _SixMasks(g, d)
+    i = _case3_conditions(g, dm)
     if i is not None:
         return UsableCase(tag=CaseTag.CASE3, decomposition=d, special_index=i)
-    j = _case4_conditions(g, d)
+    j = _case4_conditions(g, dm)
     if j is not None:
         return UsableCase(tag=CaseTag.CASE4, decomposition=d, special_index=j)
     raise NeitherCaseHolds(
@@ -388,37 +441,36 @@ def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
 def usable_satisfies_a(g: Graph, d: SkewDecomposition) -> bool:
     """Usability, component flavor: two non-trivial components, disjoint
     mixed families, and every Y-vertex has a neighbor in every component."""
-    if len(d.x_parts) < 2:
-        return False
-    if not _families_disjoint(d):
-        return False
-    return all(
-        any(g.has_edge(v, u) for u in xi) for v in d.y for xi in d.x_parts
-    )
+    return _usable_a(_SixMasks(g, d))
 
 
 def usable_satisfies_b(g: Graph, d: SkewDecomposition) -> bool:
-    if len(d.y_parts) < 2:
-        return False
-    if not _families_disjoint(d):
-        return False
-    return all(
-        any(not g.has_edge(v, u) for u in yj) for v in d.x for yj in d.y_parts
-    )
+    return _usable_b(_SixMasks(g, d))
 
 
-def _families_disjoint(d: SkewDecomposition) -> bool:
-    seen: set[int] = set()
-    for sj in d.s_mixed:
-        if seen & sj:
-            return False
-        seen |= sj
-    seen = set()
-    for ki in d.k_mixed:
-        if seen & ki:
-            return False
-        seen |= ki
-    return True
+def _usable_a(d: _SixMasks) -> bool:
+    if len(d.x_parts) < 2 or not _families_disjoint(d):
+        return False
+    return all(not d.y & ~touch for touch in d.x_touch)
+
+
+def _usable_b(d: _SixMasks) -> bool:
+    if len(d.y_parts) < 2 or not _families_disjoint(d):
+        return False
+    return all(not d.x & common for common in d.y_common)
+
+
+def _families_disjoint(d: _SixMasks) -> bool:
+    return not _twice(d.s_mixed) and not _twice(d.k_mixed)
+
+
+def _twice(masks: list[int]) -> int:
+    """The bits set in two or more of the masks."""
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return twice
 
 
 def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
@@ -431,78 +483,84 @@ def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
     pairs bridged by an outside vertex, cross-side non-mixing for usable
     partitions, and the non-empty/anti-complete structure of the mixed
     families when the partition is usable.
+
+    Each check is a mask test; where one fails, the offending vertices are
+    listed in the order of the six-tuple's sets.
     """
     out: list[str] = []
-    x, y = d.x, d.y
+    dm = _SixMasks(g, d)
+    pos = g._pos
+
+    def mixed_on(v: int, mixed: list[int]) -> list[int]:
+        return [j for j, m in enumerate(mixed) if m >> pos[v] & 1]
 
     # No vertex mixed on two parts of the opposite side.
-    for v in x:
-        hits = [j for j, yj in enumerate(d.y_parts) if g.is_mixed(v, yj)]
-        if len(hits) > 1:
-            out.append(f"vertex {v} of X mixed on anti-components {hits}")
-    for v in y:
-        hits = [i for i, xi in enumerate(d.x_parts) if g.is_mixed(v, xi)]
-        if len(hits) > 1:
-            out.append(f"vertex {v} of Y mixed on components {hits}")
+    if dm.x & _twice(dm.y_mixed):
+        for v in d.x:
+            hits = mixed_on(v, dm.y_mixed)
+            if len(hits) > 1:
+                out.append(f"vertex {v} of X mixed on anti-components {hits}")
+    if dm.y & _twice(dm.x_mixed):
+        for v in d.y:
+            hits = mixed_on(v, dm.x_mixed)
+            if len(hits) > 1:
+                out.append(f"vertex {v} of Y mixed on components {hits}")
 
     # Mixed witnesses exist and satisfy their contracts.
-    for xi in d.x_parts:
-        for v in g.vertices:
-            if v in xi or not g.is_mixed(v, xi):
-                continue
-            x1, x2 = find_mixed_witness(g, v, xi, WitnessMode.CONNECTED_EDGE)
-            if not (g.has_edge(v, x1) and not g.has_edge(v, x2) and g.has_edge(x1, x2)):
-                out.append(f"bad connected-edge witness ({x1}, {x2}) for {v}")
-    for yj in d.y_parts:
-        for v in g.vertices:
-            if v in yj or not g.is_mixed(v, yj):
-                continue
-            y1, y2 = find_mixed_witness(g, v, yj, WitnessMode.ANTI_CONNECTED_NON_EDGE)
-            if not (g.has_edge(v, y1) and not g.has_edge(v, y2) and not g.has_edge(y1, y2)):
-                out.append(f"bad anti-connected witness ({y1}, {y2}) for {v}")
+    for mode, parts, mixed_masks, want_edge in (
+        (WitnessMode.CONNECTED_EDGE, dm.x_parts, dm.x_mixed, True),
+        (WitnessMode.ANTI_CONNECTED_NON_EDGE, dm.y_parts, dm.y_mixed, False),
+    ):
+        for part, mixed in zip(parts, mixed_masks):
+            while mixed:
+                b = mixed & -mixed
+                mixed ^= b
+                v = g.vertices[b.bit_length() - 1]
+                w1, w2 = _mixed_witness(g, v, part, mode)
+                if not (g.has_edge(v, w1) and not g.has_edge(v, w2)
+                        and g.has_edge(w1, w2) == want_edge):
+                    kind = "connected-edge" if want_edge else "anti-connected"
+                    out.append(f"bad {kind} witness ({w1}, {w2}) for {v}")
 
     # Dichotomy lemmas on bridged (component, anti-component) pairs.
-    for xi in d.x_parts:
-        for yj in d.y_parts:
-            bridge = [
-                v
-                for v in g.vertices
-                if v not in xi and v not in yj
-                and g.mixed_status(v, yj) is MixedStatus.COMPLETE
-                and g.mixed_status(v, xi) is MixedStatus.ANTI_COMPLETE
-            ]
-            if not bridge:
-                continue
-            out.extend(_dichotomy_violations(g, xi, yj))
+    for i, (xi, touch) in enumerate(zip(dm.x_parts, dm.x_touch)):
+        for j, (yj, common) in enumerate(zip(dm.y_parts, dm.y_common)):
+            if common & ~touch & ~xi & ~yj:
+                out.extend(_dichotomy_violations(g, d.x_parts[i], d.y_parts[j]))
 
-    a_ok = usable_satisfies_a(g, d)
-    b_ok = usable_satisfies_b(g, d)
-    if a_ok:
-        for u in frozenset().union(frozenset(), *d.x_parts):
-            for j, yj in enumerate(d.y_parts):
-                if g.is_mixed(u, yj):
+    if _usable_a(dm):
+        if _union(dm.x_parts) & _union(dm.y_mixed):
+            for u in frozenset().union(frozenset(), *d.x_parts):
+                for j in mixed_on(u, dm.y_mixed):
                     out.append(f"component vertex {u} mixed on anti-component {j}")
-        if d.y_parts:
-            if not all(d.s_mixed):
+        if dm.y_parts:
+            if not all(dm.s_mixed):
                 out.append("usable component-side partition with an empty mixed family")
             if not any(
-                g.is_anti_complete_between(sj, (y - yj) - d.k)
-                for sj, yj in zip(d.s_mixed, d.y_parts)
+                g._anti_complete(sj, dm.y & ~yj & ~dm.k)
+                for sj, yj in zip(dm.s_mixed, dm.y_parts)
             ):
                 out.append("no mixed family is anti-complete to the other anti-components")
-    if b_ok:
-        for u in frozenset().union(frozenset(), *d.y_parts):
-            for i, xi in enumerate(d.x_parts):
-                if g.is_mixed(u, xi):
+    if _usable_b(dm):
+        if _union(dm.y_parts) & _union(dm.x_mixed):
+            for u in frozenset().union(frozenset(), *d.y_parts):
+                for i in mixed_on(u, dm.x_mixed):
                     out.append(f"anti-component vertex {u} mixed on component {i}")
-        if d.x_parts:
-            if not all(d.k_mixed):
+        if dm.x_parts:
+            if not all(dm.k_mixed):
                 out.append("usable anti-component-side partition with an empty mixed family")
             if not any(
-                g.is_complete_between(ki, (x - xi) - d.s)
-                for ki, xi in zip(d.k_mixed, d.x_parts)
+                g._complete(ki, dm.x & ~xi & ~dm.s)
+                for ki, xi in zip(dm.k_mixed, dm.x_parts)
             ):
                 out.append("no mixed family is complete to the other components")
+    return out
+
+
+def _union(masks: list[int]) -> int:
+    out = 0
+    for m in masks:
+        out |= m
     return out
 
 
@@ -510,34 +568,35 @@ def _dichotomy_violations(g: Graph, xs: VertexSet, ys: VertexSet) -> list[str]:
     """The two dichotomy lemmas for a connected X, anti-connected Y, and some
     outside vertex complete to Y and anti-complete to X."""
     out: list[str] = []
+    xm, ym = g._mask_of(xs), g._mask_of(ys)
+    pos, masks = g._pos, g._masks
+    in_x = {v: masks[pos[v]] & xm for v in ys}  # each Y-vertex's neighbours in X
     for yv in ys:
+        nv, sv = masks[pos[yv]], in_x[yv]
         for yv2 in ys:
-            if yv >= yv2 or g.has_edge(yv, yv2):
+            if yv >= yv2 or nv >> pos[yv2] & 1:
                 continue
-            if any(g.has_edge(u, yv) and not g.has_edge(u, yv2) for u in xs):
-                if not g.is_complete_between({yv}, xs):
+            sv2 = in_x[yv2]
+            if sv & ~sv2:
+                if sv != xm:
                     out.append(f"split vertex {yv} not complete to the component")
-                if not g.is_anti_complete_between({yv2}, xs):
+                if sv2:
                     out.append(f"split vertex {yv2} not anti-complete to the component")
-            if any(g.has_edge(u, yv2) and not g.has_edge(u, yv) for u in xs):
-                if not g.is_complete_between({yv2}, xs):
+            if sv2 & ~sv:
+                if sv2 != xm:
                     out.append(f"split vertex {yv2} not complete to the component")
-                if not g.is_anti_complete_between({yv}, xs):
+                if sv:
                     out.append(f"split vertex {yv} not anti-complete to the component")
     for xv in xs:
-        if g.is_mixed(xv, ys):
-            hit = ys & g.neighbors(xv)
-            miss = ys - hit
-            if not g.is_complete_between(xs - {xv}, hit) or not g.is_anti_complete_between(
-                xs - {xv}, miss
-            ):
+        b = 1 << pos[xv]
+        hit = masks[pos[xv]] & ym
+        if hit and hit != ym:
+            if not g._complete(xm & ~b, hit) or not g._anti_complete(xm & ~b, ym & ~hit):
                 out.append(f"component does not follow the split of its mixed vertex {xv}")
     for yv in ys:
-        if g.is_mixed(yv, xs):
-            hit = xs & g.neighbors(yv)
-            miss = xs - hit
-            if not g.is_complete_between(ys - {yv}, hit) or not g.is_anti_complete_between(
-                ys - {yv}, miss
-            ):
+        b = 1 << pos[yv]
+        hit = in_x[yv]
+        if hit and hit != xm:
+            if not g._complete(ym & ~b, hit) or not g._anti_complete(ym & ~b, xm & ~hit):
                 out.append(f"anti-component does not follow the split of its mixed vertex {yv}")
     return out

@@ -140,11 +140,12 @@ def _node_from_json(obj: dict, g: Graph, path: str = "node") -> DecompTree:
             if g.has_edge(v, probe):
                 q_edges.append((v, marker))
         quotient_g = Graph(outside + [marker], q_edges)
-        return Subst(
-            quotient=_node_from_json(kids[0], quotient_g, path + ".children[0]"),
-            child=_node_from_json(kids[1], child_g, path + ".children[1]"),
-            marker=marker,
-        )
+        try:
+            quotient = _node_from_json(kids[0], quotient_g, path + ".children[0]")
+            child = _node_from_json(kids[1], child_g, path + ".children[1]")
+        except RecursionError:
+            raise _too_deep(path) from None
+        return Subst(quotient=quotient, child=child, marker=marker)
     if kind in ("sgu", "cosgu"):
         roles = PairRoles(
             a_set=frozenset(_id_list(obj, "a", path)),
@@ -171,12 +172,19 @@ def _node_from_json(obj: dict, g: Graph, path: str = "node") -> DecompTree:
             work.induced(g2_core).edges() + [(roles.marker_a, v) for v in roles.b_set],
         )
         node_cls = Sgu if kind == "sgu" else CoSgu
-        return node_cls(
-            part1=_node_from_json(kids[0], g1, path + ".children[0]"),
-            part2=_node_from_json(kids[1], g2, path + ".children[1]"),
-            roles=roles,
-        )
+        try:
+            part1 = _node_from_json(kids[0], g1, path + ".children[0]")
+            part2 = _node_from_json(kids[1], g2, path + ".children[1]")
+        except RecursionError:
+            raise _too_deep(path) from None
+        return node_cls(part1=part1, part2=part2, roles=roles)
     raise TreeDocumentError(f"{path}: unknown node kind {kind!r}")
+
+
+def _too_deep(path: str) -> TreeDocumentError:
+    """A tree nested past the interpreter's recursion limit, reported at the
+    deepest node read."""
+    return TreeDocumentError(f"{path}: the tree nests too deeply to read")
 
 
 def document_to_tree(text: str) -> tuple[DecompTree, Graph]:
@@ -185,6 +193,8 @@ def document_to_tree(text: str) -> tuple[DecompTree, Graph]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeDocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TreeDocumentError("the document nests too deeply to parse as JSON") from None
     _require(isinstance(doc, dict), "document is not an object")
     version = doc.get("version")
     if version != VERSION:

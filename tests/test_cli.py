@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from p5house import treedoc
 from p5house.cli import main
 from p5house.graph import Graph, cycle_graph
 from p5house.graph6 import emit_graph6
@@ -137,6 +139,51 @@ class TestVerifyCommand:
         doc["node"]["children"][0]["stable"] = []
         out.write_text(json.dumps(doc))
         assert main(["verify", str(out)]) == 1
+
+
+@pytest.fixture(scope="module")
+def deep_document():
+    """The document of a substitution tree of depth 1,100 whose quotients
+    nest: each level substitutes {0, new vertex} for vertex 0.  Written
+    under a raised recursion limit, which is then restored."""
+    from test_decomposer import edgeless_leaf
+
+    t = edgeless_leaf([0, 1])
+    for i in range(1100):
+        t = Subst(quotient=t, child=edgeless_leaf([0, 10_000 + i]), marker=0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        return tree_to_document(t, recompose(t))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepDocument:
+    def test_verify_exits_2(self, tmp_path, capsys, deep_document):
+        out = tmp_path / "deep.json"
+        out.write_text(deep_document)
+        assert main(["verify", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the document nests too deeply to parse as JSON\n"
+
+    def test_tree_too_deep_names_its_path(self, monkeypatch, deep_document):
+        text = deep_document
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            doc = json.loads(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        # the JSON decoder nests twice per tree level, so it fails first;
+        # hand the reader the decoded object to reach its own limit
+        monkeypatch.setattr(treedoc.json, "loads", lambda _: doc)
+        with pytest.raises(TreeDocumentError) as err:
+            document_to_tree(text)
+        path, _, reason = str(err.value).partition(": ")
+        assert reason == "the tree nests too deeply to read"
+        assert path == "node" + ".children[0]" * path.count(".")
+        assert path.count(".") > 100
 
 
 class TestGenerate:

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from p5house import decomposer
 from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph
 from p5house.modular import substitute
-from p5house.oracle import PatternKind, is_class_member
+from p5house.oracle import PatternKind, find_special_h6, is_class_member
+from p5house.skewpart import ConstructionFailed
 from p5house.decomposer import (
     CoSgu,
+    InternalStructureError,
     MalformedTree,
     NotClassMember,
     PentagonLeaf,
@@ -288,3 +291,73 @@ class TestDeepTrees:
             ("root" + ".child" * 4999,
              "substitution impossible: substitution site 99 is not a vertex of the outer graph")
         ]
+
+
+# Prime, non-split members: the first has a decorated H6 in itself and in its
+# complement; the complement of H6 has one only in its complement.
+BOTH_SIDES = Graph(range(8), [(0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (1, 2), (1, 7), (2, 3),
+                              (2, 4), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6)])
+
+
+class TestComplementSideOnDemand:
+    @staticmethod
+    def count_searches(monkeypatch):
+        hosts = []
+        real = decomposer.find_special_h6
+
+        def counting(g):
+            hosts.append(g)
+            return real(g)
+
+        monkeypatch.setattr(decomposer, "find_special_h6", counting)
+        return hosts
+
+    def test_one_search_when_the_graph_side_works(self, monkeypatch):
+        hosts = self.count_searches(monkeypatch)
+        g = h6()
+        t = decompose(g)
+        assert hosts == [g]
+        assert verify_tree(t, g).ok
+
+    def test_complement_searched_when_the_graph_has_none(self, monkeypatch):
+        g = h6().complement()
+        assert find_special_h6(g) is None
+        hosts = self.count_searches(monkeypatch)
+        t = decompose(g)
+        assert hosts == [g, g.complement()]
+        assert verify_tree(t, g).ok
+
+    def test_complement_side_tried_after_a_construction_failure(self, monkeypatch):
+        g = BOTH_SIDES
+        co_hit = find_special_h6(g.complement())
+        assert find_special_h6(g) is not None and co_hit is not None
+        flipped, pair = decomposer._run_pipeline(g, co_hit, None)
+        real = decomposer._run_pipeline
+        works = []
+
+        def fail_first(work, hit, observer):
+            works.append(work)
+            if len(works) == 1:
+                raise ConstructionFailed("first side refused")
+            return real(work, hit, observer)
+
+        monkeypatch.setattr(decomposer, "_run_pipeline", fail_first)
+        t = decompose(g)
+        assert works[:2] == [g.complement(), g]
+        assert type(t) is (CoSgu if flipped else Sgu) and t.roles == pair.roles
+        assert verify_tree(t, g).ok
+
+    def test_error_messages(self, monkeypatch):
+        monkeypatch.setattr(decomposer, "find_special_h6", lambda g: None)
+        with pytest.raises(InternalStructureError) as err:
+            decompose(h6())
+        assert str(err.value) == "no decorated H6 in a prime non-split member or its complement"
+        monkeypatch.undo()
+
+        def refuse(work, hit, observer):
+            raise ConstructionFailed("refused")
+
+        monkeypatch.setattr(decomposer, "_run_pipeline", refuse)
+        with pytest.raises(InternalStructureError) as err:
+            decompose(BOTH_SIDES)
+        assert str(err.value) == "both construction sides failed: refused"

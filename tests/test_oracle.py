@@ -4,6 +4,8 @@ import random
 from p5house.graph import Graph, complete_graph, cycle_graph, path_graph, split_certificate
 from p5house.census import labeled_graphs
 from p5house.oracle import (
+    _H6_SWAP,
+    H6Hit,
     PatternKind,
     _embeddings,
     _kernel,
@@ -222,6 +224,74 @@ class TestClassMember:
             assert (find_induced(g, PatternKind.HOUSE) is not None) == (
                 find_induced(g.complement(), PatternKind.P5) is not None
             )
+
+
+def reference_special_h6(g):
+    """The decorated-H6 search by the generic search: the first H6
+    embedding whose v1, v4 are simplicial and v2 or v3 anti-simplicial,
+    normalized so that v2 is anti-simplicial."""
+    simp = {v: g.is_simplicial(v) for v in g.vertices}
+    anti = {v: g.is_anti_simplicial(v) for v in g.vertices}
+    for emb in _embeddings(g, PatternKind.H6):
+        if not (simp[emb[0]] and simp[emb[3]]):
+            continue
+        a2, a3 = anti[emb[1]], anti[emb[2]]
+        if not (a2 or a3):
+            continue
+        if not a2:
+            emb = tuple(emb[i] for i in _H6_SWAP)
+            a2, a3 = a3, a2
+        return H6Hit(
+            embedding=emb,
+            v1_simplicial=True,
+            v4_simplicial=True,
+            v2_anti_simplicial=a2,
+            v3_anti_simplicial=a3,
+        )
+    return None
+
+
+class TestSpecialH6Kernel:
+    def test_matches_reference_on_all_small_graphs(self):
+        # the labelled graphs on 0..n-1 are closed under complement
+        hits = 0
+        for g in (g for n in range(7) for g in labeled_graphs(n)):
+            hit = find_special_h6(g)
+            assert hit == reference_special_h6(g), g.edges()
+            hits += hit is not None
+        assert hits == 360
+
+    @staticmethod
+    def assert_matches_reference(graphs):
+        hits = 0
+        for g in graphs:
+            for h in (g, g.complement()):
+                hit = find_special_h6(h)
+                assert hit == reference_special_h6(h), h.edges()
+                hits += hit is not None
+        return hits
+
+    def test_matches_reference_on_random_graphs(self):
+        # decorated copies are rare in uniform random graphs: 19 hits here
+        assert self.assert_matches_reference(seeded_random_graphs(2000, 16, seed=606)) >= 10
+
+    def test_matches_reference_on_graphs_grown_from_h6(self):
+        """H6 plus up to ten vertices joined at random, on shuffled ids."""
+        rng = random.Random(707)
+        graphs = []
+        for _ in range(1000):
+            n = 6 + rng.randint(0, 10)
+            p = rng.random()
+            ids = rng.sample(range(3 * n), n)
+            edges = [(ids[u - 1], ids[v - 1]) for u, v in H6_EDGES]
+            edges += [(ids[u], ids[v]) for v in range(6, n) for u in range(v) if rng.random() < p]
+            graphs.append(Graph(ids, edges))
+        assert self.assert_matches_reference(graphs) > 200
+
+    def test_named_cases_match_reference(self):
+        only_v3 = Graph(range(1, 8), H6_EDGES + [(7, 4), (7, 6)])
+        for g in (h6(), h6(base=5), complete_graph(range(4)), only_v3):
+            assert find_special_h6(g) == reference_special_h6(g)
 
 
 class TestSpecialH6:
