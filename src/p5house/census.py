@@ -70,8 +70,10 @@ def run_sweep(
 ) -> SweepResult:
     """Check grammar/oracle equivalence over all labeled graphs up to max_n.
 
-    Per graph, decompose (with the given observer) runs the oracle once:
-    a NotClassMember marks a non-member and its witness must induce the
+    Per graph, decompose (with the given observer) settles membership,
+    with one P5 scan of the whole graph and house (in triple mode also C5)
+    scans only at the prime nodes of its substitution skeleton: a
+    NotClassMember marks a non-member and its witness must induce the
     pattern it names; members must decompose, pass verify_tree, and
     recompose label-exactly.  The tree's root tells whether a member is
     split (a split leaf) and, unless it is split, whether it is prime (a

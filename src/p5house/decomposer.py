@@ -11,6 +11,13 @@ last branch only ever fires on prime, non-split, pentagon-free graphs, where
 a decorated H6 is guaranteed to exist in the graph or its complement; its
 absence (or any downstream construction failure) is a loud internal error,
 never a silent fallback.
+
+decompose() certifies membership first and builds second.  P5, the house
+and C5 are prime graphs, so none of them straddles a module: one oracle
+scan of the whole graph looks for a P5, and the first three branches alone
+(the substitution skeleton) lead to the prime nodes, the only places a
+house or C5 can sit, which are scanned for one.  Unification steps run
+only once the graph is known to be a member.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from typing import Union
 
 from .graph import Graph, SplitCert, split_certificate
 from .modular import find_proper_homogeneous_set, is_homogeneous, quotient_factor, substitute
-from .oracle import PatternHit, find_special_h6, first_forbidden
+from . import oracle
+from .oracle import PatternHit, PatternKind, find_special_h6, first_forbidden
 from .skewpart import (
     CaseTag,
     ConstructionFailed,
@@ -222,9 +230,18 @@ def _assert_factors_free(pair: ComposablePair) -> None:
             )
 
 
-def _expand(g: Graph, observer):
-    """One decomposition step: either a finished leaf or an internal node
-    descriptor with the child graphs still to process."""
+def _shrunk(parent: Graph, kids: tuple[Graph, Graph]) -> tuple[Graph, Graph]:
+    for kid in kids:
+        if kid.n >= parent.n:
+            raise InternalStructureError("child graph failed to shrink")
+    return kids
+
+
+def _substitution_step(g: Graph):
+    """The first three branches of a decomposition step: a finished leaf
+    with no children, a substitution descriptor with its quotient and child
+    graphs still to process, or None when g is prime (neither split nor a
+    pentagon, and without a proper homogeneous set)."""
     cert = split_certificate(g)
     if cert is not None:
         return SplitLeaf(graph=g, cert=cert), ()
@@ -232,58 +249,139 @@ def _expand(g: Graph, observer):
     if cycle is not None:
         return PentagonLeaf(graph=g, cycle=cycle), ()
     hs = find_proper_homogeneous_set(g)
-    if hs is not None:
-        child, quotient, marker = quotient_factor(g, hs)
-        return ("subst", marker), (quotient, child)
+    if hs is None:
+        return None
+    child, quotient, marker = quotient_factor(g, hs)
+    return ("subst", marker), _shrunk(g, (quotient, child))
+
+
+def _unification_node(g: Graph, observer):
+    """The last branch, at a prime member: a unification descriptor with
+    its two factors, each checked free of P5, house and C5."""
     co, pair = _unification_step(g, observer)
     _assert_factors_free(pair)
     kind = "cosgu" if co else "sgu"
-    return (kind, pair.roles), (pair.g1, pair.g2)
+    return (kind, pair.roles), _shrunk(g, (pair.g1, pair.g2))
+
+
+def _house_or_c5(g: Graph, triple: bool) -> PatternHit | None:
+    """first_forbidden's answer on a graph with no induced P5: the first
+    house, else (with ``triple``) the first pentagon."""
+    hit = oracle.find_induced(g, PatternKind.HOUSE)
+    if hit is None and triple:
+        hit = oracle.find_induced(g, PatternKind.C5)
+    return hit
+
+
+def _refutation(g: Graph, triple: bool, node: Graph, hit: PatternHit | None) -> NotClassMember:
+    """The rejection of the P5-free root g once its skeleton node ``node``
+    was found to hold ``hit`` (None for a pentagon leaf in triple mode).
+
+    The witness is the root's own first house, else its first C5, the hit
+    first_forbidden gives; the node's hit is reused when the node is g."""
+    if node is not g or hit is None:
+        hit = _house_or_c5(g, triple)
+        if hit is None:
+            raise InternalStructureError(
+                f"a skeleton node on {node.n} vertices holds a forbidden pattern "
+                "that the whole graph lacks"
+            )
+    return NotClassMember(hit)
+
+
+def _certify(g: Graph, triple: bool) -> list:
+    """Pass 1: settle the membership of a P5-free graph on its substitution
+    skeleton, before any unification step runs.
+
+    The house and C5 are prime, so an induced copy never straddles a
+    module: a copy in g lies in the quotient or in the child of a
+    substitution, both induced subgraphs of their parent (the marker is a
+    member of the module), and split graphs hold neither pattern.  So only
+    the skeleton's prime nodes are scanned, for a house and, with
+    ``triple``, a C5; in triple mode a pentagon leaf refutes as well.
+
+    Returns the skeleton in build order: each node's substitution step, or
+    the graph itself at a prime node.  Raises NotClassMember on a
+    refutation."""
+    skeleton: list = []
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        step = _substitution_step(h)
+        if step is None:
+            hit = _house_or_c5(h, triple)
+            if hit is not None:
+                raise _refutation(g, triple, h, hit)
+            skeleton.append(h)
+            continue
+        node, kids = step
+        if triple and isinstance(node, PentagonLeaf):
+            raise _refutation(g, triple, h, None)
+        skeleton.append(step)
+        stack.extend(reversed(kids))
+    return skeleton
+
+
+def _build(skeleton: list, observer) -> DecompTree:
+    """Pass 2: replay a certified skeleton into a tree.
+
+    Each prime node gets its unification step; the factors' subtrees are
+    expanded in full, with no further scans (_unification_node has checked
+    the factors).  Nodes are expanded depth first, left to right, in the
+    order pass 1 recorded, on an explicit work stack, so deep trees stay
+    clear of interpreter recursion limits.  On the stack, None stands for
+    the next skeleton record, a Graph for a factor subtree still to expand
+    and a tuple for a node descriptor waiting for its two children."""
+    records = iter(skeleton)
+    work: list = [None]
+    done: list[DecompTree] = []
+    while work:
+        task = work.pop()
+        if isinstance(task, tuple):
+            kind, payload = task
+            second = done.pop()
+            first = done.pop()
+            if kind == "subst":
+                done.append(Subst(quotient=first, child=second, marker=payload))
+            elif kind == "sgu":
+                done.append(Sgu(part1=first, part2=second, roles=payload))
+            else:
+                done.append(CoSgu(part1=first, part2=second, roles=payload))
+            continue
+        if task is None:
+            step = next(records)
+            replayed = not isinstance(step, Graph)
+            node, kids = step if replayed else _unification_node(step, observer)
+        else:
+            replayed = False
+            node, kids = _substitution_step(task) or _unification_node(task, observer)
+        if not kids:
+            done.append(node)
+            continue
+        work.append(node)
+        work.extend(None if replayed else kid for kid in reversed(kids))
+    (root,) = done
+    return root
 
 
 def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     """Decompose a class member into a structure tree.
 
-    Membership is checked up front (NotClassMember carries the refuting
-    pattern); with ``triple`` the pentagon is also forbidden, which makes
-    pentagon leaves impossible.  The optional observer receives
-    on_skew_decomposition(work, sp, d, case) and on_factor(work, divide,
-    pair) callbacks as the pipeline runs.
-
-    The recursion is driven by an explicit work stack, so deep trees stay
-    clear of interpreter recursion limits.
+    Membership is settled before the tree is built, and NotClassMember
+    carries the refuting pattern: the same first hit as
+    first_forbidden(g, triple).  One scan of the whole graph looks for a
+    P5; the house (and, with ``triple``, the pentagon, which makes
+    pentagon leaves impossible) is looked for only at the prime nodes of
+    the substitution skeleton (see _certify).  The tree is built after
+    that, so a non-member gets no unification step and no observer event.
+    The optional observer receives on_skew_decomposition(work, sp, d,
+    case) and on_factor(work, divide, pair) callbacks as the pipeline
+    runs.
     """
-    hit = first_forbidden(g, triple)
+    hit = oracle.find_induced(g, PatternKind.P5)
     if hit is not None:
         raise NotClassMember(hit)
-    work: list[tuple] = [("expand", g)]
-    done: list[DecompTree] = []
-    while work:
-        task = work.pop()
-        if task[0] == "expand":
-            node, child_graphs = _expand(task[1], observer)
-            if not child_graphs:
-                done.append(node)
-            else:
-                for cg in child_graphs:
-                    if cg.n >= task[1].n:
-                        raise InternalStructureError("child graph failed to shrink")
-                work.append(("assemble", node, len(child_graphs)))
-                for cg in reversed(child_graphs):
-                    work.append(("expand", cg))
-        else:
-            _, descriptor, n_children = task
-            children = done[-n_children:]
-            del done[-n_children:]
-            kind, payload = descriptor
-            if kind == "subst":
-                done.append(Subst(quotient=children[0], child=children[1], marker=payload))
-            elif kind == "sgu":
-                done.append(Sgu(part1=children[0], part2=children[1], roles=payload))
-            else:
-                done.append(CoSgu(part1=children[0], part2=children[1], roles=payload))
-    (root,) = done
-    return root
+    return _build(_certify(g, triple), observer)
 
 
 _LEAVES = (SplitLeaf, PentagonLeaf)

@@ -4,7 +4,7 @@ Trees are built top-down.  Leaves are random split graphs or pentagons;
 substitution nodes plug one generated member into another; unification nodes
 build a composable pair role by role (the cross-role adjacency is forced by
 the pair conditions, the inside of each role is random) and keep only pairs
-whose sides the oracle certifies, retrying up to a fixed cap.  The resulting
+whose sides decompose, retrying up to a fixed cap.  The resulting
 graph is the recomposition of the tree by construction.
 
 Randomness comes from random.Random (Mersenne Twister) seeded from the
@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .graph import Graph, SplitCert
-from .oracle import is_class_member
 from .modular import substitute
-from .decomposer import CoSgu, DecompTree, PentagonLeaf, Sgu, SplitLeaf, Subst, decompose, _pentagon_cycle
+from .decomposer import CoSgu, DecompTree, NotClassMember, PentagonLeaf, Sgu, SplitLeaf, Subst, decompose, _pentagon_cycle
 from .divide import ComposablePair, PairRoles, unify, _pair_violation
 
 __all__ = [
@@ -201,16 +200,18 @@ def _gen_node(
         marker = rng.choice(quot_g.vertices)
         composed = substitute(child_g, quot_g, marker)
         return Subst(quotient=quot_tree, child=child_tree, marker=marker), composed
-    # sgu / cosgu: build the pair, keep it only when both sides are members,
-    # then decompose the sides to provide their subtrees.
+    # sgu / cosgu: build the pair and keep it only when both sides
+    # decompose, which certifies them as members and gives their subtrees.
     for _ in range(_RETRY_CAP):
         pair = random_composable_pair(rng, ids)
-        if is_class_member(pair.g1) and is_class_member(pair.g2):
-            break
+        try:
+            t1 = decompose(pair.g1)
+            t2 = decompose(pair.g2)
+        except NotClassMember:
+            continue
+        break
     else:
         raise GenerationExhausted("no member pair within the retry cap")
-    t1 = decompose(pair.g1)
-    t2 = decompose(pair.g2)
     glued = unify(pair)
     if kind == "sgu":
         return Sgu(part1=t1, part2=t2, roles=pair.roles), glued

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, MixedStatus, VertexSet
+from .graph import Graph, VertexSet
 
 __all__ = [
     "HomogeneousSet",
@@ -201,18 +201,15 @@ def quotient_factor(g: Graph, h: HomogeneousSet) -> tuple[Graph, Graph, int]:
 
     Returns (child, quotient, marker): child is the subgraph induced on the
     members; quotient is g with the members collapsed onto the least member
-    id; substitute(child, quotient, marker) reproduces g exactly.
+    id; substitute(child, quotient, marker) reproduces g exactly.  Every
+    outside vertex sees the marker as it sees the whole set, so the
+    quotient is the subgraph induced on the outside and the marker.
     """
     if h.host != g:
         raise ValueError("homogeneous set belongs to a different graph")
     h.validate()
-    members = h.members
-    marker = min(members)
-    child = g.induced(members)
-    outside = [v for v in g.vertices if v not in members]
-    q_edges = [(a, b) for a, b in g.edges() if a not in members and b not in members]
-    for v in outside:
-        if g.mixed_status(v, members) is MixedStatus.COMPLETE:
-            q_edges.append((v, marker))
-    quotient = Graph(outside + [marker], q_edges)
-    return child, quotient, marker
+    inside = g._mask_of(h.members)
+    marker_bit = inside & -inside
+    child = g._induced(inside)
+    quotient = g._induced(g._full_mask() & ~inside | marker_bit)
+    return child, quotient, g.vertices[marker_bit.bit_length() - 1]

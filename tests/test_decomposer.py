@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from p5house import decomposer
+from p5house import decomposer, oracle
+from p5house.census import labeled_graphs
 from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph
-from p5house.modular import substitute
-from p5house.oracle import PatternKind, find_special_h6, is_class_member
+from p5house.modular import find_proper_homogeneous_set, substitute
+from p5house.oracle import PatternKind, find_special_h6, first_forbidden, is_class_member
 from p5house.skewpart import ConstructionFailed
 from p5house.decomposer import (
     CoSgu,
@@ -361,3 +362,186 @@ class TestComplementSideOnDemand:
         with pytest.raises(InternalStructureError) as err:
             decompose(BOTH_SIDES)
         assert str(err.value) == "both construction sides failed: refused"
+
+
+# The house: the complement of the path 0-1-2-3-4.
+HOUSE_EDGES = [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]
+
+
+def on_ids(edges, ids):
+    """The graph with these edges on positions 0..k-1, carried to ids."""
+    return Graph(ids, [(ids[a], ids[b]) for a, b in edges])
+
+
+def rejection(g, triple=False):
+    with pytest.raises(NotClassMember) as err:
+        decompose(g, triple=triple)
+    return err.value.hit
+
+
+def substitution_member(rng, n):
+    """A member on n >= 2 vertices: split graphs, pentagons, H6 and its
+    complement substituted into one another at random vertices, on
+    scattered ids."""
+    ids = iter(rng.sample(range(20 * n), 20 * n))
+
+    def block(room):
+        kind = rng.choice(("split", "pentagon", "h6", "co-h6") if room >= 6 else ("split",))
+        if kind == "pentagon":
+            return cycle_graph([next(ids) for _ in range(5)])
+        if kind in ("h6", "co-h6"):
+            g = on_ids(H6_EDGES, [next(ids) for _ in range(6)])
+            return g if kind == "h6" else g.complement()
+        k = rng.randint(2, min(room, 6))
+        vs = [next(ids) for _ in range(k)]
+        clique = vs[: rng.randint(0, k)]
+        edges = list(itertools.combinations(clique, 2))
+        edges += [(u, v) for u in clique for v in vs[len(clique):] if rng.random() < 0.5]
+        return Graph(vs, edges)
+
+    g = block(n)
+    while g.n < n:
+        g = substitute(block(n - g.n + 1), g, rng.choice(g.vertices))
+    return g
+
+
+def flip(rng, g):
+    """g with one random vertex pair flipped."""
+    u, v = rng.sample(g.vertices, 2)
+    edges = set(g.edges())
+    edges ^= {(min(u, v), max(u, v))}
+    return Graph(g.vertices, edges)
+
+
+class TestWitness:
+    """decompose rejects with first_forbidden's hit, although it scans
+    only the root for a P5 and only prime skeleton nodes for a house."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        for triple in (False, True):
+            for n in range(7):
+                for g in labeled_graphs(n):
+                    expected = first_forbidden(g, triple)
+                    if expected is None:
+                        decompose(g, triple=triple)
+                    else:
+                        assert rejection(g, triple) == expected
+
+    def test_house_only_near_members(self):
+        rng = random.Random(909)
+        found = 0
+        while found < 200:
+            g = flip(rng, substitution_member(rng, rng.randint(30, 41)))
+            expected = first_forbidden(g)
+            if expected is None or expected.kind is not PatternKind.HOUSE:
+                continue
+            found += 1
+            assert rejection(g) == expected
+            assert rejection(g, triple=True) == expected
+
+    def test_house_inside_a_proper_module(self):
+        house = on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14])
+        g = substitute(house, path_graph([0, 1, 2]), 1)
+        hit = rejection(g)
+        assert hit == first_forbidden(g) and set(hit.embedding) == set(house.vertices)
+
+    def test_pentagon_met_before_a_house_gives_the_house(self, scans):
+        # The house on 0..4 is the module split off first, so the walk
+        # reaches the pentagon (inside the quotient) before it.
+        g = Graph(range(10), HOUSE_EDGES + cycle_graph(range(5, 10)).edges())
+        hit = rejection(g, triple=True)
+        assert scans == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
+        assert hit == first_forbidden(g, triple=True) and hit.kind is PatternKind.HOUSE
+
+    def test_pentagon_leaf_in_triple_mode_gives_its_c5(self):
+        c5 = cycle_graph([10, 11, 12, 13, 14])
+        g = substitute(c5, complete_graph([0, 1]), 0)
+        hit = rejection(g, triple=True)
+        assert hit == first_forbidden(g, triple=True) and set(hit.embedding) == set(c5.vertices)
+
+    def test_node_hit_missing_from_the_root(self, monkeypatch):
+        g = substitute(on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]), path_graph([0, 1, 2]), 1)
+        real = oracle.find_induced
+
+        def blind_at_root(h, kind):
+            return None if h is g and kind is PatternKind.HOUSE else real(h, kind)
+
+        monkeypatch.setattr(oracle, "find_induced", blind_at_root)
+        with pytest.raises(InternalStructureError) as err:
+            decompose(g)
+        assert "the whole graph lacks" in str(err.value)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every oracle.find_induced call, as (graph, kind), in call order."""
+    log = []
+    real = oracle.find_induced
+
+    def logged(g, kind):
+        log.append((g, kind))
+        return real(g, kind)
+
+    monkeypatch.setattr(oracle, "find_induced", logged)
+    return log
+
+
+def is_prime_node(g):
+    return (
+        decomposer.split_certificate(g) is None
+        and decomposer._pentagon_cycle(g) is None
+        and find_proper_homogeneous_set(g) is None
+    )
+
+
+class TestOraclePlacement:
+    def test_split_member_gets_only_the_root_p5_scan(self, scans):
+        g = Graph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+        assert isinstance(decompose(g), SplitLeaf)
+        assert scans == [(g, PatternKind.P5)]
+
+    def test_house_scans_run_on_prime_nodes_only(self, scans, monkeypatch):
+        g = substitute(h6().complement(), on_ids(H6_EDGES, range(10, 16)), 10)
+        unified = []
+        real = decomposer._unification_step
+
+        def logged(h, observer):
+            unified.append(len(scans))
+            return real(h, observer)
+
+        monkeypatch.setattr(decomposer, "_unification_step", logged)
+        t = decompose(g)
+        assert verify_tree(t, g).ok
+        certify = scans[: unified[0]]
+        assert certify[0] == (g, PatternKind.P5)
+        houses = [h for h, kind in certify[1:] if kind is PatternKind.HOUSE]
+        assert len(houses) == len(certify) - 1 == 2
+        assert all(h is not g and is_prime_node(h) for h in houses)
+
+    def test_p5_rejection_takes_no_homogeneous_set_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decomposer, "find_proper_homogeneous_set", calls.append)
+        g = substitute(complete_graph([10, 11]), path_graph(range(5)), 2)
+        assert rejection(g).kind is PatternKind.P5
+        assert calls == []
+
+    def test_house_rejection_after_a_member_prime_node(self, scans, monkeypatch):
+        module = Graph([10, 11, 12, 13, 14, 15], on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]).edges())
+        g = substitute(module, h6(), 0)
+        searched = []
+        monkeypatch.setattr(decomposer, "find_special_h6", searched.append)
+        events = []
+
+        class Obs:
+            def on_skew_decomposition(self, *args):
+                events.append(args)
+
+            def on_factor(self, *args):
+                events.append(args)
+
+        with pytest.raises(NotClassMember) as err:
+            decompose(g, observer=Obs())
+        assert err.value.hit == first_forbidden(g) and err.value.hit.kind is PatternKind.HOUSE
+        first_house_scan = next(h for h, kind in scans if kind is PatternKind.HOUSE)
+        assert is_prime_node(first_house_scan) and is_class_member(first_house_scan)
+        assert searched == [] and events == []

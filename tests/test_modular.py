@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from p5house.graph import Graph, complete_graph, cycle_graph, path_graph
+from p5house.graph import Graph, MixedStatus, complete_graph, cycle_graph, path_graph
 from p5house.modular import (
     HomogeneousSet,
     find_proper_homogeneous_set,
@@ -253,6 +253,21 @@ class TestSubstitute:
         assert out.vertex_set == frozenset({1, 2, 3, 5})
 
 
+def quotient_factor_by_edges(g, h):
+    """The split spelled out on edge lists: the members' induced subgraph,
+    and the rest of g with the least member joined to every vertex
+    complete to the set."""
+    members = h.members
+    marker = min(members)
+    child = g.induced(members)
+    outside = [v for v in g.vertices if v not in members]
+    q_edges = [(a, b) for a, b in g.edges() if a not in members and b not in members]
+    for v in outside:
+        if g.mixed_status(v, members) is MixedStatus.COMPLETE:
+            q_edges.append((v, marker))
+    return child, Graph(outside + [marker], q_edges), marker
+
+
 class TestQuotientFactor:
     def test_diamond_round_trip(self):
         g = diamond()
@@ -274,6 +289,7 @@ class TestQuotientFactor:
                 child, quotient, marker = quotient_factor(g, hs)
                 assert child.n < g.n and quotient.n < g.n
                 assert substitute(child, quotient, marker) == g
+                assert (child, quotient, marker) == quotient_factor_by_edges(g, hs)
 
     def test_round_trip_sampled_n7(self):
         rng = random.Random(777)
@@ -284,6 +300,16 @@ class TestQuotientFactor:
                 continue
             child, quotient, marker = quotient_factor(g, hs)
             assert substitute(child, quotient, marker) == g
+
+    def test_same_split_as_edge_lists(self):
+        rng = random.Random(41)
+        checked = 0
+        while checked < 2000:
+            g = substitution_graph(rng, 16)
+            hs = find_proper_homogeneous_set(g)
+            if hs is not None:
+                assert quotient_factor(g, hs) == quotient_factor_by_edges(g, hs)
+                checked += 1
 
     def test_prime_graph_rejected(self):
         g = cycle_graph(range(5))
