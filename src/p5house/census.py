@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 from .graph import Graph
 from .oracle import PatternKind, find_induced, is_class_member, validate_hit
 from .modular import find_proper_homogeneous_set
-from .decomposer import NotClassMember, SplitLeaf, Subst, decompose, recompose, verify_tree
+from .decomposer import NotClassMember, SplitLeaf, Subst, decompose, verify_tree
 
 __all__ = ["SweepRow", "SweepResult", "pair_table", "labeled_graphs", "graph_from_pair_mask", "run_sweep", "member_masks"]
 
@@ -74,11 +74,12 @@ def run_sweep(
     with one P5 scan of the whole graph and house (in triple mode also C5)
     scans only at the prime nodes of its substitution skeleton: a
     NotClassMember marks a non-member and its witness must induce the
-    pattern it names; members must decompose, pass verify_tree, and
-    recompose label-exactly.  The tree's root tells whether a member is
-    split (a split leaf) and, unless it is split, whether it is prime (a
-    pentagon or unification root).  In triple mode no pentagon leaf may
-    appear.  Returns per-n counts plus mismatch descriptions.
+    pattern it names; members must decompose and pass verify_tree, which
+    also checks that the tree recomposes to g label-exactly.  The tree's
+    root tells whether a member is split (a split leaf) and, unless it is
+    split, whether it is prime (a pentagon or unification root).  In triple
+    mode no pentagon leaf may appear.  Returns per-n counts plus mismatch
+    descriptions.
     """
     rows = []
     for n in range(max_n + 1):
@@ -107,9 +108,6 @@ def run_sweep(
             report = verify_tree(tree, g)
             if not report.ok:
                 row.mismatches.append(f"n={n}: verify failed on {g.edges()}: {report.failures[:1]}")
-                continue
-            if recompose(tree) != g:
-                row.mismatches.append(f"n={n}: recomposition mismatch on {g.edges()}")
                 continue
             if triple and report.leaf_counts.get("pentagon"):
                 row.mismatches.append(f"n={n}: pentagon leaf in triple mode on {g.edges()}")

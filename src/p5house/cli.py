@@ -18,7 +18,6 @@ from .decomposer import (
     NotClassMember,
     decompose,
     recompose,
-    tree_stats,
     verify_tree,
 )
 from .generator import GenConfig, generate
@@ -73,11 +72,9 @@ def cmd_decompose(args) -> int:
         Path(args.out).write_text(doc)
     else:
         sys.stdout.write(doc)
-    depth, leaves = tree_stats(tree)
-    print(
-        f"depth {depth}, split leaves {leaves['split']}, pentagon leaves {leaves['pentagon']}",
-        file=sys.stderr,
-    )
+    leaves = report.leaf_counts
+    print(f"depth {report.depth}, split leaves {leaves['split']}, "
+          f"pentagon leaves {leaves['pentagon']}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@ decompose() rewrites a graph with no induced P5 and no induced house into a
 tree whose leaves are split graphs and pentagons and whose internal nodes
 are substitutions, split graph unifications, or split graph unifications in
 the complement.  recompose() inverts it label-exactly; verify_tree() checks
-every obligation a tree carries.
+every obligation a tree carries.  All tree walks, documents included, run
+on one explicit-stack fold (_walk), clear of interpreter recursion limits.
 
 Branch order: split leaf, pentagon leaf, substitution, unification.  The
 last branch only ever fires on prime, non-split, pentagon-free graphs, where
@@ -22,7 +23,8 @@ only once the graph is known to be a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Union
 
 from .graph import Graph, SplitCert, split_certificate
@@ -239,9 +241,9 @@ def _shrunk(parent: Graph, kids: tuple[Graph, Graph]) -> tuple[Graph, Graph]:
 
 def _substitution_step(g: Graph):
     """The first three branches of a decomposition step: a finished leaf
-    with no children, a substitution descriptor with its quotient and child
-    graphs still to process, or None when g is prime (neither split nor a
-    pentagon, and without a proper homogeneous set)."""
+    with no children, a substitution's constructor with the quotient and
+    child graphs still to process, or None when g is prime (neither split
+    nor a pentagon, and without a proper homogeneous set)."""
     cert = split_certificate(g)
     if cert is not None:
         return SplitLeaf(graph=g, cert=cert), ()
@@ -252,16 +254,15 @@ def _substitution_step(g: Graph):
     if hs is None:
         return None
     child, quotient, marker = quotient_factor(g, hs)
-    return ("subst", marker), _shrunk(g, (quotient, child))
+    return partial(Subst, marker=marker), _shrunk(g, (quotient, child))
 
 
 def _unification_node(g: Graph, observer):
-    """The last branch, at a prime member: a unification descriptor with
-    its two factors, each checked free of P5, house and C5."""
+    """The last branch, at a prime member: a unification's constructor
+    with its two factors, each checked free of P5, house and C5."""
     co, pair = _unification_step(g, observer)
     _assert_factors_free(pair)
-    kind = "cosgu" if co else "sgu"
-    return (kind, pair.roles), _shrunk(g, (pair.g1, pair.g2))
+    return partial(CoSgu if co else Sgu, roles=pair.roles), _shrunk(g, (pair.g1, pair.g2))
 
 
 def _house_or_c5(g: Graph, triple: bool) -> PatternHit | None:
@@ -323,45 +324,24 @@ def _certify(g: Graph, triple: bool) -> list:
 
 
 def _build(skeleton: list, observer) -> DecompTree:
-    """Pass 2: replay a certified skeleton into a tree.
-
-    Each prime node gets its unification step; the factors' subtrees are
-    expanded in full, with no further scans (_unification_node has checked
-    the factors).  Nodes are expanded depth first, left to right, in the
-    order pass 1 recorded, on an explicit work stack, so deep trees stay
-    clear of interpreter recursion limits.  On the stack, None stands for
-    the next skeleton record, a Graph for a factor subtree still to expand
-    and a tuple for a node descriptor waiting for its two children."""
+    """Pass 2: replay a certified skeleton into a tree, expanding items in
+    preorder as pass 1 recorded them: None for the next skeleton record, a
+    Graph for a factor subtree to expand in full (_unification_node has
+    checked the factors, so their subtrees get no further scans)."""
     records = iter(skeleton)
-    work: list = [None]
-    done: list[DecompTree] = []
-    while work:
-        task = work.pop()
-        if isinstance(task, tuple):
-            kind, payload = task
-            second = done.pop()
-            first = done.pop()
-            if kind == "subst":
-                done.append(Subst(quotient=first, child=second, marker=payload))
-            elif kind == "sgu":
-                done.append(Sgu(part1=first, part2=second, roles=payload))
-            else:
-                done.append(CoSgu(part1=first, part2=second, roles=payload))
-            continue
-        if task is None:
+
+    def expand(item, _):
+        if item is None:
             step = next(records)
-            replayed = not isinstance(step, Graph)
-            node, kids = step if replayed else _unification_node(step, observer)
+            if not isinstance(step, Graph):
+                node, kids = step
+                return node, ((None, None),) * len(kids)
+            node, kids = _unification_node(step, observer)
         else:
-            replayed = False
-            node, kids = _substitution_step(task) or _unification_node(task, observer)
-        if not kids:
-            done.append(node)
-            continue
-        work.append(node)
-        work.extend(None if replayed else kid for kid in reversed(kids))
-    (root,) = done
-    return root
+            node, kids = _substitution_step(item) or _unification_node(item, observer)
+        return node, tuple((kid, None) for kid in kids)
+
+    return _walk(None, None, expand, _assemble)
 
 
 def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
@@ -384,55 +364,82 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     return _build(_certify(g, triple), observer)
 
 
-_LEAVES = (SplitLeaf, PentagonLeaf)
+def _walk(root, ctx, down, up):
+    """Fold a tree into its root's value on an explicit stack.  down(item,
+    ctx), called in preorder, checks an item and gives the node it stands
+    for and its two children as (item, context) pairs, or none for a leaf;
+    up(node, ctx, values), in postorder, combines the children's values.
+    A lone leaf and a node over two leaves skip the stack.  A context is a
+    (label, parent, payload) chain that _render turns into a path such as
+    "root.quotient.child"; the payload is a depth or a document's graph."""
+    node, kids = down(root, ctx)
+    if not kids:
+        return up(node, ctx, ())
+    (first, first_ctx), (second, second_ctx) = kids
+    first, grandkids = down(first, first_ctx)
+    if grandkids:
+        ancestors = [(node, ctx, kids, [])]
+        node, ctx, kids, values = first, first_ctx, grandkids, []
+    else:
+        values = [up(first, first_ctx, ())]
+        second, grandkids = down(second, second_ctx)
+        if not grandkids:
+            values.append(up(second, second_ctx, ()))
+            return up(node, ctx, values)
+        ancestors = [(node, ctx, kids, values)]
+        node, ctx, kids, values = second, second_ctx, grandkids, []
+    while True:
+        item, kid_ctx = kids[len(values)]
+        kid, grandkids = down(item, kid_ctx)
+        if grandkids:
+            ancestors.append((node, ctx, kids, values))
+            node, ctx, kids, values = kid, kid_ctx, grandkids, []
+            continue
+        values.append(up(kid, kid_ctx, ()))
+        while len(values) == 2:
+            value = up(node, ctx, values)
+            if not ancestors:
+                return value
+            node, ctx, kids, values = ancestors.pop()
+            values.append(value)
 
 
-def _render(path) -> str:
+def _render(ctx) -> str:
     labels = []
-    while path is not None:
-        label, path = path
-        labels.append(label)
+    while ctx is not None:
+        labels.append(ctx[0])
+        ctx = ctx[1]
     return "".join(reversed(labels))
 
 
-def _fold(t: DecompTree, visit):
-    """Return visit(node, path, kid_values) for the root, having computed
-    every node's value after its children's, left to right.
+_ROOT = ("root", None, 0)
 
-    Driven by an explicit stack, so deep trees stay clear of interpreter
-    recursion limits.  A path is a (label, parent path) chain that _render
-    turns into "root.quotient.child"; it is rendered only where a message
-    needs it.  A lone leaf and a node over two leaves, the commonest trees
-    of small graphs, are visited without a trip through the stack."""
-    if isinstance(t, _LEAVES):
-        return visit(t, ("root", None), ())
-    work: list[tuple] = [(t, ("root", None), False)]
-    values: list = []
-    while work:
-        node, path, ready = work.pop()
-        if ready:
-            second = values.pop()
-            values.append(visit(node, path, (values.pop(), second)))
-            continue
-        if isinstance(node, Subst):
-            first, second, label1, label2 = node.quotient, node.child, ".quotient", ".child"
-        elif isinstance(node, (Sgu, CoSgu)):
-            first, second, label1, label2 = node.part1, node.part2, ".part1", ".part2"
-        else:
-            values.append(visit(node, path, ()))
-            continue
-        if isinstance(first, _LEAVES) and isinstance(second, _LEAVES):
-            kids = (visit(first, (label1, path), ()), visit(second, (label2, path), ()))
-            values.append(visit(node, path, kids))
-            continue
-        work.append((node, path, True))
-        work.append((second, (label2, path), False))
-        work.append((first, (label1, path), False))
-    return values[0]
+
+def _assemble(node, ctx, values):
+    """The bottom-up hook of the walks that build a tree, whose top-down
+    hook gives a finished leaf or an internal node's constructor."""
+    return node(*values) if values else node
+
+
+def _tree_kids(node, path):
+    """The top-down hook of the walks over a tree: the node and its
+    children, each with its path label and depth.  Types are matched
+    exactly, quicker than isinstance on a walk's many leaves."""
+    kind = type(node)
+    if kind is SplitLeaf or kind is PentagonLeaf:
+        return node, ()
+    depth = path[2] + 1
+    if kind is Subst:
+        kids = (node.quotient, (".quotient", path, depth)), (node.child, (".child", path, depth))
+    elif kind is Sgu or kind is CoSgu:
+        kids = (node.part1, (".part1", path, depth)), (node.part2, (".part2", path, depth))
+    else:
+        kids = ()
+    return node, kids
 
 
 def _recompose_node(node, path, kids) -> Graph:
-    if isinstance(node, _LEAVES):
+    if isinstance(node, (SplitLeaf, PentagonLeaf)):
         return node.graph
     if isinstance(node, Subst):
         quotient, child = kids
@@ -460,35 +467,32 @@ def recompose(t: DecompTree) -> Graph:
     internal nodes apply substitution, unification, or complemented
     unification.  Structural problems raise MalformedTree with the node
     path."""
-    return _fold(t, _recompose_node)
+    if isinstance(t, (SplitLeaf, PentagonLeaf)):  # the commonest tree, off the walk
+        return t.graph
+    return _walk(t, _ROOT, _tree_kids, _recompose_node)
 
 
 @dataclass
 class TreeReport:
-    ok: bool
-    failures: list[tuple[str, str]]
-    depth: int
-    leaf_counts: dict[str, int]
+    ok: bool = True
+    failures: list[tuple[str, str]] = field(default_factory=list)
+    depth: int = 0
+    leaf_counts: dict[str, int] = field(default_factory=lambda: {"split": 0, "pentagon": 0})
+
+    def _tally(self, node, path) -> None:
+        """Count a node without children into the depth and leaf counts."""
+        self.depth = max(self.depth, path[2])
+        if isinstance(node, SplitLeaf):
+            self.leaf_counts["split"] += 1
+        elif isinstance(node, PentagonLeaf):
+            self.leaf_counts["pentagon"] += 1
 
 
 def tree_stats(t: DecompTree) -> tuple[int, dict[str, int]]:
     """(depth, leaf counts by kind); a lone leaf has depth 0."""
-    counts = {"split": 0, "pentagon": 0}
-    depth = 0
-    work = [(t, 0)]
-    while work:
-        node, d = work.pop()
-        if isinstance(node, Subst):
-            work += ((node.quotient, d + 1), (node.child, d + 1))
-        elif isinstance(node, (Sgu, CoSgu)):
-            work += ((node.part1, d + 1), (node.part2, d + 1))
-        else:
-            depth = max(depth, d)
-            if isinstance(node, SplitLeaf):
-                counts["split"] += 1
-            elif isinstance(node, PentagonLeaf):
-                counts["pentagon"] += 1
-    return depth, counts
+    report = TreeReport()
+    _walk(t, _ROOT, _tree_kids, lambda node, path, kids: kids or report._tally(node, path))
+    return report.depth, report.leaf_counts
 
 
 def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
@@ -498,14 +502,20 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
     certificate, every pentagon leaf's cyclic order, every substitution
     node's proper homogeneous set, every unification node's pair conditions,
     and strict shrinking at internal nodes.  Failures are report entries
-    (path, message); nothing raises.
+    (path, message); nothing raises.  The depth and leaf counts come from
+    the same walk.
     """
-    failures: list[tuple[str, str]] = []
+    report = TreeReport()
+    failures = report.failures
 
     def fail(path, reason: str) -> None:
         failures.append((_render(path), reason))
 
     def check(node, path, kids) -> Graph | None:
+        if not kids:
+            report._tally(node, path)
+        elif None in kids:
+            return None
         if isinstance(node, SplitLeaf):
             gr, cert = node.graph, node.cert
             if cert.clique | cert.stable != gr.vertex_set or cert.clique & cert.stable:
@@ -514,22 +524,18 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
                 fail(path, "certificate sides are not clique/stable")
             return gr
         if isinstance(node, PentagonLeaf):
-            gr = node.graph
-            cyc = node.cycle
-            ok = (
+            gr, cyc = node.graph, node.cycle
+            if not (
                 gr.n == 5
                 and set(cyc) == set(gr.vertex_set)
                 and len(cyc) == 5
                 and all(gr.has_edge(cyc[i], cyc[(i + 1) % 5]) for i in range(5))
                 and gr.edge_count == 5
-            )
-            if not ok:
+            ):
                 fail(path, "leaf is not the claimed pentagon")
             return gr
         if isinstance(node, Subst):
             gq, gc = kids
-            if gq is None or gc is None:
-                return None
             try:
                 composed = substitute(gc, gq, node.marker)
             except ValueError as exc:
@@ -539,28 +545,22 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
                 fail(path, "substituted set is not proper")
             elif not is_homogeneous(composed, gc.vertex_set):
                 fail(path, "substituted set is not homogeneous")
-            if gq.n >= composed.n or gc.n >= composed.n:
-                fail(path, "children fail to shrink")
-            return composed
-        if isinstance(node, (Sgu, CoSgu)):
-            g1, g2 = kids
-            if g1 is None or g2 is None:
-                return None
-            pair = ComposablePair(g1=g1, g2=g2, roles=node.roles)
+        elif isinstance(node, (Sgu, CoSgu)):
             try:
-                glued = unify(pair)
+                glued = unify(ComposablePair(g1=kids[0], g2=kids[1], roles=node.roles))
             except InvalidPair as exc:
                 fail(path, str(exc))
                 return None
             composed = glued.complement() if isinstance(node, CoSgu) else glued
-            if g1.n >= composed.n or g2.n >= composed.n:
-                fail(path, "children fail to shrink")
-            return composed
-        fail(path, f"unknown node type {type(node).__name__}")
-        return None
+        else:
+            fail(path, f"unknown node type {type(node).__name__}")
+            return None
+        if kids[0].n >= composed.n or kids[1].n >= composed.n:
+            fail(path, "children fail to shrink")
+        return composed
 
-    rebuilt = _fold(t, check)
+    rebuilt = _walk(t, _ROOT, _tree_kids, check)
     if rebuilt is not None and rebuilt != g:
         failures.append(("root", "recomposition does not match the input graph"))
-    depth, leaf_counts = tree_stats(t)
-    return TreeReport(ok=not failures, failures=failures, depth=depth, leaf_counts=leaf_counts)
+    report.ok = not failures
+    return report

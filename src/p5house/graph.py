@@ -12,6 +12,7 @@ connectivity and completeness checks used in the hot paths are integer ops.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -246,9 +247,10 @@ class Graph:
         return self._induced(self._mask_of(xs))
 
     def _induced(self, keep: int, marker: int | None = None, attach: int = 0) -> "Graph":
-        """Subgraph induced on the mask ``keep``; with ``marker`` (an id
-        above every id of this graph) one more vertex, adjacent to the
-        vertices of ``attach``, which must lie inside ``keep``."""
+        """Subgraph induced on the mask ``keep``; with ``marker`` (the id of
+        no kept vertex) one more vertex, sorted into place among the kept
+        ids and adjacent to the vertices of ``attach``, which must lie
+        inside ``keep``."""
         rank = [0] * len(self._vs)
         vs = []
         rest = keep
@@ -278,6 +280,13 @@ class Graph:
         if marker is not None:
             masks.append(around)
             vs.append(marker)
+            if k and marker < vs[k - 1]:
+                # sort the marker into place: ranks at..k-1 move up by one
+                at = bisect_left(vs, marker, 0, k)
+                low, high = (1 << at) - 1, (1 << k) - 1
+                masks = [m & low | (m & high & ~low) << 1 | (m >> k & 1) << at for m in masks]
+                masks.insert(at, masks.pop())
+                vs.insert(at, vs.pop())
         g = Graph.__new__(Graph)
         g._vs = tuple(vs)
         g._pos = {v: i for i, v in enumerate(vs)}
@@ -311,9 +320,6 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self._components_masks(self._full_mask())) == 1
 
-    def is_anti_connected(self) -> bool:
-        return len(self._anti_components_masks(self._full_mask())) == 1
-
     def connected_on(self, xs: Iterable[int]) -> bool:
         return len(self._components_masks(self._mask_of(xs))) == 1
 
@@ -327,13 +333,6 @@ class Graph:
 
     def is_stable(self, xs: Iterable[int]) -> bool:
         return self._stable(self._mask_of(xs))
-
-    def is_complete_between(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
-        """True iff every xs-ys pair (over distinct vertices) is an edge."""
-        return self._complete(self._mask_of(xs), self._mask_of(ys))
-
-    def is_anti_complete_between(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
-        return self._anti_complete(self._mask_of(xs), self._mask_of(ys))
 
     def mixed_status(self, v: int, xs: Iterable[int]) -> MixedStatus:
         """Classify v against the nonempty set xs (v must lie outside xs)."""

@@ -444,10 +444,6 @@ def usable_satisfies_a(g: Graph, d: SkewDecomposition) -> bool:
     return _usable_a(_SixMasks(g, d))
 
 
-def usable_satisfies_b(g: Graph, d: SkewDecomposition) -> bool:
-    return _usable_b(_SixMasks(g, d))
-
-
 def _usable_a(d: _SixMasks) -> bool:
     if len(d.x_parts) < 2 or not _families_disjoint(d):
         return False

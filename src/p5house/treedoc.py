@@ -1,18 +1,24 @@
 """Lossless JSON serialization of decomposition trees.
 
 A document stores the root graph (graph6 plus the sorted id list mapping
-positions back to ids) and the recursive node structure: each internal node
-records only its role vertex ids, so leaf graphs are re-derived top-down
-when parsing.  The version field is mandatory and checked exactly.
+positions back to ids) and the node structure: each internal node records
+only its role vertex ids, so the graphs below it are re-derived top-down,
+on masks as decompose builds them, in the decomposer's one tree walk.  A
+quotient's marker attaches like the least member, a unification part's
+marker to L (marker_c) or B (marker_a); a marker may be any id outside
+the part it joins but no role vertex of its node.  The version field is
+mandatory and checked exactly.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from .graph import Graph, SplitCert
 from .graph6 import emit_graph6, parse_graph6
-from .decomposer import CoSgu, DecompTree, PentagonLeaf, Sgu, SplitLeaf, Subst
+from .decomposer import _ROOT, CoSgu, DecompTree, PentagonLeaf, Sgu, SplitLeaf, Subst
+from .decomposer import _assemble, _render, _tree_kids, _walk
 from .divide import PairRoles
 
 __all__ = ["TreeDocumentError", "tree_to_document", "document_to_tree", "VERSION"]
@@ -24,57 +30,70 @@ class TreeDocumentError(ValueError):
     pass
 
 
-def _ids(vs) -> list[int]:
-    return sorted(vs)
-
-
-def _node_to_json(node: DecompTree) -> tuple[dict, frozenset[int]]:
-    """The node's JSON object and the vertex set of the graph it stands for,
-    built bottom-up so that a substitution node reads its members off its
-    child's set."""
+def _fields(node: DecompTree, members: list[int] | None = None) -> dict:
+    """A node's fields other than its children, keys in sorted order."""
     if isinstance(node, SplitLeaf):
-        obj = {
-            "kind": "split_leaf",
-            "clique": _ids(node.cert.clique),
-            "stable": _ids(node.cert.stable),
-        }
-        return obj, node.graph.vertex_set
+        cert = node.cert
+        return {"clique": sorted(cert.clique), "kind": "split_leaf", "stable": sorted(cert.stable)}
     if isinstance(node, PentagonLeaf):
-        return {"kind": "pentagon_leaf", "cycle": list(node.cycle)}, node.graph.vertex_set
+        return {"cycle": list(node.cycle), "kind": "pentagon_leaf"}
     if isinstance(node, Subst):
-        quotient, q_set = _node_to_json(node.quotient)
-        child, c_set = _node_to_json(node.child)
-        obj = {
-            "kind": "subst",
-            "members": _ids(c_set),
-            "marker": node.marker,
-            "children": [quotient, child],
-        }
-        return obj, c_set | (q_set - {node.marker})
-    kind = "sgu" if isinstance(node, Sgu) else "cosgu"
+        return {"kind": "subst", "marker": node.marker, "members": members}
     r = node.roles
-    obj = {
-        "kind": kind,
-        "a": _ids(r.a_set),
-        "b": _ids(r.b_set),
-        "c": _ids(r.c_set),
-        "l": _ids(r.l_set),
-        "t": _ids(r.t_set),
-        "marker_a": r.marker_a,
-        "marker_c": r.marker_c,
-        "children": [_node_to_json(node.part1)[0], _node_to_json(node.part2)[0]],
+    return {
+        "a": sorted(r.a_set), "b": sorted(r.b_set), "c": sorted(r.c_set),
+        "kind": "sgu" if isinstance(node, Sgu) else "cosgu", "l": sorted(r.l_set),
+        "marker_a": r.marker_a, "marker_c": r.marker_c, "t": sorted(r.t_set),
     }
-    return obj, r.a_set | r.b_set | r.c_set | r.l_set | r.t_set
+
+
+def _entry(key: str, value, pad: str) -> str:
+    """One field as json.dumps(indent=2) lays it out, ``pad`` being the
+    newline and indent of its line."""
+    if type(value) is str:
+        value = json.dumps(value)
+    elif type(value) is list:
+        inner = pad + "  "
+        value = "[" + inner + ("," + inner).join(map(str, value)) + pad + "]" if value else "[]"
+    return f'{pad}"{key}": {value}'
 
 
 def tree_to_document(tree: DecompTree, root_graph: Graph) -> str:
-    doc = {
-        "version": VERSION,
-        "rootGraph": emit_graph6(root_graph),
-        "vertexIds": list(root_graph.vertices),
-        "node": _node_to_json(tree)[0],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document of a tree: json.dumps(doc, indent=2, sort_keys=True)'s
+    bytes, emitted in one walk.  A node at depth d opens at indent 2 + 4d,
+    its fields two further in, the children after a unification's a, b, c.
+    A node's value is its vertex set, a substitution's members its child's."""
+    out = ['{\n  "node": ']
+
+    def down(node, path):
+        node, kids = _tree_kids(node, path)
+        depth = path[2]
+        if depth:
+            out.append((",\n" if path[0] in (".child", ".part2") else "\n") + " " * (2 + 4 * depth))
+        if kids:
+            pad = "\n" + " " * (4 + 4 * depth)
+            before = (_entry(k, v, pad) + "," for k, v in _fields(node).items() if k < "children")
+            out.append("{" + "".join(before) + pad + '"children": [')
+        return node, kids
+
+    def up(node, path, kids) -> frozenset[int]:
+        pad = "\n" + " " * (4 + 4 * path[2])
+        subst = isinstance(node, Subst)
+        fields = _fields(node, sorted(kids[1]) if subst else None).items()
+        after = [_entry(k, v, pad) for k, v in fields if not kids or k > "children"]
+        out.append((pad + "]," if kids else "{") + ",".join(after) + pad[:-2] + "}")
+        if subst:
+            return kids[1] | (kids[0] - {node.marker})
+        if kids:
+            r = node.roles
+            return r.a_set | r.b_set | r.c_set | r.l_set | r.t_set
+        return node.graph.vertex_set
+
+    _walk(tree, _ROOT, down, up)
+    top = (("rootGraph", emit_graph6(root_graph)), ("version", VERSION),
+           ("vertexIds", list(root_graph.vertices)))
+    out.extend("," + _entry(key, value, "\n  ") for key, value in top)
+    return "".join(out) + "\n}\n"
 
 
 def _require(cond: bool, what: str) -> None:
@@ -82,109 +101,95 @@ def _require(cond: bool, what: str) -> None:
         raise TreeDocumentError(what)
 
 
-def _bad_field(obj: dict, key: str, path: str, want: str) -> TreeDocumentError:
+def _error(ctx, what: str) -> TreeDocumentError:
+    return TreeDocumentError(f"{_render(ctx)}: {what}")
+
+
+def _bad_field(obj: dict, key: str, ctx, want: str) -> TreeDocumentError:
     if key not in obj:
-        return TreeDocumentError(f"{path}: missing field {key!r}")
-    return TreeDocumentError(f"{path}.{key}: not {want}")
+        return _error(ctx, f"missing field {key!r}")
+    return TreeDocumentError(f"{_render(ctx)}.{key}: not {want}")
 
 
-def _int(obj: dict, key: str, path: str) -> int:
+def _int(obj: dict, key: str, ctx) -> int:
     value = obj.get(key)
     if type(value) is not int:
-        raise _bad_field(obj, key, path, "an integer")
+        raise _bad_field(obj, key, ctx, "an integer")
     return value
 
 
 _INT = frozenset({int})
 
 
-def _id_list(obj: dict, key: str, path: str) -> list[int]:
+def _id_list(obj: dict, key: str, ctx) -> list[int]:
     value = obj.get(key)
     if type(value) is not list or not _INT.issuperset(map(type, value)):
-        raise _bad_field(obj, key, path, "a list of integer ids")
+        raise _bad_field(obj, key, ctx, "a list of integer ids")
     return value
 
 
-def _children(obj: dict, path: str, what: str) -> list:
+def _children(obj: dict, ctx, what: str) -> list:
     kids = obj.get("children")
     if type(kids) is not list or len(kids) != 2:
-        raise TreeDocumentError(f"{path}: {what} node needs two children")
+        raise _error(ctx, f"{what} node needs two children")
     return kids
 
 
-def _node_from_json(obj: dict, g: Graph, path: str = "node") -> DecompTree:
+_ROLES = ("a", "b", "c", "l", "t")
+
+
+def _paired(kids: list, ctx, first: Graph, second: Graph) -> tuple:
+    return (kids[0], (".children[0]", ctx, first)), (kids[1], (".children[1]", ctx, second))
+
+
+def _read_down(obj, ctx):
+    """The reader's top-down hook: check a node's fields and give a leaf, or
+    an internal node's constructor and its children's graphs."""
     if not (isinstance(obj, dict) and "kind" in obj):
-        raise TreeDocumentError(f"{path}: node without a kind")
+        raise _error(ctx, "node without a kind")
     kind = obj["kind"]
+    g = ctx[2]
     if kind == "split_leaf":
-        clique = frozenset(_id_list(obj, "clique", path))
-        stable = frozenset(_id_list(obj, "stable", path))
-        return SplitLeaf(graph=g, cert=SplitCert(clique=clique, stable=stable))
+        clique = frozenset(_id_list(obj, "clique", ctx))
+        stable = frozenset(_id_list(obj, "stable", ctx))
+        return SplitLeaf(graph=g, cert=SplitCert(clique=clique, stable=stable)), ()
     if kind == "pentagon_leaf":
-        return PentagonLeaf(graph=g, cycle=tuple(_id_list(obj, "cycle", path)))
+        return PentagonLeaf(graph=g, cycle=tuple(_id_list(obj, "cycle", ctx))), ()
     if kind == "subst":
-        members = frozenset(_id_list(obj, "members", path))
-        marker = _int(obj, "marker", path)
+        members = _id_list(obj, "members", ctx)
+        marker = _int(obj, "marker", ctx)
         if not members:
-            raise TreeDocumentError(f"{path}: empty substitution members")
-        if not members <= g.vertex_set:
-            raise TreeDocumentError(f"{path}: substitution members outside the node graph")
-        kids = _children(obj, path, "substitution")
-        child_g = g.induced(members)
-        outside = [v for v in g.vertices if v not in members]
-        if marker in outside:
-            raise TreeDocumentError(f"{path}: marker collides with an outside vertex")
-        probe = min(members)
-        q_edges = [(a, b) for a, b in g.edges() if a not in members and b not in members]
-        for v in outside:
-            if g.has_edge(v, probe):
-                q_edges.append((v, marker))
-        quotient_g = Graph(outside + [marker], q_edges)
+            raise _error(ctx, "empty substitution members")
         try:
-            quotient = _node_from_json(kids[0], quotient_g, path + ".children[0]")
-            child = _node_from_json(kids[1], child_g, path + ".children[1]")
-        except RecursionError:
-            raise _too_deep(path) from None
-        return Subst(quotient=quotient, child=child, marker=marker)
+            inside = g._mask_of(members)
+        except ValueError:
+            raise _error(ctx, "substitution members outside the node graph") from None
+        kids = _children(obj, ctx, "substitution")
+        if marker in g and not inside >> g._pos[marker] & 1:
+            raise _error(ctx, "marker collides with an outside vertex")
+        outside = g._full_mask() & ~inside
+        attach = outside & g._masks[(inside & -inside).bit_length() - 1]  # like the least member
+        quotient = g._induced(outside, marker, attach)
+        return partial(Subst, marker=marker), _paired(kids, ctx, quotient, g._induced(inside))
     if kind in ("sgu", "cosgu"):
-        roles = PairRoles(
-            a_set=frozenset(_id_list(obj, "a", path)),
-            b_set=frozenset(_id_list(obj, "b", path)),
-            c_set=frozenset(_id_list(obj, "c", path)),
-            l_set=frozenset(_id_list(obj, "l", path)),
-            t_set=frozenset(_id_list(obj, "t", path)),
-            marker_a=_int(obj, "marker_a", path),
-            marker_c=_int(obj, "marker_c", path),
-        )
+        sets = [frozenset(_id_list(obj, key, ctx)) for key in _ROLES]
+        roles = PairRoles(*sets, _int(obj, "marker_a", ctx), _int(obj, "marker_c", ctx))
         work = g.complement() if kind == "cosgu" else g
-        all_roles = roles.a_set | roles.b_set | roles.c_set | roles.l_set | roles.t_set
-        if all_roles != work.vertex_set:
-            raise TreeDocumentError(f"{path}: role sets do not cover the node graph")
-        kids = _children(obj, path, "unification")
-        g1_core = roles.a_set | roles.l_set | roles.t_set
-        g1 = Graph(
-            list(g1_core) + [roles.marker_c],
-            work.induced(g1_core).edges() + [(roles.marker_c, v) for v in roles.l_set],
-        )
-        g2_core = roles.b_set | roles.c_set | roles.l_set | roles.t_set
-        g2 = Graph(
-            list(g2_core) + [roles.marker_a],
-            work.induced(g2_core).edges() + [(roles.marker_a, v) for v in roles.b_set],
-        )
-        node_cls = Sgu if kind == "sgu" else CoSgu
         try:
-            part1 = _node_from_json(kids[0], g1, path + ".children[0]")
-            part2 = _node_from_json(kids[1], g2, path + ".children[1]")
-        except RecursionError:
-            raise _too_deep(path) from None
-        return node_cls(part1=part1, part2=part2, roles=roles)
-    raise TreeDocumentError(f"{path}: unknown node kind {kind!r}")
-
-
-def _too_deep(path: str) -> TreeDocumentError:
-    """A tree nested past the interpreter's recursion limit, reported at the
-    deepest node read."""
-    return TreeDocumentError(f"{path}: the tree nests too deeply to read")
+            a, b, c, l, t = (work._mask_of(obj[key]) for key in _ROLES)
+            covered = a | b | c | l | t == work._full_mask()
+        except ValueError:
+            covered = False
+        if not covered:
+            raise _error(ctx, "role sets do not cover the node graph")
+        kids = _children(obj, ctx, "unification")
+        if roles.marker_a in work or roles.marker_c in work:
+            raise _error(ctx, "a marker collides with a role vertex")
+        part1 = work._induced(a | l | t, roles.marker_c, l)
+        part2 = work._induced(b | c | l | t, roles.marker_a, b)
+        node_cls = Sgu if kind == "sgu" else CoSgu
+        return partial(node_cls, roles=roles), _paired(kids, ctx, part1, part2)
+    raise _error(ctx, f"unknown node kind {kind!r}")
 
 
 def document_to_tree(text: str) -> tuple[DecompTree, Graph]:
@@ -203,9 +208,9 @@ def document_to_tree(text: str) -> tuple[DecompTree, Graph]:
         _require(key in doc, f"missing field {key!r}")
     _require(isinstance(doc["rootGraph"], str), "rootGraph is not a string")
     base = parse_graph6(doc["rootGraph"])
-    ids = _id_list(doc, "vertexIds", "document")
+    ids = _id_list(doc, "vertexIds", ("document", None, None))
     _require(len(ids) == base.n and len(set(ids)) == base.n, "vertexIds do not match the graph")
     remap = dict(enumerate(ids))  # graph6 position -> stored vertex id
     root = Graph(ids, [(remap[u], remap[v]) for u, v in base.edges()])
-    tree = _node_from_json(doc["node"], root)
+    tree = _walk(doc["node"], ("node", None, root), _read_down, _assemble)
     return tree, root

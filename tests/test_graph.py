@@ -41,6 +41,20 @@ class TestBasics:
         assert h.vertices == (20, 30, 40)
         assert edge_set(h) == {(20, 30), (30, 40)}
 
+    def test_induced_with_a_marker_anywhere_in_the_id_order(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            g = random_graph(rng, rng.randint(1, 9), base=rng.choice([0, 5]) * 2)
+            keep = [v for v in g.vertices if rng.random() < 0.6]
+            attach = [v for v in keep if rng.random() < 0.5]
+            free = [v for v in range(-1, 30) if v not in keep]
+            marker = rng.choice(free)
+            h = g._induced(g._mask_of(keep), marker, g._mask_of(attach))
+            edges = g.induced(keep).edges() + [(marker, v) for v in attach]
+            expected = Graph(keep + [marker], edges)
+            assert h == expected
+            assert h.vertices == tuple(sorted(keep + [marker]))
+
     def test_equality_is_label_exact(self):
         assert path_graph([1, 2, 3]) == path_graph([1, 2, 3])
         assert path_graph([1, 2, 3]) != path_graph([1, 3, 2])
