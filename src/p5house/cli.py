@@ -15,6 +15,7 @@ from .graph6 import Graph6Error, emit_graph6, read_graph_text
 from .oracle import first_forbidden
 from .decomposer import (
     InternalStructureError,
+    MalformedTree,
     NotClassMember,
     decompose,
     recompose,
@@ -192,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (Graph6Error, TreeDocumentError, ValueError, OSError) as exc:
+    except (Graph6Error, TreeDocumentError, MalformedTree, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalStructureError as exc:

@@ -29,21 +29,9 @@ from typing import Union
 
 from .graph import Graph, SplitCert, split_certificate
 from .modular import find_proper_homogeneous_set, is_homogeneous, quotient_factor, substitute
-from . import oracle
+from . import oracle, skewpart
 from .oracle import PatternHit, PatternKind, find_special_h6, first_forbidden
-from .skewpart import (
-    CaseTag,
-    ConstructionFailed,
-    NeitherCaseHolds,
-    SkewPartition,
-    Side,
-    classify_usable,
-    decompose_skew,
-    lemma_violations,
-    maximize_skew,
-    skew_from_special_h6,
-    usable_satisfies_a,
-)
+from .skewpart import CaseTag, ConstructionFailed, NeitherCaseHolds, SkewPartition
 from .divide import ComposablePair, InvalidPair, PairRoles, build_divide, factor, unify
 
 __all__ = [
@@ -152,19 +140,22 @@ def _notify(observer, method: str, *args) -> None:
 
 def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
     """Run the skew-partition pipeline on ``work`` (whose complement holds
-    the decorated hit).  Returns (flipped, pair) where ``flipped`` records a
-    final swap back to the complement of ``work``, or raises
-    ConstructionFailed for the caller to try the other side."""
-    sp = skew_from_special_h6(work, hit, side=Side.IN_COMPLEMENT)
-    sp = maximize_skew(work, sp)
-    d = decompose_skew(work, sp)
-    if not usable_satisfies_a(work, d):
+    the decorated hit, fresh from its search).  Returns (flipped, pair)
+    where ``flipped`` records a final swap back to the complement of
+    ``work``, or raises ConstructionFailed for the caller to try the other
+    side.  The stages are skewpart's private bodies, which re-check nothing:
+    each obligation is checked once, by the stage that establishes it."""
+    x, y = skewpart._maximize(work, *skewpart._construct_on(work, hit))
+    sp = SkewPartition(x=work._set_of(x), y=work._set_of(y))
+    d = skewpart._decompose(work, x, y)
+    dm = skewpart._SixMasks(work, d)
+    if not skewpart._usable_a(dm):
         raise InternalStructureError("maximized skew-partition of a prime member is not usable")
     try:
-        case = classify_usable(work, d)
+        case = skewpart._classify(work, d, dm)
     except NeitherCaseHolds as exc:
         raise InternalStructureError(str(exc)) from exc
-    bad = lemma_violations(work, d)
+    bad = skewpart._lemma_violations(work, d, dm)
     if bad:
         raise InternalStructureError("; ".join(bad))
     _notify(observer, "on_skew_decomposition", work, sp, d, case)
@@ -174,16 +165,17 @@ def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
         # witness of its complement under the swapped partition.
         work = work.complement()
         sp = SkewPartition(x=sp.y, y=sp.x)
-        d = decompose_skew(work, sp)
+        d = skewpart._decompose(work, y, x)
+        dm = skewpart._SixMasks(work, d)
         try:
-            case = classify_usable(work, d)
+            case = skewpart._classify(work, d, dm)
         except NeitherCaseHolds as exc:
             raise InternalStructureError(
                 f"swapped witness lost its component-side conditions: {exc}"
             ) from exc
         if case.tag is not CaseTag.CASE3:
             raise InternalStructureError("swapped witness classified wrong side")
-        bad = lemma_violations(work, d)
+        bad = skewpart._lemma_violations(work, d, dm)
         if bad:
             raise InternalStructureError("; ".join(bad))
         _notify(observer, "on_skew_decomposition", work, sp, d, case)

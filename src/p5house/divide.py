@@ -5,7 +5,9 @@ vertices mixed on A all sit in the clique L, whose outside adjacency is
 rigidly controlled.  Factoring along a divide produces a composable pair of
 strictly smaller graphs glued along the common split subgraph L ∪ T;
 unification is the inverse gluing.  These two operations are the soundness
-boundary of the whole grammar, so both ends re-validate their inputs.
+boundary of the whole grammar, so each checks its input: factor the divide
+conditions, which imply every pair condition of its output, and unify the
+pair conditions.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def build_divide(g: Graph, case: UsableCase) -> SplitGraphDivide:
     Y-vertices complete to X1; C = the other components, the Y-vertices
     anti-complete to X1, and the leftover stable vertices complete to K1;
     L = K1; T = the leftover stable vertices with a non-neighbor in K1.
-    The result is re-validated against all nine divide conditions.
+    factor, not this function, checks the nine divide conditions.
     """
     if case.tag is not CaseTag.CASE3:
         raise ValueError("divides are built from component-side witnesses only")
@@ -131,10 +133,6 @@ def build_divide(g: Graph, case: UsableCase) -> SplitGraphDivide:
     a_mask, l_mask = g._mask_of(a), g._mask_of(l)
     touch, common = g._attach(a_mask)
     rest = g._mask_of(d.y) & ~l_mask
-    if rest & touch & ~common:
-        for v in d.y - l:
-            if g.is_mixed(v, a):
-                raise DivideInvalid(f"vertex {v} outside the mixed clique is mixed on A")
     b, c = rest & common, rest & ~touch
     for j, xj in enumerate(d.x_parts):
         if j != i:
@@ -145,10 +143,7 @@ def build_divide(g: Graph, case: UsableCase) -> SplitGraphDivide:
     l_common = g._attach(l_mask)[1]
     c |= s & l_common
     t = s & ~l_common
-    out = SplitGraphDivide(a=a, b=g._set_of(b), c=g._set_of(c), l=l, t=g._set_of(t))
-    if not _divide_holds(g, a_mask, b, c, l_mask, t):
-        raise DivideInvalid("constructed divide fails validation")
-    return out
+    return SplitGraphDivide(a=a, b=g._set_of(b), c=g._set_of(c), l=l, t=g._set_of(t))
 
 
 def _pair_violation(p: ComposablePair) -> str | None:
@@ -210,6 +205,7 @@ def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
 
     Note that g1 is an induced subgraph of g up to the marker, while g2
     need not be: factoring deletes the A-L edges before contracting A.
+    Raises DivideInvalid unless the nine divide conditions hold.
     """
     masks = _role_masks(g, d.a, d.b, d.c, d.l, d.t)
     if masks is None or not _divide_holds(g, *masks):
@@ -217,7 +213,7 @@ def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
     a, b, c, l, t = masks
     top = g.vertices[-1]
     marker_c, marker_a = top + 1, top + 2
-    pair = ComposablePair(
+    return ComposablePair(
         g1=g._induced(a | l | t, marker_c, l),
         g2=g._induced(b | c | l | t, marker_a, b),
         roles=PairRoles(
@@ -225,10 +221,6 @@ def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
             marker_a=marker_a, marker_c=marker_c,
         ),
     )
-    bullet = _pair_violation(pair)
-    if bullet is not None:
-        raise DivideInvalid(f"factored pair is not composable: {bullet}")
-    return pair
 
 
 def unify(p: ComposablePair) -> Graph:

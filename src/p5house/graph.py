@@ -348,9 +348,6 @@ class Graph:
             return MixedStatus.ANTI_COMPLETE
         return MixedStatus.MIXED
 
-    def is_mixed(self, v: int, xs: Iterable[int]) -> bool:
-        return self.mixed_status(v, xs) is MixedStatus.MIXED
-
     def is_simplicial(self, v: int) -> bool:
         """True iff the neighborhood of v is a clique."""
         return self._clique(self._adj_mask(v))

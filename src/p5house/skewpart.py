@@ -6,9 +6,9 @@ the class, a decorated H6 (found in the graph or its complement) yields such
 a partition constructively; maximizing it and classifying the resulting
 six-tuple produces the witness the divide construction consumes.
 
-Every constructed partition is definitionally re-validated before being
-returned: the constructions here mirror proofs line by line, which makes
-them the likeliest place for bugs to hide.
+Each obligation is checked once: the public functions check their input,
+then run private bodies on masks, which the decomposer chains without
+re-checking what the stage before has just built.
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ class SkewPartition:
 
     def _masks(self, g: Graph) -> tuple[int, int]:
         """Validate on g and return the masks of X and Y."""
-        if not self.x or not self.y:
-            raise ValueError("skew-partition sides must be nonempty")
         try:
             x, y = g._mask_of(self.x), g._mask_of(self.y)
         except ValueError:
@@ -209,29 +207,22 @@ def _require(cond: bool, what: str) -> None:
         raise ConstructionFailed(what)
 
 
-def _construct_on(work: Graph, hit: H6Hit) -> SkewPartition:
-    """Core construction: ``hit`` lives in complement(work); build a
-    skew-partition (X, Y) of ``work`` whose X side has at least two
-    non-trivial components."""
-    host = work.complement()
-    _require(validate_h6_hit(host, hit), "stale or invalid decorated H6 hit")
+def _construct_on(work: Graph, hit: H6Hit) -> tuple[int, int]:
+    """Core construction: ``hit``, a valid decorated H6 of complement(work),
+    gives the masks of a skew-partition (X, Y) of ``work`` whose X side has
+    at least two non-trivial components."""
     e = hit.embedding
     # Translate the decorated H6 of the complement into the probe structure
-    # inside the working graph: an induced path a-b-c-d, a pair of clones
-    # b', c' of its middle vertices, a simplicial, and b, c anti-simplicial.
+    # inside the working graph: an induced path a-b-c-d, clones e[5] of b
+    # and e[4] of c, a simplicial, and b, c anti-simplicial; the hit's
+    # edges and decorations give all of it once complemented.
     a, b, c, d = e[1], e[3], e[0], e[2]
-    bp, cp = e[5], e[4]
-    _require(work.is_simplicial(a), "path start is not simplicial")
-    _require(work.is_anti_simplicial(b) and work.is_anti_simplicial(c),
-             "path middle is not anti-simplicial")
-    _require(not work.has_edge(bp, cp), "clone pair is adjacent")
     try:
         ac = _attachment_masks(work, (a, b, c, d))
     except (ValueError, UnclassifiableVertex) as exc:
         raise ConstructionFailed(f"attachment analysis failed: {exc}") from exc
-    bit = {v: 1 << work._pos[v] for v in (a, b, c, d, bp, cp)}
+    bit = {v: 1 << work._pos[v] for v in (a, b, c, d)}
     clone_b, clone_c = ac["clone_b"], ac["clone_c"]
-    _require(bool(bit[bp] & clone_b and bit[cp] & clone_c), "clone pair not in its classes")
     _require(work._clique(ac["c_set"] | clone_b | bit[b]),
              "neighborhood of the simplicial path start is not a clique")
     _require(work._stable(ac["a_set"] | ac["clone_a"] | ac["clone_d"] | bit[a] | bit[d]),
@@ -262,7 +253,7 @@ def _construct_on(work: Graph, hit: H6Hit) -> SkewPartition:
         raise ConstructionFailed(f"constructed partition invalid: {exc}") from exc
     nontrivial = [m for m in work._components_masks(x) if m.bit_count() >= 2]
     _require(len(nontrivial) >= 2, "X side lacks two non-trivial components")
-    return SkewPartition(x=work._set_of(x), y=work._set_of(y))
+    return x, y
 
 
 def skew_from_special_h6(g: Graph, hit: H6Hit, side: Side) -> SkewPartition:
@@ -278,16 +269,20 @@ def skew_from_special_h6(g: Graph, hit: H6Hit, side: Side) -> SkewPartition:
     least two non-trivial anti-components on its Y side.
 
     The graph must be prime and not split; splitness is rejected here,
-    primality is the caller's obligation.
+    primality is the caller's obligation.  A stale hit raises
+    ConstructionFailed.
     """
     if split_certificate(g) is not None:
         raise ValueError("split graphs admit no such skew-partition")
     if side is Side.IN_COMPLEMENT:
-        return _construct_on(g, hit)
-    inner = _construct_on(g.complement(), hit)
-    sp = SkewPartition(x=inner.y, y=inner.x)
-    sp.validate(g)
-    return sp
+        host, work = g.complement(), g
+    else:
+        host, work = g, g.complement()
+    _require(validate_h6_hit(host, hit), "stale or invalid decorated H6 hit")
+    x, y = _construct_on(work, hit)
+    if side is Side.IN_G:
+        x, y = y, x
+    return SkewPartition(x=g._set_of(x), y=g._set_of(y))
 
 
 def maximize_skew(g: Graph, sp: SkewPartition) -> SkewPartition:
@@ -300,6 +295,12 @@ def maximize_skew(g: Graph, sp: SkewPartition) -> SkewPartition:
     x_mask, y_mask = sp._masks(g)
     if sum(1 for m in g._components_masks(x_mask) if m.bit_count() >= 2) < 2:
         raise ValueError("X side must already have two non-trivial components")
+    x_mask, y_mask = _maximize(g, x_mask, y_mask)
+    return SkewPartition(x=g._set_of(x_mask), y=g._set_of(y_mask))
+
+
+def _maximize(g: Graph, x_mask: int, y_mask: int) -> tuple[int, int]:
+    """maximize_skew on masks; each move keeps the partition skew."""
     moved = True
     while moved:
         moved = False
@@ -316,13 +317,16 @@ def maximize_skew(g: Graph, sp: SkewPartition) -> SkewPartition:
             x_mask, y_mask = nx, ny
             moved = True
             break
-    _check_skew(g, x_mask, y_mask)
-    return SkewPartition(x=g._set_of(x_mask), y=g._set_of(y_mask))
+    return x_mask, y_mask
 
 
 def decompose_skew(g: Graph, sp: SkewPartition) -> SkewDecomposition:
     """Compute the six-tuple of a skew-partition, literally by definition."""
-    x, y = sp._masks(g)
+    return _decompose(g, *sp._masks(g))
+
+
+def _decompose(g: Graph, x: int, y: int) -> SkewDecomposition:
+    """decompose_skew on the masks of a skew-partition of g."""
     x_parts = [m for m in g._components_masks(x) if m.bit_count() >= 2]
     y_parts = [m for m in g._anti_components_masks(y) if m.bit_count() >= 2]
     s, k = x, y
@@ -422,7 +426,11 @@ def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
     index realizing the completeness (resp. anti-completeness) condition.
     Raises NeitherCaseHolds when neither set of five conditions checks out.
     """
-    dm = _SixMasks(g, d)
+    return _classify(g, d, _SixMasks(g, d))
+
+
+def _classify(g: Graph, d: SkewDecomposition, dm: _SixMasks) -> UsableCase:
+    """classify_usable on the six-tuple's masks, taken once."""
     i = _case3_conditions(g, dm)
     if i is not None:
         return UsableCase(tag=CaseTag.CASE3, decomposition=d, special_index=i)
@@ -438,13 +446,9 @@ def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
 # -- lemma suite -------------------------------------------------------------
 
 
-def usable_satisfies_a(g: Graph, d: SkewDecomposition) -> bool:
+def _usable_a(d: _SixMasks) -> bool:
     """Usability, component flavor: two non-trivial components, disjoint
     mixed families, and every Y-vertex has a neighbor in every component."""
-    return _usable_a(_SixMasks(g, d))
-
-
-def _usable_a(d: _SixMasks) -> bool:
     if len(d.x_parts) < 2 or not _families_disjoint(d):
         return False
     return all(not d.y & ~touch for touch in d.x_touch)
@@ -483,8 +487,12 @@ def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
     Each check is a mask test; where one fails, the offending vertices are
     listed in the order of the six-tuple's sets.
     """
+    return _lemma_violations(g, d, _SixMasks(g, d))
+
+
+def _lemma_violations(g: Graph, d: SkewDecomposition, dm: _SixMasks) -> list[str]:
+    """lemma_violations on the six-tuple's masks, taken once."""
     out: list[str] = []
-    dm = _SixMasks(g, d)
     pos = g._pos
 
     def mixed_on(v: int, mixed: list[int]) -> list[int]:

@@ -112,6 +112,28 @@ class TestDecomposeRecompose:
         emitted = capsys.readouterr().out.strip().splitlines()[-1]
         assert emitted == emit_graph6(H6)
 
+    def test_recompose_of_a_tree_that_does_not_glue_exits_2(self, tmp_path, capsys):
+        # the H6 document with its A side moved into T reads, but its
+        # unification node fails a composable-pair condition
+        out = tmp_path / "tree.json"
+        assert main(["decompose", write_graph(tmp_path, H6), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        node = doc["node"]
+        node["t"] = sorted(node["t"] + node["a"])
+        node["a"] = []
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "fail root: composable pair violates: A side is empty"
+        )
+        assert main(["recompose", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: malformed tree at root: composable pair violates: A side is empty\n"
+        )
+
 
 class TestVerifyCommand:
     def test_ok(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from p5house import decomposer, oracle
 from p5house.census import labeled_graphs
-from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph
+from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph, split_certificate
 from p5house.modular import find_proper_homogeneous_set, substitute
 from p5house.oracle import PatternKind, find_special_h6, first_forbidden, is_class_member
 from p5house.skewpart import ConstructionFailed
@@ -545,3 +545,113 @@ class TestOraclePlacement:
         first_house_scan = next(h for h, kind in scans if kind is PatternKind.HOUSE)
         assert is_prime_node(first_house_scan) and is_class_member(first_house_scan)
         assert searched == [] and events == []
+
+
+# A prime member whose maximized partition classifies on the anti-component
+# side (see TestProperties), so its unification step builds two six-tuples.
+CASE4_MEMBER = Graph(range(8), [(0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 6),
+                                (1, 7), (3, 5), (3, 7), (4, 5), (4, 6), (5, 7)]).complement()
+
+
+def grown_primes(seed, sizes):
+    """Prime, non-split members grown from H6 one vertex at a time, one per
+    size; each new vertex joins a random subset of the others and is kept
+    when the graph stays a prime, non-split member."""
+    rng = random.Random(seed)
+    g, out = h6(), []
+    for n in sizes:
+        while g.n < n:
+            v = g.n
+            p = rng.uniform(0.2, 0.8)
+            cand = Graph(range(v + 1), g.edges() + [(u, v) for u in range(v) if rng.random() < p])
+            if (is_class_member(cand) and split_certificate(cand) is None
+                    and find_proper_homogeneous_set(cand) is None):
+                g = cand
+        out.append(g)
+    return out
+
+
+class _Events:
+    def __init__(self):
+        self.skew = []
+        self.factor = []
+
+    def on_skew_decomposition(self, work, sp, d, case):
+        self.skew.append((work, sp))
+
+    def on_factor(self, work, divide, pair):
+        self.factor.append(pair)
+
+
+class TestUnificationChecksOnce:
+    """decompose's unification pipeline checks each obligation once; the
+    re-checks it dropped are kept here as assertions on what it built."""
+
+    def test_dropped_rechecks_still_hold(self, monkeypatch):
+        from p5house.divide import _pair_violation
+        from p5house.generator import GenConfig, generate
+        from p5house.oracle import validate_h6_hit
+        from p5house.skewpart import _check_skew
+
+        searched = []
+        real = decomposer.find_special_h6
+
+        def search(host):
+            hit = real(host)
+            searched.append((host, hit))
+            return hit
+
+        monkeypatch.setattr(decomposer, "find_special_h6", search)
+        graphs = [generate(GenConfig(seed=s, max_depth=3))[0] for s in range(300)]
+        graphs += [CASE4_MEMBER] + grown_primes(7, range(8, 13))
+        events = _Events()
+        for g in graphs:
+            for side in (g, g.complement()):
+                decompose(side, observer=events)
+        hits = [(host, hit) for host, hit in searched if hit is not None]
+        assert len(events.factor) >= 40 and len(hits) >= len(events.factor)
+        for host, hit in hits:
+            assert validate_h6_hit(host, hit)
+        for work, sp in events.skew:
+            _check_skew(work, work._mask_of(sp.x), work._mask_of(sp.y))
+        for pair in events.factor:
+            assert _pair_violation(pair) is None
+
+    def test_each_check_runs_once_per_unification_step(self, monkeypatch):
+        from p5house import divide, skewpart
+
+        calls = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+            calls[name] = 0
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(skewpart, "split_certificate")  # the pipeline's own split tests
+        count(skewpart, "validate_h6_hit")
+        count(skewpart, "_check_skew")
+        count(skewpart._SixMasks, "__init__")
+        count(divide, "_divide_holds")
+        count(divide, "_pair_violation")
+        # (graph, unification steps, six-tuples): a step on the
+        # anti-component side builds a second six-tuple in the complement
+        for g, steps, six_tuples in ((h6(), 1, 1), (h6().complement(), 1, 1),
+                                     (CASE4_MEMBER, 2, 3)):
+            for name in calls:
+                calls[name] = 0
+            events = _Events()
+            decompose(g, observer=events)
+            assert (len(events.factor), len(events.skew)) == (steps, six_tuples)
+            assert calls == {
+                "split_certificate": 0,
+                "validate_h6_hit": 0,
+                "_check_skew": steps,
+                "__init__": six_tuples,
+                "_divide_holds": steps,
+                "_pair_violation": 0,
+            }
