@@ -72,8 +72,9 @@ def run_sweep(
 
     Per graph, decompose (with the given observer) settles membership,
     with one P5 scan of the whole graph and house (in triple mode also C5)
-    scans only at the prime nodes of its substitution skeleton: a
-    NotClassMember marks a non-member and its witness must induce the
+    scans only at the prime nodes of the substitution skeleton it reads off
+    the graph's modular decomposition: a NotClassMember marks a non-member
+    and its witness, the least of those nodes' hits, must induce the
     pattern it names; members must decompose and pass verify_tree, which
     also checks that the tree recomposes to g label-exactly.  The tree's
     root tells whether a member is split (a split leaf) and, unless it is

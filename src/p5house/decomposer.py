@@ -17,8 +17,11 @@ decompose() certifies membership first and builds second.  P5, the house
 and C5 are prime graphs, so none of them straddles a module: one oracle
 scan of the whole graph looks for a P5, and the first three branches alone
 (the substitution skeleton) lead to the prime nodes, the only places a
-house or C5 can sit, which are scanned for one.  Unification steps run
-only once the graph is known to be a member.
+house or C5 can sit, which are scanned for one; a non-member's witness is
+the least of their hits.  The skeleton is read off the input's modular
+decomposition, computed once: each of its nodes is an induced subgraph of
+the input, handled on masks until it is a leaf or a prime node.
+Unification steps run only once the graph is known to be a member.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Union
 
-from .graph import Graph, SplitCert, split_certificate
-from .modular import find_proper_homogeneous_set, is_homogeneous, quotient_factor, substitute
+from .graph import Graph, SplitCert, _split_cert
+from .modular import _Node, _cut, _pick, is_homogeneous, substitute
 from . import oracle, skewpart
 from .oracle import PatternHit, PatternKind, find_special_h6, first_forbidden
 from .skewpart import CaseTag, ConstructionFailed, NeitherCaseHolds, SkewPartition
@@ -147,8 +150,7 @@ def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
     each obligation is checked once, by the stage that establishes it."""
     x, y = skewpart._maximize(work, *skewpart._construct_on(work, hit))
     sp = SkewPartition(x=work._set_of(x), y=work._set_of(y))
-    d = skewpart._decompose(work, x, y)
-    dm = skewpart._SixMasks(work, d)
+    d, dm = skewpart._decompose(work, x, y)
     if not skewpart._usable_a(dm):
         raise InternalStructureError("maximized skew-partition of a prime member is not usable")
     try:
@@ -165,8 +167,7 @@ def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
         # witness of its complement under the swapped partition.
         work = work.complement()
         sp = SkewPartition(x=sp.y, y=sp.x)
-        d = skewpart._decompose(work, y, x)
-        dm = skewpart._SixMasks(work, d)
+        d, dm = skewpart._decompose(work, y, x)
         try:
             case = skewpart._classify(work, d, dm)
         except NeitherCaseHolds as exc:
@@ -231,22 +232,58 @@ def _shrunk(parent: Graph, kids: tuple[Graph, Graph]) -> tuple[Graph, Graph]:
     return kids
 
 
-def _substitution_step(g: Graph):
-    """The first three branches of a decomposition step: a finished leaf
-    with no children, a substitution's constructor with the quotient and
-    child graphs still to process, or None when g is prime (neither split
-    nor a pentagon, and without a proper homogeneous set)."""
-    cert = split_certificate(g)
+def _induced(g: Graph, m: int) -> Graph:
+    return g if m == g._full_mask() else g._induced(m)
+
+
+def _leaf(g: Graph, m: int) -> SplitLeaf | PentagonLeaf | None:
+    """The first two branches at G[m], the subgraph of g induced on the
+    mask m: its leaf when it is split or a pentagon, else None.
+
+    The split test and certificate are split_certificate's, read off g's
+    masks, so a Graph is built only for a leaf."""
+    cert = _split_cert(g, m)
     if cert is not None:
-        return SplitLeaf(graph=g, cert=cert), ()
-    cycle = _pentagon_cycle(g)
-    if cycle is not None:
-        return PentagonLeaf(graph=g, cycle=cycle), ()
-    hs = find_proper_homogeneous_set(g)
-    if hs is None:
-        return None
-    child, quotient, marker = quotient_factor(g, hs)
-    return partial(Subst, marker=marker), _shrunk(g, (quotient, child))
+        return SplitLeaf(graph=_induced(g, m), cert=cert)
+    if m.bit_count() == 5:
+        h = _induced(g, m)
+        cycle = _pentagon_cycle(h)
+        if cycle is not None:
+            return PentagonLeaf(graph=h, cycle=cycle)
+    return None
+
+
+def _skeleton(g: Graph) -> list:
+    """The substitution skeleton of g: the first three branches, applied
+    until only leaves and prime nodes are left, in preorder (a quotient
+    before its child).
+
+    Every node is G[m] for a mask m of g.  The homogeneous set of a step is
+    the one find_proper_homogeneous_set picks (modular._pick), read off
+    g's modular decomposition tree, one tree for the whole walk whose
+    modules are split where the walk reads them (never inside a leaf);
+    modular._cut gives the quotient's and the child's trees.  Records: a
+    finished leaf; (marker, m) for a substitution, whose quotient's and
+    child's records follow; the graph G[m] at a prime node.
+    """
+    out: list = []
+    stack = [_Node(g._full_mask())]
+    while stack:
+        node = stack.pop()
+        m = node.mask
+        leaf = _leaf(g, m)
+        if leaf is not None:
+            out.append(leaf)
+            continue
+        pick = _pick(g, node)
+        if pick is None:
+            out.append(_induced(g, m))
+            continue
+        child, quotient, marker = _cut(g, node, *pick)
+        out.append((g.vertices[marker.bit_length() - 1], m))
+        stack.append(child)
+        stack.append(quotient)
+    return out
 
 
 def _unification_node(g: Graph, observer):
@@ -257,29 +294,12 @@ def _unification_node(g: Graph, observer):
     return partial(CoSgu if co else Sgu, roles=pair.roles), _shrunk(g, (pair.g1, pair.g2))
 
 
-def _house_or_c5(g: Graph, triple: bool) -> PatternHit | None:
-    """first_forbidden's answer on a graph with no induced P5: the first
-    house, else (with ``triple``) the first pentagon."""
-    hit = oracle.find_induced(g, PatternKind.HOUSE)
-    if hit is None and triple:
-        hit = oracle.find_induced(g, PatternKind.C5)
-    return hit
-
-
-def _refutation(g: Graph, triple: bool, node: Graph, hit: PatternHit | None) -> NotClassMember:
-    """The rejection of the P5-free root g once its skeleton node ``node``
-    was found to hold ``hit`` (None for a pentagon leaf in triple mode).
-
-    The witness is the root's own first house, else its first C5, the hit
-    first_forbidden gives; the node's hit is reused when the node is g."""
-    if node is not g or hit is None:
-        hit = _house_or_c5(g, triple)
-        if hit is None:
-            raise InternalStructureError(
-                f"a skeleton node on {node.n} vertices holds a forbidden pattern "
-                "that the whole graph lacks"
-            )
-    return NotClassMember(hit)
+def _least(a: PatternHit | None, b: PatternHit | None) -> PatternHit | None:
+    """Of two hits of one pattern, the one with the lexicographically least
+    embedding; None stands for no hit."""
+    if a is None or b is not None and b.embedding < a.embedding:
+        return b
+    return a
 
 
 def _certify(g: Graph, triple: bool) -> list:
@@ -291,49 +311,56 @@ def _certify(g: Graph, triple: bool) -> list:
     substitution, both induced subgraphs of their parent (the marker is a
     member of the module), and split graphs hold neither pattern.  So only
     the skeleton's prime nodes are scanned, for a house and, with
-    ``triple``, a C5; in triple mode a pentagon leaf refutes as well.
+    ``triple`` and while no house is known, a C5; in triple mode a
+    pentagon leaf refutes as well.
 
-    Returns the skeleton in build order: each node's substitution step, or
-    the graph itself at a prime node.  Raises NotClassMember on a
+    The witness is first_forbidden's, the least house of g, else its least
+    C5, in the oracle's lexicographic order: each prime node's first hit
+    is a copy in g, and g's least copy lies in a prime node as it is, since
+    replacing a vertex of it by the smaller marker of a module it meets in
+    that vertex alone would give a lesser copy.  So the witness is the
+    least of the prime nodes' first hits, pentagon leaves included for the
+    C5, and no scan of the whole graph is needed.
+
+    Returns the skeleton (see _skeleton).  Raises NotClassMember on a
     refutation."""
-    skeleton: list = []
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        step = _substitution_step(h)
-        if step is None:
-            hit = _house_or_c5(h, triple)
+    skeleton = _skeleton(g)
+    house = c5 = None
+    for step in skeleton:
+        kind = type(step)
+        if kind is Graph:
+            hit = oracle.find_induced(step, PatternKind.HOUSE)
             if hit is not None:
-                raise _refutation(g, triple, h, hit)
-            skeleton.append(h)
-            continue
-        node, kids = step
-        if triple and isinstance(node, PentagonLeaf):
-            raise _refutation(g, triple, h, None)
-        skeleton.append(step)
-        stack.extend(reversed(kids))
+                house = _least(house, hit)
+            elif triple and house is None:
+                c5 = _least(c5, oracle.find_induced(step, PatternKind.C5))
+        elif kind is PentagonLeaf and triple and house is None:
+            c5 = _least(c5, PatternHit(kind=PatternKind.C5, embedding=step.cycle))
+    hit = house or c5
+    if hit is not None:
+        raise NotClassMember(hit)
     return skeleton
 
 
 def _build(skeleton: list, observer) -> DecompTree:
-    """Pass 2: replay a certified skeleton into a tree, expanding items in
-    preorder as pass 1 recorded them: None for the next skeleton record, a
-    Graph for a factor subtree to expand in full (_unification_node has
-    checked the factors, so their subtrees get no further scans)."""
-    records = iter(skeleton)
+    """Pass 2: replay a certified skeleton into a tree, in preorder.  An
+    item is an iterator over the records of the subtree still to build, or
+    a factor's Graph, whose skeleton is read then (_unification_node has
+    checked the factors, so their subtrees get no scans)."""
 
-    def expand(item, _):
-        if item is None:
-            step = next(records)
-            if not isinstance(step, Graph):
-                node, kids = step
-                return node, ((None, None),) * len(kids)
+    def expand(records, _):
+        if type(records) is Graph:
+            records = iter(_skeleton(records))
+        step = next(records)
+        kind = type(step)
+        if kind is tuple:
+            return partial(Subst, marker=step[0]), ((records, None), (records, None))
+        if kind is Graph:
             node, kids = _unification_node(step, observer)
-        else:
-            node, kids = _substitution_step(item) or _unification_node(item, observer)
-        return node, tuple((kid, None) for kid in kids)
+            return node, tuple((kid, None) for kid in kids)
+        return step, ()
 
-    return _walk(None, None, expand, _assemble)
+    return _walk(iter(skeleton), None, expand, _assemble)
 
 
 def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
@@ -342,13 +369,14 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     Membership is settled before the tree is built, and NotClassMember
     carries the refuting pattern: the same first hit as
     first_forbidden(g, triple).  One scan of the whole graph looks for a
-    P5; the house (and, with ``triple``, the pentagon, which makes
-    pentagon leaves impossible) is looked for only at the prime nodes of
-    the substitution skeleton (see _certify).  The tree is built after
-    that, so a non-member gets no unification step and no observer event.
-    The optional observer receives on_skew_decomposition(work, sp, d,
-    case) and on_factor(work, divide, pair) callbacks as the pipeline
-    runs.
+    P5.  The substitution skeleton is then read off g's modular
+    decomposition, computed once, and the house (and, with ``triple``, the
+    pentagon, which makes pentagon leaves impossible) is looked for only
+    at its prime nodes; a non-member's witness is the least of their hits
+    (see _certify).  The tree is built after that, so a non-member gets no
+    unification step and no observer event.  The optional observer
+    receives on_skew_decomposition(work, sp, d, case) and on_factor(work,
+    divide, pair) callbacks as the pipeline runs.
     """
     hit = oracle.find_induced(g, PatternKind.P5)
     if hit is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, VertexSet
+from .modular import _lift
 from .skewpart import CaseTag, UsableCase
 
 __all__ = [
@@ -234,9 +235,23 @@ def unify(p: ComposablePair) -> Graph:
     if bullet is not None:
         raise InvalidPair(bullet)
     r = p.roles
-    verts = r.a_set | r.b_set | r.c_set | r.l_set | r.t_set
-    edges = [e for e in p.g1.edges() if r.marker_c not in e]
-    edges += [e for e in p.g2.edges() if r.marker_a not in e]
-    edges += [(u, v) for u in r.a_set for v in r.b_set]
-    # L-T edges appear in both factors; Graph absorbs the duplicates.
-    return Graph(verts, edges)
+    vs = tuple(sorted(r.a_set | r.b_set | r.c_set | r.l_set | r.t_set))
+    pos = {v: i for i, v in enumerate(vs)}
+    masks = [0] * len(vs)
+    # Each factor's masks carried over to the result's ranks, its marker
+    # dropped; the L-T edges of both factors coincide.
+    for part, marker in ((p.g1, r.marker_c), (p.g2, r.marker_a)):
+        bits = [0 if v == marker else 1 << pos[v] for v in part._vs]
+        for b, m in zip(bits, part._masks):
+            if b:
+                masks[b.bit_length() - 1] |= _lift(m, bits)
+    a = sum(1 << pos[v] for v in r.a_set)
+    b = sum(1 << pos[v] for v in r.b_set)
+    for side, other in ((a, b), (b, a)):
+        while side:
+            low = side & -side
+            side ^= low
+            masks[low.bit_length() - 1] |= other
+    g = Graph.__new__(Graph)
+    g._vs, g._pos, g._masks, g._hash = vs, pos, tuple(masks), None
+    return g

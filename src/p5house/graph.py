@@ -408,21 +408,36 @@ def split_certificate(g: Graph) -> SplitCert | None:
     vertices carrying the top m degrees form the clique.  Both sides may be
     empty.  The returned certificate is re-checked against the definition.
     """
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
+    return _split_cert(g, g._full_mask())
+
+
+def _split_cert(g: Graph, keep: int) -> SplitCert | None:
+    """split_certificate of the subgraph induced on the mask ``keep``, read
+    off g's masks: the clique is the m vertices of highest degree, ties to
+    the lower id (Hammer and Simeone's test, as above)."""
+    masks = g._masks
+    bits, degs = [], []
+    rest = keep
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        bits.append(b)
+        degs.append((masks[b.bit_length() - 1] & keep).bit_count())
+    top = sorted(degs, reverse=True)
     m = 0
-    for i in range(1, len(order) + 1):
-        if degs[i - 1] >= i - 1:
-            m = i
-        else:
+    for i, d in enumerate(top):
+        if d < i:
             break
-    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
+        m = i + 1
+    if sum(top[:m]) != m * (m - 1) + sum(top[m:]):
         return None
-    clique = frozenset(order[:m])
-    stable = frozenset(order[m:])
-    if not g.is_clique(clique) or not g.is_stable(stable):
+    # a stable sort keeps equal degrees in id order
+    order = sorted(range(len(bits)), key=lambda i: -degs[i])
+    clique = sum(bits[i] for i in order[:m])
+    stable = keep & ~clique
+    if not g._clique(clique) or not g._stable(stable):
         raise RuntimeError("degree-sequence split test produced an invalid certificate")
-    return SplitCert(clique=clique, stable=stable)
+    return SplitCert(clique=g._set_of(clique), stable=g._set_of(stable))
 
 
 # -- mixed-vertex witnesses ------------------------------------------------------

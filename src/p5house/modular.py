@@ -68,29 +68,58 @@ def _better(a: int, b: int) -> bool:
     return ka > kb or (ka == kb and (a ^ b) & -(a ^ b) & a != 0)
 
 
-def _split_off(g: Graph, m: int) -> list[int]:
-    """The children of the strong module m in the modular decomposition when
-    G[m] is disconnected or its complement is, else [m]."""
-    parts = g._components_masks(m)
-    return parts if len(parts) > 1 else g._anti_components_masks(m)
+# Kinds of a node of the modular decomposition tree.  A single vertex is a
+# leaf: a prime node without children.
+_PRIME, _PARALLEL, _SERIES = 0, 1, 2
 
 
-def _top_two(parts: list[int]) -> int:
-    """Union of the two largest disjoint parts, ties to the lower least bit."""
-    a, b = sorted(parts, key=lambda p: (-p.bit_count(), p & -p))[:2]
-    return a | b
+class _Node:
+    """A node of a graph's modular decomposition tree: a strong module, as
+    a mask on the graph's ranks.  Its kind and its children (the maximal
+    strong modules inside it) are found on first use and kept, so each
+    module of the tree is split at most once and only where it is read."""
+
+    __slots__ = ("mask", "_kind", "_kids")
+
+    def __init__(self, mask: int, kind: int | None = None, kids: tuple | None = None):
+        self.mask, self._kind, self._kids = mask, kind, kids
+
+    def kind(self, g: Graph) -> int:
+        """Parallel when G[mask] is disconnected, series when its
+        complement is, else prime; the children of a degenerate node, its
+        components or anti-components, come with it."""
+        if self._kind is None:
+            m = self.mask
+            if not m & (m - 1):
+                self._kind, self._kids = _PRIME, ()
+                return _PRIME
+            kind, parts = _PARALLEL, g._components_masks(m)
+            if len(parts) == 1:
+                kind, parts = _SERIES, g._anti_components_masks(m)
+            if len(parts) == 1:
+                self._kind = _PRIME
+            else:
+                self._kind, self._kids = kind, tuple(map(_Node, parts))
+        return self._kind
+
+    def kids(self, g: Graph) -> tuple["_Node", ...]:
+        if self._kids is None:
+            self.kind(g)  # a degenerate node's children come with its kind
+            if self._kids is None:
+                self._kids = tuple(map(_Node, _prime_parts(g._masks, self.mask)))
+        return self._kids
 
 
-def _prime_root_children(g: Graph) -> list[int]:
-    """Maximal proper modules of a graph whose root module is prime.
+def _prime_parts(masks: tuple[int, ...], m: int) -> list[int]:
+    """Maximal proper modules of G[m] when that graph is prime.
 
-    Refines V - v into P(G, v), its maximal modules not containing v; each
-    is a root child or lies inside M(v), the root child holding v, which one
-    closure per remaining part grows."""
-    masks, full = g._masks, g._full_mask()
-    v = 1
-    parts = [p for p in (masks[0], full & ~masks[0] & ~v) if p]
-    pending = full & ~v
+    Refines m - v, v its least vertex, into P(G[m], v), the maximal modules
+    not containing v; each is a child or lies inside M(v), the child
+    holding v, which one closure per remaining part grows."""
+    v = m & -m
+    nv = masks[v.bit_length() - 1]
+    parts = [p for p in (nv & m, m & ~nv & ~v) if p]
+    pending = m & ~v
     while pending:
         y = pending & -pending
         pending ^= y
@@ -104,10 +133,62 @@ def _prime_root_children(g: Graph) -> list[int]:
     mv = v
     for part in parts:
         if not part & mv:
-            grown = _closure(masks, full, mv | part)
-            if grown != full:
+            grown = _closure(masks, m, mv | part)
+            if grown != m:
                 mv = grown
     return [mv] + [p for p in parts if not p & mv]
+
+
+def _top_two(kids: tuple[_Node, ...]) -> tuple[_Node, _Node]:
+    """The two largest children, ties to the lower least bit."""
+    a, b = sorted(kids, key=lambda k: (-k.mask.bit_count(), k.mask & -k.mask))[:2]
+    return a, b
+
+
+def _pick(g: Graph, root: _Node) -> tuple[_Node, tuple[_Node, ...]] | None:
+    """The pair-closure rule (see find_proper_homogeneous_set) on the
+    decomposition tree of G[root.mask]: (host, picked), the node whose
+    children the chosen proper homogeneous set unites and those children,
+    or None when the root is prime over single vertices.
+
+    Reads the root's children and, below a degenerate root child, that
+    child's children; nothing deeper."""
+    kids = root.kids(g)
+    if root.kind(g) and len(kids) >= 3:
+        return root, _top_two(kids)
+    best, pick = 0, None
+    for c in kids:
+        m = c.mask
+        if not m & (m - 1):
+            continue
+        if c.kind(g) and len(c.kids(g)) >= 3:
+            picked = _top_two(c.kids(g))
+            cand, host = picked[0].mask | picked[1].mask, c
+        else:
+            picked, cand, host = (c,), m, root
+        if _better(cand, best):
+            best, pick = cand, (host, picked)
+    return pick
+
+
+def _cut(g: Graph, root: _Node, host: _Node, picked: tuple[_Node, ...]) -> tuple[_Node, _Node, int]:
+    """The substitution step along _pick's answer, on trees: (the child's
+    tree, the quotient's tree, the marker's bit).
+
+    The child's tree is the picked subtree, or a node of the host's kind
+    over the two picked children.  The quotient's tree is the root's with
+    the picked children of the host replaced by a leaf at the marker, the
+    least vertex of the chosen set."""
+    inside = picked[0].mask | picked[-1].mask
+    marker = inside & -inside
+    kind = host.kind(g)
+    child = picked[0] if len(picked) == 1 else _Node(inside, kind, picked)
+    kids = tuple(k for k in host.kids(g) if not k.mask & inside) + (_Node(marker, _PRIME, ()),)
+    quotient = _Node(host.mask & ~inside | marker, kind, kids)
+    if host is not root:
+        quotient = _Node(root.mask & ~inside | marker, root.kind(g),
+                         tuple(quotient if k is host else k for k in root.kids(g)))
+    return child, quotient, marker
 
 
 def find_proper_homogeneous_set(g: Graph) -> HomogeneousSet | None:
@@ -127,28 +208,17 @@ def find_proper_homogeneous_set(g: Graph) -> HomogeneousSet | None:
       itself when C is prime or has two children, and of the union of
       C's two largest children when C is degenerate with three or more.
 
-    The result is validated where it is used, by quotient_factor.
+    _pick states the rule on the decomposition tree, whose nodes are split
+    as it reads them: the top two levels only.  The result is validated
+    where it is used, by quotient_factor.
     """
     if g.n < 3:
         return None
-    full = g._full_mask()
-    children = _split_off(g, full)
-    if len(children) >= 3:
-        best = _top_two(children)
-    else:
-        if len(children) == 1:
-            children = _prime_root_children(g)
-        best = 0
-        for c in children:
-            if c.bit_count() < 2:
-                continue
-            kids = _split_off(g, c)
-            cand = _top_two(kids) if len(kids) >= 3 else c
-            if _better(cand, best):
-                best = cand
-        if not best:
-            return None
-    return HomogeneousSet(host=g, members=g._set_of(best))
+    pick = _pick(g, _Node(g._full_mask()))
+    if pick is None:
+        return None
+    picked = pick[1]
+    return HomogeneousSet(host=g, members=g._set_of(picked[0].mask | picked[-1].mask))
 
 
 def _lift(m: int, bits: list[int]) -> int:

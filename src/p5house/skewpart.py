@@ -322,11 +322,12 @@ def _maximize(g: Graph, x_mask: int, y_mask: int) -> tuple[int, int]:
 
 def decompose_skew(g: Graph, sp: SkewPartition) -> SkewDecomposition:
     """Compute the six-tuple of a skew-partition, literally by definition."""
-    return _decompose(g, *sp._masks(g))
+    return _decompose(g, *sp._masks(g))[0]
 
 
-def _decompose(g: Graph, x: int, y: int) -> SkewDecomposition:
-    """decompose_skew on the masks of a skew-partition of g."""
+def _decompose(g: Graph, x: int, y: int) -> tuple[SkewDecomposition, "_SixMasks"]:
+    """decompose_skew on the masks of a skew-partition of g, with the
+    six-tuple's masks, which give its mixed sets."""
     x_parts = [m for m in g._components_masks(x) if m.bit_count() >= 2]
     y_parts = [m for m in g._anti_components_masks(y) if m.bit_count() >= 2]
     s, k = x, y
@@ -338,50 +339,55 @@ def _decompose(g: Graph, x: int, y: int) -> SkewDecomposition:
         raise RuntimeError("trivial-component leftovers are not a stable set")
     if not g._clique(k):
         raise RuntimeError("trivial-anti-component leftovers are not a clique")
+    dm = _SixMasks(g, x_parts, y_parts, s, k)
     sets = g._set_of
     return SkewDecomposition(
         x_parts=tuple(map(sets, x_parts)),
         y_parts=tuple(map(sets, y_parts)),
         s=sets(s),
         k=sets(k),
-        s_mixed=tuple(sets(s & _mixed_on(g, m)) for m in y_parts),
-        k_mixed=tuple(sets(k & _mixed_on(g, m)) for m in x_parts),
-    )
-
-
-def _mixed_on(g: Graph, m: int) -> int:
-    """The vertices outside m that are mixed on it."""
-    touch, common = g._attach(m)
-    return touch & ~common & ~m
+        s_mixed=tuple(map(sets, dm.s_mixed)),
+        k_mixed=tuple(map(sets, dm.k_mixed)),
+    ), dm
 
 
 class _SixMasks:
-    """The masks of a six-tuple's parts on g, each taken once, with the
-    vertices mixed on, complete to and touching each non-trivial part."""
+    """The masks of a six-tuple's parts on g, with the vertices mixed on,
+    complete to and touching each non-trivial part, each taken once.
+
+    s_mixed and k_mixed are read off the parts' mixed vertices unless
+    given (by _six_masks, from a six-tuple a caller handed in)."""
 
     __slots__ = ("x_parts", "y_parts", "s", "k", "s_mixed", "k_mixed", "x", "y",
                  "x_touch", "x_mixed", "y_common", "y_mixed")
 
-    def __init__(self, g: Graph, d: SkewDecomposition):
-        mask = g._mask_of
-        self.x_parts = [mask(p) for p in d.x_parts]
-        self.y_parts = [mask(p) for p in d.y_parts]
-        self.s, self.k = mask(d.s), mask(d.k)
-        self.s_mixed = [mask(p) for p in d.s_mixed]
-        self.k_mixed = [mask(p) for p in d.k_mixed]
-        self.x, self.y = self.s, self.k
+    def __init__(self, g: Graph, x_parts: list[int], y_parts: list[int], s: int, k: int,
+                 s_mixed: list[int] | None = None, k_mixed: list[int] | None = None):
+        self.x_parts, self.y_parts, self.s, self.k = x_parts, y_parts, s, k
+        self.x, self.y = s, k
         self.x_touch, self.x_mixed = [], []
-        for m in self.x_parts:
+        for m in x_parts:
             self.x |= m
             touch, common = g._attach(m)
             self.x_touch.append(touch)
             self.x_mixed.append(touch & ~common & ~m)
         self.y_common, self.y_mixed = [], []
-        for m in self.y_parts:
+        for m in y_parts:
             self.y |= m
             touch, common = g._attach(m)
             self.y_common.append(common)
             self.y_mixed.append(touch & ~common & ~m)
+        self.s_mixed = [s & m for m in self.y_mixed] if s_mixed is None else s_mixed
+        self.k_mixed = [k & m for m in self.x_mixed] if k_mixed is None else k_mixed
+
+
+def _six_masks(g: Graph, d: SkewDecomposition) -> _SixMasks:
+    """The masks of a six-tuple given as vertex sets."""
+    mask = g._mask_of
+    return _SixMasks(
+        g, [mask(p) for p in d.x_parts], [mask(p) for p in d.y_parts], mask(d.s), mask(d.k),
+        [mask(p) for p in d.s_mixed], [mask(p) for p in d.k_mixed],
+    )
 
 
 def _case3_conditions(g: Graph, d: _SixMasks) -> int | None:
@@ -426,7 +432,7 @@ def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
     index realizing the completeness (resp. anti-completeness) condition.
     Raises NeitherCaseHolds when neither set of five conditions checks out.
     """
-    return _classify(g, d, _SixMasks(g, d))
+    return _classify(g, d, _six_masks(g, d))
 
 
 def _classify(g: Graph, d: SkewDecomposition, dm: _SixMasks) -> UsableCase:
@@ -487,7 +493,7 @@ def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
     Each check is a mask test; where one fails, the offending vertices are
     listed in the order of the six-tuple's sets.
     """
-    return _lemma_violations(g, d, _SixMasks(g, d))
+    return _lemma_violations(g, d, _six_masks(g, d))
 
 
 def _lemma_violations(g: Graph, d: SkewDecomposition, dm: _SixMasks) -> list[str]:

@@ -6,7 +6,7 @@ import pytest
 from p5house import decomposer, oracle
 from p5house.census import labeled_graphs
 from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph, split_certificate
-from p5house.modular import find_proper_homogeneous_set, substitute
+from p5house.modular import find_proper_homogeneous_set, quotient_factor, substitute
 from p5house.oracle import PatternKind, find_special_h6, first_forbidden, is_class_member
 from p5house.skewpart import ConstructionFailed
 from p5house.decomposer import (
@@ -447,10 +447,11 @@ class TestWitness:
 
     def test_pentagon_met_before_a_house_gives_the_house(self, scans):
         # The house on 0..4 is the module split off first, so the walk
-        # reaches the pentagon (inside the quotient) before it.
+        # reaches the pentagon (inside the quotient) before it; the house
+        # is then found on its own prime node, not by a scan of g.
         g = Graph(range(10), HOUSE_EDGES + cycle_graph(range(5, 10)).edges())
         hit = rejection(g, triple=True)
-        assert scans == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
+        assert scans == [(g, PatternKind.P5), (g.induced(range(5)), PatternKind.HOUSE)]
         assert hit == first_forbidden(g, triple=True) and hit.kind is PatternKind.HOUSE
 
     def test_pentagon_leaf_in_triple_mode_gives_its_c5(self):
@@ -460,16 +461,62 @@ class TestWitness:
         assert hit == first_forbidden(g, triple=True) and set(hit.embedding) == set(c5.vertices)
 
     def test_node_hit_missing_from_the_root(self, monkeypatch):
+        # The witness comes from the prime node, so a house scan of the
+        # whole graph that saw nothing would change nothing: none is made.
         g = substitute(on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]), path_graph([0, 1, 2]), 1)
+        expected = first_forbidden(g)
         real = oracle.find_induced
 
         def blind_at_root(h, kind):
-            return None if h is g and kind is PatternKind.HOUSE else real(h, kind)
+            return None if h == g and kind is not PatternKind.P5 else real(h, kind)
 
         monkeypatch.setattr(oracle, "find_induced", blind_at_root)
-        with pytest.raises(InternalStructureError) as err:
-            decompose(g)
-        assert "the whole graph lacks" in str(err.value)
+        assert rejection(g) == expected and expected.kind is PatternKind.HOUSE
+        assert rejection(g, triple=True) == expected
+
+    def test_least_hit_from_a_later_prime_node(self, scans):
+        # A house blown up by a house: the quotient's prime node is visited
+        # first, but the child's house, on lower ids, is the least.
+        outer = on_ids(HOUSE_EDGES, [1, 20, 21, 22, 23])
+        inner = on_ids(HOUSE_EDGES, [1, 2, 3, 4, 5])
+        g = substitute(inner, outer, 1)
+        for triple in (False, True):
+            expected = first_forbidden(g, triple)
+            scans.clear()
+            assert rejection(g, triple) == expected
+            assert set(expected.embedding) == set(inner.vertices)
+            assert scans == [(g, PatternKind.P5), (outer, PatternKind.HOUSE),
+                             (inner, PatternKind.HOUSE)]
+
+    def test_least_c5_from_a_later_pentagon_leaf(self, scans):
+        # The same with pentagons: a member, but in triple mode the least
+        # C5 is the child leaf's, reached after the quotient leaf.
+        outer = cycle_graph([1, 20, 21, 22, 23])
+        inner = cycle_graph([1, 2, 3, 4, 5])
+        g = substitute(inner, outer, 1)
+        decompose(g)
+        expected = first_forbidden(g, triple=True)
+        assert set(expected.embedding) == set(inner.vertices)
+        scans.clear()
+        assert rejection(g, triple=True) == expected
+        assert scans == [(g, PatternKind.P5)]
+
+    def test_least_hit_over_prime_nodes_on_random_non_members(self):
+        """The witness is first_forbidden's in both modes on P5-free
+        non-members with several prime nodes: substitution members with
+        one pair flipped, and their complements."""
+        rng = random.Random(911)
+        found = {False: 0, True: 0}
+        while min(found.values()) < 150:
+            g = flip(rng, substitution_member(rng, rng.randint(8, 18)))
+            for h in (g, g.complement()):
+                for triple in (False, True):
+                    expected = first_forbidden(h, triple)
+                    if expected is None:
+                        decompose(h, triple=triple)
+                    else:
+                        assert rejection(h, triple) == expected
+                        found[triple] += expected.kind is not PatternKind.P5
 
 
 @pytest.fixture
@@ -488,7 +535,7 @@ def scans(monkeypatch):
 
 def is_prime_node(g):
     return (
-        decomposer.split_certificate(g) is None
+        split_certificate(g) is None
         and decomposer._pentagon_cycle(g) is None
         and find_proper_homogeneous_set(g) is None
     )
@@ -520,10 +567,40 @@ class TestOraclePlacement:
 
     def test_p5_rejection_takes_no_homogeneous_set_search(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(decomposer, "find_proper_homogeneous_set", calls.append)
+        monkeypatch.setattr(decomposer, "_skeleton", calls.append)
         g = substitute(complete_graph([10, 11]), path_graph(range(5)), 2)
         assert rejection(g).kind is PatternKind.P5
         assert calls == []
+
+    def test_one_decomposition_and_no_homogeneous_set_search(self, monkeypatch):
+        # A substitution member over two unification nodes: one skeleton,
+        # so one modular decomposition tree, for the input and for each
+        # factor, and no homogeneous-set search or quotient_factor call.
+        from p5house import modular
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(modular, "find_proper_homogeneous_set", refuse)
+        monkeypatch.setattr(modular, "quotient_factor", refuse)
+        roots = []
+        real = decomposer._skeleton
+
+        def logged(h):
+            roots.append(h)
+            return real(h)
+
+        monkeypatch.setattr(decomposer, "_skeleton", logged)
+        factors = []
+
+        class Obs:
+            def on_factor(self, work, divide, pair):
+                factors.extend((pair.g1, pair.g2))
+
+        g = substitute(h6().complement(), on_ids(H6_EDGES, range(10, 16)), 10)
+        t = decompose(g, observer=Obs())
+        assert verify_tree(t, g).ok
+        assert len(factors) == 4 and roots == [g] + factors
 
     def test_house_rejection_after_a_member_prime_node(self, scans, monkeypatch):
         module = Graph([10, 11, 12, 13, 14, 15], on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]).edges())
@@ -539,12 +616,34 @@ class TestOraclePlacement:
             def on_factor(self, *args):
                 events.append(args)
 
+        expected = first_forbidden(g)
+        scans.clear()
         with pytest.raises(NotClassMember) as err:
             decompose(g, observer=Obs())
-        assert err.value.hit == first_forbidden(g) and err.value.hit.kind is PatternKind.HOUSE
-        first_house_scan = next(h for h, kind in scans if kind is PatternKind.HOUSE)
-        assert is_prime_node(first_house_scan) and is_class_member(first_house_scan)
+        assert err.value.hit == expected and expected.kind is PatternKind.HOUSE
+        assert scans[0] == (g, PatternKind.P5)
+        houses = [h for h, kind in scans[1:] if kind is PatternKind.HOUSE]
+        assert len(houses) == len(scans) - 1 == 2
+        assert all(h != g and is_prime_node(h) for h in houses)
+        assert is_class_member(houses[0]) and not is_class_member(houses[1])
         assert searched == [] and events == []
+
+    def test_refutations_make_no_whole_graph_house_scan(self, scans):
+        # House-only near-members: after the P5 scan of g, every scan is of
+        # a prime node's graph.
+        rng = random.Random(913)
+        found = 0
+        while found < 20:
+            g = flip(rng, substitution_member(rng, rng.randint(20, 30)))
+            if (oracle.find_induced(g, PatternKind.P5) is not None or is_class_member(g)
+                    or is_prime_node(g)):
+                continue
+            found += 1
+            for triple in (False, True):
+                scans.clear()
+                rejection(g, triple)
+                assert scans[0] == (g, PatternKind.P5)
+                assert all(h != g and is_prime_node(h) for h, _ in scans[1:])
 
 
 # A prime member whose maximized partition classifies on the anti-component
@@ -632,6 +731,24 @@ class TestUnificationChecksOnce:
 
             monkeypatch.setattr(owner, name, counted)
 
+        parts = []  # per six-tuple: (non-trivial parts, _attach calls)
+        real_decompose = skewpart._decompose
+
+        def attach_counted(g, x, y):
+            before = attached[0]
+            d, dm = real_decompose(g, x, y)
+            parts.append((len(d.x_parts) + len(d.y_parts), attached[0] - before))
+            return d, dm
+
+        attached = [0]
+        real_attach = Graph._attach
+
+        def attach(g, m):
+            attached[0] += 1
+            return real_attach(g, m)
+
+        monkeypatch.setattr(skewpart, "_decompose", attach_counted)
+        monkeypatch.setattr(Graph, "_attach", attach)
         count(skewpart, "split_certificate")  # the pipeline's own split tests
         count(skewpart, "validate_h6_hit")
         count(skewpart, "_check_skew")
@@ -644,9 +761,12 @@ class TestUnificationChecksOnce:
                                      (CASE4_MEMBER, 2, 3)):
             for name in calls:
                 calls[name] = 0
+            parts.clear()
             events = _Events()
             decompose(g, observer=events)
             assert (len(events.factor), len(events.skew)) == (steps, six_tuples)
+            # one _attach per non-trivial part of each six-tuple
+            assert len(parts) == six_tuples and all(k == n for n, k in parts)
             assert calls == {
                 "split_certificate": 0,
                 "validate_h6_hit": 0,
@@ -655,3 +775,92 @@ class TestUnificationChecksOnce:
                 "_divide_holds": steps,
                 "_pair_violation": 0,
             }
+
+
+def reference_skeleton(g):
+    """The substitution skeleton as decompose once walked it: at every node
+    a Graph, split_certificate, the pentagon test and
+    find_proper_homogeneous_set, then quotient_factor for the quotient
+    (walked first) and the child.  Records (kind, vertex set, payload): the
+    leaf, the marker, or the prime node's graph."""
+    out = []
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        cert = split_certificate(h)
+        if cert is not None:
+            out.append(("split", h.vertex_set, SplitLeaf(graph=h, cert=cert)))
+            continue
+        cycle = decomposer._pentagon_cycle(h)
+        if cycle is not None:
+            out.append(("pentagon", h.vertex_set, PentagonLeaf(graph=h, cycle=cycle)))
+            continue
+        hs = find_proper_homogeneous_set(h)
+        if hs is None:
+            out.append(("prime", h.vertex_set, h))
+            continue
+        child, quotient, marker = quotient_factor(h, hs)
+        assert child.n < h.n and quotient.n < h.n
+        out.append(("subst", h.vertex_set, marker))
+        stack.extend((child, quotient))
+    return out
+
+
+def read_skeleton(g):
+    """decompose's skeleton of g in the records of reference_skeleton."""
+    out = []
+    for step in decomposer._skeleton(g):
+        if isinstance(step, SplitLeaf):
+            out.append(("split", step.graph.vertex_set, step))
+        elif isinstance(step, PentagonLeaf):
+            out.append(("pentagon", step.graph.vertex_set, step))
+        elif isinstance(step, Graph):
+            out.append(("prime", step.vertex_set, step))
+        else:
+            marker, m = step
+            out.append(("subst", g._set_of(m), marker))
+    return out
+
+
+def chain(n):
+    """C4 on 0..3, then 4..n-1 in order, even ones adjacent to every
+    earlier vertex and odd ones isolated: a skeleton of depth n - 4."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    edges += [(u, v) for v in range(4, n, 2) for u in range(v)]
+    return Graph(range(n), edges)
+
+
+class TestSkeletonFromTheDecomposition:
+    """The skeleton read off one modular decomposition equals the one the
+    per-node homogeneous-set search gives, record for record."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        for n in range(7):
+            for g in labeled_graphs(n):
+                assert read_skeleton(g) == reference_skeleton(g), g.edges()
+
+    def test_golden_members(self):
+        from p5house.generator import GenConfig, generate
+
+        kinds = set()
+        for s in range(300):
+            g = generate(GenConfig(seed=s, max_depth=3))[0]
+            for h in (g, g.complement()):
+                records = read_skeleton(h)
+                assert records == reference_skeleton(h)
+                kinds.update(kind for kind, _, _ in records)
+        assert kinds == {"split", "pentagon", "subst", "prime"}
+
+    def test_random_graphs_and_complements(self):
+        rng = random.Random(2027)
+        for i in range(2000):
+            n = rng.randint(1, 16)
+            g = substitution_member(rng, max(n, 2)) if i % 2 else random_graph(rng, n, rng.random())
+            for h in (g, g.complement()):
+                assert read_skeleton(h) == reference_skeleton(h), (h.vertices, h.edges())
+
+    def test_chain(self):
+        g = chain(60)
+        records = read_skeleton(g)
+        assert records == reference_skeleton(g)
+        assert sum(kind == "subst" for kind, _, _ in records) == 56

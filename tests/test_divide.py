@@ -157,6 +157,55 @@ class TestUnify:
             unify(ComposablePair(g1=pair.g1.minus({0}), g2=pair.g2, roles=roles))
 
 
+def unify_by_edges(p):
+    """unify's former body, on edge lists: each factor's edges away from
+    its marker, and every A-B pair; Graph absorbs the L-T edges that both
+    factors hold."""
+    r = p.roles
+    verts = r.a_set | r.b_set | r.c_set | r.l_set | r.t_set
+    edges = [e for e in p.g1.edges() if r.marker_c not in e]
+    edges += [e for e in p.g2.edges() if r.marker_a not in e]
+    edges += [(u, v) for u in r.a_set for v in r.b_set]
+    return Graph(verts, edges)
+
+
+class TestUnifyOnMasks:
+    def test_same_graph_as_edge_lists(self):
+        """Over the unification nodes of decompose's trees of the 300
+        golden members, the pairs the generator unified to build them, and
+        random composable pairs on scattered ids."""
+        import itertools
+
+        from p5house.decomposer import CoSgu, Sgu, Subst, decompose, recompose
+        from p5house.generator import GenConfig, generate
+
+        pairs = []
+
+        class Factors:
+            def on_factor(self, work, divide, pair):
+                pairs.append(pair)
+
+        for seed in range(300):
+            g, tree = generate(GenConfig(seed=seed, max_depth=3))
+            decompose(g, observer=Factors())
+            stack = [tree]
+            while stack:
+                t = stack.pop()
+                if isinstance(t, Subst):
+                    stack += [t.quotient, t.child]
+                elif isinstance(t, (Sgu, CoSgu)):
+                    pairs.append(ComposablePair(recompose(t.part1), recompose(t.part2), t.roles))
+                    stack += [t.part1, t.part2]
+        assert len(pairs) >= 100
+        rng = random.Random(88)
+        pairs += [random_composable_pair(rng, itertools.count(rng.randint(0, 40)))
+                  for _ in range(1000)]
+        for pair in pairs:
+            got, want = unify(pair), unify_by_edges(pair)
+            assert got == want and got.vertices == want.vertices
+            assert got._pos == want._pos and hash(got) == hash(want)
+
+
 class TestCompositionPreservesFreeness:
     def test_random_pairs(self):
         rng = random.Random(1234)

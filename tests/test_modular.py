@@ -148,22 +148,30 @@ class TestSameChoiceAsPairSearch:
                 g = random_graph(rng, rng.randint(1, 16), rng.random())
             assert found_members(g) == reference_homogeneous_set(g), (g.vertices, g.edges())
 
-    def test_every_graph_decompose_reaches(self, monkeypatch):
-        import p5house.decomposer as decomposer
+    def test_every_graph_decompose_reaches(self):
+        # decompose reads its homogeneous sets off the modular
+        # decomposition: every substitution node of its trees substitutes
+        # the set the all-pairs search picks on the node's graph, and every
+        # unification node's graph is prime.
+        from p5house.decomposer import CoSgu, Sgu, Subst, decompose, recompose
         from p5house.generator import GenConfig, generate
 
         seen = []
-
-        def checked(g):
-            hs = find_proper_homogeneous_set(g)
-            assert (None if hs is None else hs.members) == reference_homogeneous_set(g)
-            seen.append(hs is not None)
-            return hs
-
-        monkeypatch.setattr(decomposer, "find_proper_homogeneous_set", checked)
         for seed in range(60):
             g, _ = generate(GenConfig(seed=seed, max_depth=4))
-            decomposer.decompose(g)
+            stack = [decompose(g)]
+            while stack:
+                t = stack.pop()
+                if isinstance(t, Subst):
+                    chosen = recompose(t.child).vertex_set
+                    assert chosen == reference_homogeneous_set(recompose(t))
+                    stack += [t.quotient, t.child]
+                elif isinstance(t, (Sgu, CoSgu)):
+                    assert reference_homogeneous_set(recompose(t)) is None
+                    stack += [t.part1, t.part2]
+                else:
+                    continue
+                seen.append(isinstance(t, Subst))
         assert sum(seen) > 100 and not all(seen)
 
     def test_degenerate_root_with_three_children(self):
@@ -333,3 +341,54 @@ class TestClassClosure:
             u = rng.choice(g2.vertices)
             assert is_class_member(substitute(g1, g2, u))
             produced += 1
+
+
+def strong_modules(g):
+    """Brute force: the modules of g (the empty set aside) that overlap no
+    other module."""
+    n = g.n
+    modules = [m for m in range(1, 1 << n) if is_homogeneous(g, g._set_of(m))]
+    return {m for m in modules
+            if not any(m & o and m & ~o and o & ~m for o in modules)}
+
+
+class TestDecompositionTree:
+    """modular._Node, split all the way down, is the modular
+    decomposition tree."""
+
+    def check(self, g):
+        from p5house.modular import _PARALLEL, _PRIME, _SERIES, _Node
+
+        stack, nodes = [_Node(g._full_mask())], []
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.kids(g))
+        assert {node.mask for node in nodes} == strong_modules(g)
+        for node in nodes:
+            kids = [k.mask for k in node.kids(g)]
+            kind = node.kind(g)
+            if not kids:
+                assert node.mask.bit_count() == 1 and kind == _PRIME
+                continue
+            assert sum(kids) == node.mask and len(kids) >= 2
+            if kind == _PARALLEL:
+                assert sorted(kids) == sorted(g._components_masks(node.mask))
+            elif kind == _SERIES:
+                assert sorted(kids) == sorted(g._anti_components_masks(node.mask))
+            else:
+                assert kind == _PRIME and len(kids) >= 4
+
+    def test_every_graph_up_to_five_vertices(self):
+        from p5house.census import labeled_graphs
+
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                self.check(g)
+
+    def test_random_graphs_up_to_ten_vertices(self):
+        rng = random.Random(77)
+        for i in range(300):
+            n = rng.randint(1, 10)
+            g = substitution_graph(rng, n) if i % 2 else random_graph(rng, n, rng.random())
+            self.check(g)

@@ -1,0 +1,157 @@
+"""Digests of decompose's outputs over fixed corpora, to compare two checkouts.
+
+Usage, from the root of a checkout:
+
+    python3 tools/outputs_digest.py
+    python3 tools/outputs_digest.py --corpus labelled --max-n 4
+
+Each graph of a corpus goes through decompose in both modes (triple off,
+then on).  Per corpus the script prints four lines, one per kind of output,
+each with its count and the sha256 of the outputs in order:
+
+- ``documents``: the tree document of each member;
+- ``witnesses``: repr of the NotClassMember hit of each non-member, or the
+  type and message of any other exception;
+- ``events``: the on_skew_decomposition / on_factor observer events, every
+  vertex set sorted, every graph as its ids and sorted edges, with a
+  separator after each call;
+- ``reports``: verify_tree's report on each member's tree.
+
+The corpora are every labelled graph with n <= --max-n, 900 generated
+members (seeds 0..899, depth 3), and the census6, members and prime inputs
+of bench seeds 1-3 as the benchmark builds them, each graph as given and
+complemented.  Two checkouts give the same outputs on these corpora exactly
+when they print the same lines.  The script uses the standard library and
+the p5house package of the checkout it sits in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from p5house.census import labeled_graphs  # noqa: E402
+from p5house.decomposer import NotClassMember, decompose, verify_tree  # noqa: E402
+from p5house.generator import GenConfig, generate  # noqa: E402
+from p5house.graph import Graph  # noqa: E402
+from p5house.treedoc import tree_to_document  # noqa: E402
+
+KINDS = ("documents", "witnesses", "events", "reports")
+BENCH_WORKLOADS = ("census6", "members", "prime")
+BENCH_SEEDS = (1, 2, 3)
+GENERATED = 900
+
+
+def _sets(*sets):
+    return tuple(tuple(sorted(s)) for s in sets)
+
+
+def _graph(g):
+    return tuple(g.vertices), tuple(sorted(g.edges()))
+
+
+class Digest:
+    """One running sha256 and count per kind of output."""
+
+    def __init__(self):
+        self.sha = {kind: hashlib.sha256() for kind in KINDS}
+        self.count = dict.fromkeys(KINDS, 0)
+
+    def put(self, kind: str, data) -> None:
+        self.sha[kind].update(data if isinstance(data, bytes) else repr(data).encode() + b"\n")
+        self.count[kind] += 1
+
+    # observer callbacks of decompose
+    def on_skew_decomposition(self, work, sp, d, case):
+        self.put("events", (
+            "skew", _graph(work), _sets(sp.x, sp.y), _sets(*d.x_parts), _sets(*d.y_parts),
+            _sets(d.s, d.k), _sets(*d.s_mixed), _sets(*d.k_mixed),
+            case.tag.value, case.special_index, _sets(*case.decomposition.x_parts),
+        ))
+
+    def on_factor(self, work, divide, pair):
+        r = pair.roles
+        self.put("events", (
+            "factor", _graph(work), _sets(divide.a, divide.b, divide.c, divide.l, divide.t),
+            _graph(pair.g1), _graph(pair.g2),
+            _sets(r.a_set, r.b_set, r.c_set, r.l_set, r.t_set), r.marker_a, r.marker_c,
+        ))
+
+    def add(self, g: Graph) -> None:
+        for triple in (False, True):
+            try:
+                tree = decompose(g, triple=triple, observer=self)
+            except NotClassMember as exc:
+                self.put("witnesses", exc.hit)
+            except Exception as exc:
+                self.put("witnesses", (type(exc).__name__, str(exc)))
+            else:
+                self.put("documents", tree_to_document(tree, g).encode())
+                report = verify_tree(tree, g)
+                self.put("reports", (report.ok, report.failures, report.depth, report.leaf_counts))
+            self.sha["events"].update(b"--\n")
+
+    def lines(self, corpus: str) -> list[str]:
+        return [f"{corpus} {kind} {self.count[kind]} {self.sha[kind].hexdigest()}" for kind in KINDS]
+
+
+def labelled(max_n: int):
+    for n in range(max_n + 1):
+        yield from labeled_graphs(n)
+
+
+def generated():
+    for seed in range(GENERATED):
+        yield generate(GenConfig(seed=seed, max_depth=3))[0]
+
+
+def bench_inputs(workload: str, seed: int):
+    """The members and non-members the benchmark builds for one workload
+    and seed, from bench/run.py's builders, each as given and complemented."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import checker
+    import run
+
+    built = run.BUILDERS[workload](random.Random(f"{workload}:{seed}"))
+    for adjs in built[:2]:
+        for adj in adjs:
+            g = Graph(sorted(adj), checker.edges_of(adj))
+            yield g
+            yield g.complement()
+
+
+def corpora(names: list[str], max_n: int):
+    for name in names:
+        if name == "labelled":
+            yield f"labelled<={max_n}", labelled(max_n)
+        elif name == "generated":
+            yield f"generated{GENERATED}", generated()
+        else:
+            for workload in BENCH_WORKLOADS:
+                for seed in BENCH_SEEDS:
+                    yield f"bench-{workload}-{seed}", bench_inputs(workload, seed)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--corpus", action="append", choices=("labelled", "generated", "bench"),
+                        help="corpus to digest (repeatable; default: all three)")
+    parser.add_argument("--max-n", type=int, default=6,
+                        help="largest n of the labelled corpus (default 6)")
+    args = parser.parse_args(argv)
+    for name, graphs in corpora(args.corpus or ["labelled", "generated", "bench"], args.max_n):
+        digest = Digest()
+        for g in graphs:
+            digest.add(g)
+        print("\n".join(digest.lines(name)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
