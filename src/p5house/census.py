@@ -71,9 +71,10 @@ def run_sweep(
     """Check grammar/oracle equivalence over all labeled graphs up to max_n.
 
     Per graph, decompose (with the given observer) settles membership,
-    with one P5 scan of the whole graph and house (in triple mode also C5)
-    scans only at the prime nodes of the substitution skeleton it reads off
-    the graph's modular decomposition: a NotClassMember marks a non-member
+    on graphs of up to 16 vertices (every sweep that can finish) with one
+    P5 scan of the whole graph and house (in triple mode also C5) scans
+    only at the prime nodes of the substitution skeleton it reads off the
+    graph's modular decomposition: a NotClassMember marks a non-member
     and its witness, the least of those nodes' hits, must induce the
     pattern it names; members must decompose and pass verify_tree, which
     also checks that the tree recomposes to g label-exactly.  The tree's

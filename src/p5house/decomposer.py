@@ -15,10 +15,12 @@ never a silent fallback.
 
 decompose() certifies membership first and builds second.  P5, the house
 and C5 are prime graphs, so none of them straddles a module: one oracle
-scan of the whole graph looks for a P5, and the first three branches alone
-(the substitution skeleton) lead to the prime nodes, the only places a
-house or C5 can sit, which are scanned for one; a non-member's witness is
-the least of their hits.  The skeleton is read off the input's modular
+scan of the whole graph looks for a P5 (on graphs above 16 vertices only
+for a P5 starting at one of the first few vertices), and the first three
+branches alone (the substitution skeleton) lead to the prime nodes, the
+only places a pattern can sit, which are scanned for a house or C5 (above
+16 vertices for a P5 first); a non-member's witness is the least of their
+hits.  The skeleton is read off the input's modular
 decomposition, computed once: each of its nodes is an induced subgraph of
 the input, handled on masks until it is a leaf or a prime node.
 Unification steps run only once the graph is known to be a member.
@@ -303,40 +305,51 @@ def _least(a: PatternHit | None, b: PatternHit | None) -> PatternHit | None:
 
 
 def _certify(g: Graph, triple: bool) -> list:
-    """Pass 1: settle the membership of a P5-free graph on its substitution
-    skeleton, before any unification step runs.
+    """Pass 1: settle the membership of g on its substitution skeleton,
+    before any unification step runs, once decompose's P5 scan of the
+    whole graph has missed.
 
-    The house and C5 are prime, so an induced copy never straddles a
+    P5, the house and C5 are prime, so an induced copy never straddles a
     module: a copy in g lies in the quotient or in the child of a
     substitution, both induced subgraphs of their parent (the marker is a
-    member of the module), and split graphs hold neither pattern.  So only
-    the skeleton's prime nodes are scanned, for a house and, with
-    ``triple`` and while no house is known, a C5; in triple mode a
-    pentagon leaf refutes as well.
+    member of the module), and split graphs hold none of them.  So only
+    the skeleton's prime nodes are scanned; in triple mode a pentagon leaf
+    refutes as well.  Up to _WHOLE_GRAPH_MAX vertices the P5 scan covered
+    all of g, and the nodes are scanned for a house and, with ``triple``
+    and while no house is known, a C5.  Above it the scan covered the
+    first v0 ranks only (oracle._p5_prefix), and the nodes, pentagon
+    leaves included in triple mode, are scanned for the P5 first
+    (oracle._least_hit).
 
-    The witness is first_forbidden's, the least house of g, else its least
-    C5, in the oracle's lexicographic order: each prime node's first hit
-    is a copy in g, and g's least copy lies in a prime node as it is, since
-    replacing a vertex of it by the smaller marker of a module it meets in
-    that vertex alone would give a lesser copy.  So the witness is the
-    least of the prime nodes' first hits, pentagon leaves included for the
-    C5, and no scan of the whole graph is needed.
+    The witness is first_forbidden's, in the oracle's lexicographic order:
+    each prime node's first hit is a copy in g, and g's least copy lies in
+    a prime node as it is, since replacing a vertex of it by the smaller
+    marker of a module it meets in that vertex alone would give a lesser
+    copy.  So the witness is the least of the prime nodes' first hits of
+    the first pattern any of them holds, pentagon leaves included for the
+    C5, and no further scan of the whole graph is needed.
 
     Returns the skeleton (see _skeleton).  Raises NotClassMember on a
     refutation."""
     skeleton = _skeleton(g)
-    house = c5 = None
-    for step in skeleton:
-        kind = type(step)
-        if kind is Graph:
-            hit = oracle.find_induced(step, PatternKind.HOUSE)
-            if hit is not None:
-                house = _least(house, hit)
-            elif triple and house is None:
-                c5 = _least(c5, oracle.find_induced(step, PatternKind.C5))
-        elif kind is PentagonLeaf and triple and house is None:
-            c5 = _least(c5, PatternHit(kind=PatternKind.C5, embedding=step.cycle))
-    hit = house or c5
+    if g.n > oracle._WHOLE_GRAPH_MAX:
+        nodes = [step for step in skeleton if type(step) is Graph]
+        if triple:
+            nodes += [step.graph for step in skeleton if type(step) is PentagonLeaf]
+        hit = oracle._least_hit(g, nodes, oracle._FORBIDDEN_TRIPLE if triple else oracle._FORBIDDEN)
+    else:
+        house = c5 = None
+        for step in skeleton:
+            kind = type(step)
+            if kind is Graph:
+                hit = oracle.find_induced(step, PatternKind.HOUSE)
+                if hit is not None:
+                    house = _least(house, hit)
+                elif triple and house is None:
+                    c5 = _least(c5, oracle.find_induced(step, PatternKind.C5))
+            elif kind is PentagonLeaf and triple and house is None:
+                c5 = _least(c5, PatternHit(kind=PatternKind.C5, embedding=step.cycle))
+        hit = house or c5
     if hit is not None:
         raise NotClassMember(hit)
     return skeleton
@@ -369,16 +382,22 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     Membership is settled before the tree is built, and NotClassMember
     carries the refuting pattern: the same first hit as
     first_forbidden(g, triple).  One scan of the whole graph looks for a
-    P5.  The substitution skeleton is then read off g's modular
-    decomposition, computed once, and the house (and, with ``triple``, the
-    pentagon, which makes pentagon leaves impossible) is looked for only
-    at its prime nodes; a non-member's witness is the least of their hits
-    (see _certify).  The tree is built after that, so a non-member gets no
-    unification step and no observer event.  The optional observer
+    P5: all of it up to oracle._WHOLE_GRAPH_MAX vertices, the copies whose
+    v0 has one of the first oracle._PREFIX ranks above that.  The
+    substitution skeleton is then read off g's modular decomposition,
+    computed once, and the house (and, with ``triple``, the pentagon,
+    which makes pentagon leaves impossible), above the size limit the P5
+    first, is looked for only at its prime nodes; a non-member's witness
+    is the least of their hits (see _certify).  The tree is built after
+    that, so a non-member gets no unification step and no observer
+    event.  The optional observer
     receives on_skew_decomposition(work, sp, d, case) and on_factor(work,
     divide, pair) callbacks as the pipeline runs.
     """
-    hit = oracle.find_induced(g, PatternKind.P5)
+    if g.n > oracle._WHOLE_GRAPH_MAX:
+        hit = oracle._p5_prefix(g)
+    else:
+        hit = oracle.find_induced(g, PatternKind.P5)
     if hit is not None:
         raise NotClassMember(hit)
     return _build(_certify(g, triple), observer)

@@ -139,6 +139,26 @@ def _prime_parts(masks: tuple[int, ...], m: int) -> list[int]:
     return [mv] + [p for p in parts if not p & mv]
 
 
+def _prime_representatives(g: Graph, least: int) -> list[int]:
+    """Masks of the representative graphs of the prime nodes of g's
+    modular decomposition that have at least ``least`` children: each is
+    the least vertex of every child of its node.
+
+    Only modules with ``least`` vertices or more are split, since none
+    smaller holds such a node."""
+    out, stack = [], [_Node(g._full_mask())]
+    while stack:
+        node = stack.pop()
+        kids = node.kids(g)
+        if node.kind(g) == _PRIME and len(kids) >= least:
+            rep = 0
+            for kid in kids:
+                rep |= kid.mask & -kid.mask
+            out.append(rep)
+        stack.extend(kid for kid in kids if kid.mask.bit_count() >= least)
+    return out
+
+
 def _top_two(kids: tuple[_Node, ...]) -> tuple[_Node, _Node]:
     """The two largest children, ties to the lower least bit."""
     a, b = sorted(kids, key=lambda k: (-k.mask.bit_count(), k.mask & -k.mask))[:2]

@@ -65,6 +65,31 @@ class TestRecognize:
         assert capsys.readouterr().out == "non-member: induced P5 at (0, 1, 2, 3, 4)\n"
         assert scans == ["P5"]
 
+    def test_chain_of_200_is_a_member(self, tmp_path, capsys):
+        from test_decomposer import chain
+
+        p = tmp_path / "chain.txt"
+        p.write_text("".join(f"{u} {v}\n" for u, v in chain(200).edges()))
+        assert main(["recognize", str(p)]) == 0
+        assert capsys.readouterr().out == "member\n"
+
+    def test_house_only_near_member_above_16_vertices(self, tmp_path, capsys):
+        # The witness is the house the whole-graph search finds first.
+        import random
+
+        from p5house.oracle import PatternKind, find_induced
+        from test_decomposer import flip, substitution_member
+
+        rng = random.Random(917)
+        while True:
+            g = flip(rng, substitution_member(rng, rng.randint(17, 30)))
+            g = Graph(range(g.n), [(g.vertices.index(u), g.vertices.index(v)) for u, v in g.edges()])
+            house = find_induced(g, PatternKind.HOUSE)
+            if house is not None and find_induced(g, PatternKind.P5) is None:
+                break
+        assert main(["recognize", write_graph(tmp_path, g)]) == 1
+        assert capsys.readouterr().out == f"non-member: induced house at {house.embedding}\n"
+
     def test_edge_list_input(self, tmp_path, capsys):
         p = tmp_path / "edges.txt"
         p.write_text("0 1\n1 2\n2 3\n")

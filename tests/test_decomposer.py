@@ -628,9 +628,23 @@ class TestOraclePlacement:
         assert is_class_member(houses[0]) and not is_class_member(houses[1])
         assert searched == [] and events == []
 
-    def test_refutations_make_no_whole_graph_house_scan(self, scans):
-        # House-only near-members: after the P5 scan of g, every scan is of
-        # a prime node's graph.
+    def test_refutations_make_no_whole_graph_house_scan(self, scans, monkeypatch):
+        # House-only near-members above the size limit: one P5 scan of g
+        # over the prefix ranks, then every scan is of a prime node's graph
+        # (a pentagon leaf's too in triple mode).
+        kernels, nodes = [], []
+        kernel, least_hit = oracle._kernel, oracle._least_hit
+
+        def kernel_logged(masks, cycle, first=0, stop=None):
+            kernels.append((masks, cycle, first, stop))
+            return kernel(masks, cycle, first, stop)
+
+        def least_hit_logged(g, hs, kinds):
+            nodes.extend(hs)
+            return least_hit(g, hs, kinds)
+
+        monkeypatch.setattr(oracle, "_kernel", kernel_logged)
+        monkeypatch.setattr(oracle, "_least_hit", least_hit_logged)
         rng = random.Random(913)
         found = 0
         while found < 20:
@@ -641,9 +655,15 @@ class TestOraclePlacement:
             found += 1
             for triple in (False, True):
                 scans.clear()
+                kernels.clear()
+                nodes.clear()
                 rejection(g, triple)
-                assert scans[0] == (g, PatternKind.P5)
-                assert all(h != g and is_prime_node(h) for h, _ in scans[1:])
+                assert scans == []
+                assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
+                assert all(len(masks) < g.n for masks, *_ in kernels[1:])
+                assert nodes and all(h != g for h in nodes)
+                assert all(is_prime_node(h) or triple and decomposer._pentagon_cycle(h)
+                           for h in nodes)
 
 
 # A prime member whose maximized partition classifies on the anti-component

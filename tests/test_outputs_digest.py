@@ -20,9 +20,10 @@ def test_two_runs_print_the_same_digests():
     assert first == second
     rows = [line.split() for line in first.splitlines()]
     assert [row[:2] for row in rows] == [
-        ["labelled<=4", kind] for kind in ("documents", "witnesses", "events", "reports")
+        ["labelled<=4", kind]
+        for kind in ("documents", "witnesses", "events", "reports", "refutations")
     ]
-    # 76 labelled graphs on n <= 4, all members, each decomposed in both modes;
-    # none is big enough to take the unification branch
-    assert [int(row[2]) for row in rows] == [152, 0, 0, 152]
+    # 76 labelled graphs on n <= 4, all members, each decomposed and refuted
+    # in both modes; none is big enough to take the unification branch
+    assert [int(row[2]) for row in rows] == [152, 0, 0, 152, 152]
     assert all(len(row[3]) == 64 for row in rows)

@@ -1,0 +1,205 @@
+"""Refutation above the size limit: first_forbidden and decompose read the
+prime nodes of the modular decomposition, after a short P5 scan of the
+whole graph, and give the brute-force search's hits exactly."""
+
+import itertools
+import random
+
+import pytest
+
+from p5house import decomposer, modular, oracle
+from p5house.decomposer import NotClassMember, decompose
+from p5house.graph import Graph, split_certificate
+from p5house.oracle import PatternHit, PatternKind, find_induced, first_forbidden, is_class_member
+
+from test_decomposer import chain, flip, substitution_member
+
+KINDS = (PatternKind.P5, PatternKind.HOUSE, PatternKind.C5)
+
+
+def reference(g):
+    """The brute-force refutation in both modes, from whole-graph scans:
+    {triple: the first P5, else house, else (with triple) C5, or None}."""
+    out = {}
+    for kind in KINDS:
+        hit = find_induced(g, kind)
+        if hit is not None:
+            if kind is not PatternKind.C5:
+                out[False] = hit
+            out[True] = hit
+            break
+    out.setdefault(False, None)
+    out.setdefault(True, None)
+    return out
+
+
+def decompose_hit(g, triple):
+    try:
+        decompose(g, triple=triple)
+    except NotClassMember as exc:
+        return exc.hit
+    return None
+
+
+def assert_matches_reference(g):
+    """first_forbidden, is_class_member and decompose's rejection all give
+    the whole-graph search's answer, in both modes; returns it."""
+    expected = reference(g)
+    for triple in (False, True):
+        hit = expected[triple]
+        assert first_forbidden(g, triple) == hit, (triple, g.vertices, g.edges())
+        assert is_class_member(g, triple) == (hit is None)
+        assert decompose_hit(g, triple) == hit, (triple, g.vertices, g.edges())
+    return expected
+
+
+def random_graph(rng, n):
+    """n vertices on scattered ids, edge density drawn from [0, 1]."""
+    ids = rng.sample(range(3 * n), n)
+    p = rng.random()
+    return Graph(ids, [(u, v) for u, v in itertools.combinations(ids, 2) if rng.random() < p])
+
+
+def late_p5():
+    """A non-member on 19 vertices whose only P5, 8-10-12-14-16, begins at
+    rank 8, the first rank past the whole-graph prefix: a clique on 0..7
+    joined to the disjoint union of that path and a clique on the odd ids
+    9..17 and 18."""
+    path = [8, 10, 12, 14, 16]
+    clique = [9, 11, 13, 15, 17, 18]
+    edges = list(itertools.combinations(range(8), 2))
+    edges += [(u, v) for u in range(8) for v in path + clique]
+    edges += list(zip(path, path[1:])) + list(itertools.combinations(clique, 2))
+    return Graph(range(19), edges)
+
+
+class TestAgainstTheReference:
+    def test_random_graphs_and_complements(self):
+        rng = random.Random(4801)
+        kinds = set()
+        for _ in range(2000):
+            g = random_graph(rng, rng.randint(17, 48))
+            for h in (g, g.complement()):
+                expected = assert_matches_reference(h)
+                kinds.add(None if expected[True] is None else expected[True].kind)
+        # past 16 vertices a random graph is a P5 or house non-member, but
+        # for the densest and sparsest draws
+        assert kinds == {None, PatternKind.P5, PatternKind.HOUSE}
+
+    def test_substitution_members_and_near_members(self):
+        rng = random.Random(4802)
+        beyond_prefix = house_only = 0
+        for _ in range(150):
+            member = substitution_member(rng, rng.randint(17, 60))
+            assert assert_matches_reference(member)[False] is None
+            for _ in range(2):
+                near = flip(rng, member)
+                for h in (near, near.complement()):
+                    hit = assert_matches_reference(h)[False]
+                    if hit is None:
+                        continue
+                    house_only += hit.kind is PatternKind.HOUSE
+                    beyond_prefix += (hit.kind is PatternKind.P5
+                                      and h.vertices.index(hit.embedding[0]) >= oracle._PREFIX)
+        assert house_only >= 10 and beyond_prefix >= 10
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_chain(self, n):
+        g = chain(n)
+        assert assert_matches_reference(g) == {False: None, True: None}
+
+    def test_boundary_sizes(self):
+        rng = random.Random(4803)
+        for n in (oracle._WHOLE_GRAPH_MAX, oracle._WHOLE_GRAPH_MAX + 1):
+            for _ in range(150):
+                g = random_graph(rng, n)
+                for h in (g, g.complement(), substitution_member(rng, n)):
+                    assert_matches_reference(h)
+                    assert_matches_reference(flip(rng, h))
+
+    def test_only_p5_begins_past_the_prefix(self):
+        g = late_p5()
+        assert oracle._p5_prefix(g) is None
+        expected = PatternHit(kind=PatternKind.P5, embedding=(8, 10, 12, 14, 16))
+        assert assert_matches_reference(g) == {False: expected, True: expected}
+
+
+@pytest.fixture
+def logged(monkeypatch):
+    """The scans and decompositions of the oracle: every find_induced call
+    as (graph, kind), every _kernel call as (masks, cycle, first, stop) and
+    every modular decomposition read for the refutation."""
+    log = {"find_induced": [], "kernel": [], "decompositions": 0}
+    find, kernel, reps = oracle.find_induced, oracle._kernel, oracle._prime_representatives
+
+    def find_logged(g, kind):
+        log["find_induced"].append((g, kind))
+        return find(g, kind)
+
+    def kernel_logged(masks, cycle, first=0, stop=None):
+        log["kernel"].append((masks, cycle, first, stop))
+        return kernel(masks, cycle, first, stop)
+
+    def reps_logged(g, least):
+        log["decompositions"] += 1
+        return reps(g, least)
+
+    monkeypatch.setattr(oracle, "find_induced", find_logged)
+    monkeypatch.setattr(oracle, "_kernel", kernel_logged)
+    monkeypatch.setattr(oracle, "_prime_representatives", reps_logged)
+    return log
+
+
+def clear(log):
+    log["find_induced"].clear()
+    log["kernel"].clear()
+    log["decompositions"] = 0
+
+
+class TestPlacement:
+    def test_is_class_member_above_the_limit(self, logged):
+        # One P5 scan of the whole graph over the prefix ranks, one
+        # decomposition, and scans of smaller graphs only: no whole-graph
+        # house scan, on members, house-only near-members and late_p5.
+        rng = random.Random(4804)
+        members, house_only = [], []
+        while len(house_only) < 10:
+            g = substitution_member(rng, rng.randint(20, 41))
+            if len(members) < 10:
+                members.append(g)
+            near = flip(rng, g)
+            if find_induced(near, PatternKind.P5) is None and find_induced(near, PatternKind.HOUSE):
+                house_only.append(near)
+        for g in [late_p5()] + members + house_only:
+            expected = reference(g)
+            for triple in (False, True):
+                clear(logged)
+                assert is_class_member(g, triple) == (expected[triple] is None)
+                assert logged["find_induced"] == []
+                assert logged["kernel"][0] == (g._masks, False, 0, oracle._PREFIX)
+                assert logged["decompositions"] == 1
+                assert all(len(masks) < g.n for masks, *_ in logged["kernel"][1:])
+
+    def test_whole_graph_scans_up_to_the_limit(self, logged):
+        g = substitution_member(random.Random(4805), oracle._WHOLE_GRAPH_MAX)
+        is_class_member(g)
+        assert logged["find_induced"] == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
+        assert logged["decompositions"] == 0
+
+
+def test_prime_representatives_cover_the_skeleton():
+    # first_forbidden and decompose scan the same graphs: the skeleton's
+    # prime nodes and pentagon leaves are representative graphs of prime
+    # nodes, and every other representative lies inside a split leaf.
+    rng = random.Random(4806)
+    for _ in range(100):
+        g = substitution_member(rng, rng.randint(17, 48))
+        reps = set(modular._prime_representatives(g, 5))
+        scanned = set()
+        for step in decomposer._skeleton(g):
+            if type(step) is decomposer.PentagonLeaf:
+                step = step.graph
+            if type(step) is Graph:
+                scanned.add(g._mask_of(step.vertices))
+        assert scanned <= reps
+        assert all(split_certificate(g._induced(m)) is not None for m in reps - scanned)

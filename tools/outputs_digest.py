@@ -5,9 +5,10 @@ Usage, from the root of a checkout:
     python3 tools/outputs_digest.py
     python3 tools/outputs_digest.py --corpus labelled --max-n 4
 
-Each graph of a corpus goes through decompose in both modes (triple off,
-then on).  Per corpus the script prints four lines, one per kind of output,
-each with its count and the sha256 of the outputs in order:
+Each graph of a corpus goes through decompose and first_forbidden in both
+modes (triple off, then on).  Per corpus the script prints five lines, one
+per kind of output, each with its count and the sha256 of the outputs in
+order:
 
 - ``documents``: the tree document of each member;
 - ``witnesses``: repr of the NotClassMember hit of each non-member, or the
@@ -15,12 +16,16 @@ each with its count and the sha256 of the outputs in order:
 - ``events``: the on_skew_decomposition / on_factor observer events, every
   vertex set sorted, every graph as its ids and sorted edges, with a
   separator after each call;
-- ``reports``: verify_tree's report on each member's tree.
+- ``reports``: verify_tree's report on each member's tree;
+- ``refutations``: repr of first_forbidden's answer on each graph.
 
 The corpora are every labelled graph with n <= --max-n, 900 generated
-members (seeds 0..899, depth 3), and the census6, members and prime inputs
-of bench seeds 1-3 as the benchmark builds them, each graph as given and
-complemented.  Two checkouts give the same outputs on these corpora exactly
+members (seeds 0..899, depth 3), the census6, members and prime inputs of
+bench seeds 1-3 as the benchmark builds them, and ``large``: 300 seeded
+random graphs with n 17..48 over the full density range, 40 near-members
+with n 30..41 whose only patterns are houses (a substitution member of the
+benchmark's builder with one pair flipped) and the n = 60 chain.  The bench
+and large graphs are taken as given and complemented.  Two checkouts give the same outputs on these corpora exactly
 when they print the same lines.  The script uses the standard library and
 the p5house package of the checkout it sits in.
 """
@@ -31,6 +36,7 @@ import argparse
 import hashlib
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,12 +46,16 @@ from p5house.census import labeled_graphs  # noqa: E402
 from p5house.decomposer import NotClassMember, decompose, verify_tree  # noqa: E402
 from p5house.generator import GenConfig, generate  # noqa: E402
 from p5house.graph import Graph  # noqa: E402
+from p5house.oracle import PatternKind, find_induced, first_forbidden  # noqa: E402
 from p5house.treedoc import tree_to_document  # noqa: E402
 
-KINDS = ("documents", "witnesses", "events", "reports")
+KINDS = ("documents", "witnesses", "events", "reports", "refutations")
+CORPORA = ("labelled", "generated", "bench", "large")
 BENCH_WORKLOADS = ("census6", "members", "prime")
 BENCH_SEEDS = (1, 2, 3)
 GENERATED = 900
+LARGE_RANDOM = 300
+LARGE_HOUSE_ONLY = 40
 
 
 def _sets(*sets):
@@ -96,6 +106,7 @@ class Digest:
                 report = verify_tree(tree, g)
                 self.put("reports", (report.ok, report.failures, report.depth, report.leaf_counts))
             self.sha["events"].update(b"--\n")
+            self.put("refutations", first_forbidden(g, triple))
 
     def lines(self, corpus: str) -> list[str]:
         return [f"{corpus} {kind} {self.count[kind]} {self.sha[kind].hexdigest()}" for kind in KINDS]
@@ -111,19 +122,58 @@ def generated():
         yield generate(GenConfig(seed=seed, max_depth=3))[0]
 
 
+def _bench_modules():
+    sys.path.insert(0, str(ROOT / "bench"))
+    import checker
+    import inputs
+    import run
+
+    return checker, inputs, run
+
+
+def _with_complements(graphs):
+    for g in graphs:
+        yield g
+        yield g.complement()
+
+
 def bench_inputs(workload: str, seed: int):
     """The members and non-members the benchmark builds for one workload
     and seed, from bench/run.py's builders, each as given and complemented."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    import checker
-    import run
-
+    checker, _, run = _bench_modules()
     built = run.BUILDERS[workload](random.Random(f"{workload}:{seed}"))
     for adjs in built[:2]:
-        for adj in adjs:
-            g = Graph(sorted(adj), checker.edges_of(adj))
+        yield from _with_complements(Graph(sorted(adj), checker.edges_of(adj)) for adj in adjs)
+
+
+def _house_only_near_members(rng: random.Random):
+    """Substitution members of the benchmark's builder with n 30..41 and one
+    pair flipped, kept when the whole graph has a house and no P5."""
+    checker, inputs, _ = _bench_modules()
+    while True:
+        adj = inputs.substitution_member(rng, rng.randint(30, 41))
+        u, v = rng.sample(sorted(adj), 2)
+        adj = checker.flip(adj, u, v)
+        g = Graph(sorted(adj), checker.edges_of(adj))
+        if find_induced(g, PatternKind.P5) is None and find_induced(g, PatternKind.HOUSE):
             yield g
-            yield g.complement()
+
+
+def large():
+    """Graphs above the size where first_forbidden and decompose read the
+    modular decomposition, each as given and complemented."""
+    checker, inputs, _ = _bench_modules()
+    rng = random.Random("large")
+    randoms = []
+    for _ in range(LARGE_RANDOM):
+        n, p = rng.randint(17, 48), rng.random()
+        ids = rng.sample(range(3 * n), n)
+        randoms.append(Graph(ids, [(u, v) for u, v in combinations(ids, 2) if rng.random() < p]))
+    yield from _with_complements(randoms)
+    near = _house_only_near_members(rng)
+    yield from _with_complements(next(near) for _ in range(LARGE_HOUSE_ONLY))
+    chain = inputs.chain(60)
+    yield from _with_complements([Graph(sorted(chain), checker.edges_of(chain))])
 
 
 def corpora(names: list[str], max_n: int):
@@ -132,6 +182,8 @@ def corpora(names: list[str], max_n: int):
             yield f"labelled<={max_n}", labelled(max_n)
         elif name == "generated":
             yield f"generated{GENERATED}", generated()
+        elif name == "large":
+            yield "large", large()
         else:
             for workload in BENCH_WORKLOADS:
                 for seed in BENCH_SEEDS:
@@ -140,12 +192,12 @@ def corpora(names: list[str], max_n: int):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--corpus", action="append", choices=("labelled", "generated", "bench"),
-                        help="corpus to digest (repeatable; default: all three)")
+    parser.add_argument("--corpus", action="append", choices=CORPORA,
+                        help="corpus to digest (repeatable; default: all four)")
     parser.add_argument("--max-n", type=int, default=6,
                         help="largest n of the labelled corpus (default 6)")
     args = parser.parse_args(argv)
-    for name, graphs in corpora(args.corpus or ["labelled", "generated", "bench"], args.max_n):
+    for name, graphs in corpora(args.corpus or list(CORPORA), args.max_n):
         digest = Digest()
         for g in graphs:
             digest.add(g)
