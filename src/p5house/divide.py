@@ -252,6 +252,4 @@ def unify(p: ComposablePair) -> Graph:
             low = side & -side
             side ^= low
             masks[low.bit_length() - 1] |= other
-    g = Graph.__new__(Graph)
-    g._vs, g._pos, g._masks, g._hash = vs, pos, tuple(masks), None
-    return g
+    return Graph._from_masks(vs, tuple(masks), pos)

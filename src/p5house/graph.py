@@ -242,6 +242,20 @@ class Graph:
 
     # -- derived graphs ----------------------------------------------------
 
+    @staticmethod
+    def _from_masks(
+        vs: tuple[int, ...], masks: tuple[int, ...], pos: dict[int, int] | None = None
+    ) -> "Graph":
+        """The graph on the ascending ids ``vs`` whose i-th vertex has the
+        adjacency mask ``masks[i]``, both taken as they are (``pos``, the
+        rank of each id, too when given)."""
+        g = Graph.__new__(Graph)
+        g._vs = vs
+        g._pos = {v: i for i, v in enumerate(vs)} if pos is None else pos
+        g._masks = masks
+        g._hash = None
+        return g
+
     def induced(self, xs: Iterable[int]) -> "Graph":
         """Subgraph induced on ``xs``; ids are kept as they are."""
         return self._induced(self._mask_of(xs))
@@ -287,25 +301,16 @@ class Graph:
                 masks = [m & low | (m & high & ~low) << 1 | (m >> k & 1) << at for m in masks]
                 masks.insert(at, masks.pop())
                 vs.insert(at, vs.pop())
-        g = Graph.__new__(Graph)
-        g._vs = tuple(vs)
-        g._pos = {v: i for i, v in enumerate(vs)}
-        g._masks = tuple(masks)
-        g._hash = None
-        return g
+        return Graph._from_masks(tuple(vs), tuple(masks))
 
     def minus(self, xs: Iterable[int]) -> "Graph":
         drop = set(xs)
         return self.induced(v for v in self._vs if v not in drop)
 
     def complement(self) -> "Graph":
-        g = Graph.__new__(Graph)
         full = self._full_mask()
-        g._vs = self._vs
-        g._pos = self._pos
-        g._masks = tuple((full & ~m & ~(1 << i)) for i, m in enumerate(self._masks))
-        g._hash = None
-        return g
+        masks = tuple((full & ~m & ~(1 << i)) for i, m in enumerate(self._masks))
+        return Graph._from_masks(self._vs, masks, self._pos)
 
     # -- connectivity ------------------------------------------------------
 

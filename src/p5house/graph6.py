@@ -11,6 +11,8 @@ the problem.
 
 from __future__ import annotations
 
+from base64 import b64decode, b64encode
+
 from .graph import Graph
 
 __all__ = ["Graph6Error", "parse_graph6", "emit_graph6", "parse_edge_list", "read_graph_text"]
@@ -20,10 +22,6 @@ class Graph6Error(ValueError):
     def __init__(self, offset: int, reason: str):
         self.offset = offset
         super().__init__(f"graph6: {reason} (byte {offset})")
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 _LONG_MAX_N = 258_047
@@ -45,14 +43,39 @@ def _parse_size(s: str) -> tuple[int, int]:
     return n, 4
 
 
+# The adjacency bytes are the bit string in 6-bit groups, each offset by
+# 63: base64's groups with its alphabet swapped for the bytes 63..126.
+_G6_BYTES = bytes(range(63, 127))
+_G6_CHARS = frozenset(_G6_BYTES.decode())
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_BYTES)
+_FROM_G6 = bytes.maketrans(_G6_BYTES, _B64_ALPHABET)
+
+
+def _pack(bits: str) -> str:
+    """The graph6 bytes of a bit string, zero-padded to whole bytes."""
+    nbytes = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)  # whole base64 quanta
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return b64encode(raw).translate(_TO_G6)[:nbytes].decode("ascii")
+
+
+def _unpack(body: str) -> str:
+    """The bit string of graph6 bytes, six bits each."""
+    quanta = body.encode("ascii").translate(_FROM_G6)
+    raw = b64decode(quanta + b"A" * (-len(quanta) % 4))
+    return format(int.from_bytes(raw, "big"), f"0{len(raw) * 8}b")[: 6 * len(body)]
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a graph on vertices 0..n-1."""
     s = text.rstrip("\n")
     if not s:
         raise Graph6Error(0, "empty input")
-    for off, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(off, f"byte {ord(ch)} outside graph6 range")
+    if not _G6_CHARS.issuperset(s):
+        for off, ch in enumerate(s):
+            if ch not in _G6_CHARS:
+                raise Graph6Error(off, f"byte {ord(ch)} outside graph6 range")
     n, start = _parse_size(s)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -61,15 +84,19 @@ def parse_graph6(text: str) -> Graph:
             min(len(s), start + nbytes),
             f"expected {nbytes} adjacency bytes, got {len(s) - start}",
         )
-    bits: list[int] = []
-    for ch in s[start:]:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    for idx in range(nbits, len(bits)):
-        if bits[idx]:
-            raise Graph6Error(start + idx // 6, "nonzero padding bits")
-    edges = [pair for pair, bit in zip(_pairs(n), bits) if bit]
-    return Graph(range(n), edges)
+    bits = _unpack(s[start:])
+    padding = bits.find("1", nbits)
+    if padding >= 0:
+        raise Graph6Error(start + padding // 6, "nonzero padding bits")
+    # Column j holds the pairs (i, j), i < j: the low part of masks[j] with
+    # bit i first.  Padded with zeros to n, column j's i-th character is
+    # the edge (i, j) for every i, so the columns' transpose read with j
+    # descending gives each vertex's neighbours above it.
+    zeros = "0" * n
+    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)]
+    above = map("".join, zip(*reversed(cols)))
+    masks = tuple(int(col[::-1], 2) | int(row, 2) for col, row in zip(cols, above))
+    return Graph._from_masks(tuple(range(n)), masks)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -77,20 +104,13 @@ def emit_graph6(g: Graph) -> str:
     n = g.n
     if n > _LONG_MAX_N:
         raise Graph6Error(0, f"only graphs with n <= {_LONG_MAX_N} can be emitted")
-    vs = g.vertices
-    bits = [1 if g.has_edge(vs[i], vs[j]) else 0 for i, j in _pairs(n)]
-    while len(bits) % 6:
-        bits.append(0)
     if n <= 62:
-        out = [chr(n + 63)]
+        size = chr(n + 63)
     else:
-        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for at in range(0, len(bits), 6):
-        val = 0
-        for b in bits[at : at + 6]:
-            val = val << 1 | b
-        out.append(chr(val + 63))
-    return "".join(out)
+        size = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    masks = g._masks
+    bits = "".join([format(masks[j] & (1 << j) - 1, f"0{j}b")[::-1] for j in range(1, n)])
+    return size + _pack(bits)
 
 
 def parse_edge_list(text: str) -> Graph:

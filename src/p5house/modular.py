@@ -281,9 +281,7 @@ def substitute(g1: Graph, g2: Graph, u: int) -> Graph:
     for j, (b, m) in enumerate(zip(bits2, g2._masks)):
         if b:
             masks[b.bit_length() - 1] = _lift(m, bits2) | (all1 if mu >> j & 1 else 0)
-    g = Graph.__new__(Graph)
-    g._vs, g._pos, g._masks, g._hash = vs, pos, tuple(masks), None
-    return g
+    return Graph._from_masks(vs, tuple(masks), pos)
 
 
 def quotient_factor(g: Graph, h: HomogeneousSet) -> tuple[Graph, Graph, int]:

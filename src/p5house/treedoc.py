@@ -2,12 +2,17 @@
 
 A document stores the root graph (graph6 plus the sorted id list mapping
 positions back to ids) and the node structure: each internal node records
-only its role vertex ids, so the graphs below it are re-derived top-down,
-on masks as decompose builds them, in the decomposer's one tree walk.  A
-quotient's marker attaches like the least member, a unification part's
-marker to L (marker_c) or B (marker_a); a marker may be any id outside
-the part it joins but no role vertex of its node.  The version field is
-mandatory and checked exactly.
+only its role vertex ids, so the graphs below it are re-derived top-down
+in the decomposer's one tree walk.  The reader holds each node as a mask
+of a host graph, as decompose's skeleton does: a substitution whose
+marker is its least member (as written) hands its host to both children,
+and a Graph is built only at a leaf, at a unification node and for the
+quotient of a substitution with another marker.  The root takes graph6's
+masks as they are when its ids ascend (as written).  A quotient's marker
+attaches like the least member, a unification part's marker to L
+(marker_c) or B (marker_a); a marker may be any id outside the part it
+joins but no role vertex of its node.  The version field is mandatory and
+checked exactly.
 """
 
 from __future__ import annotations
@@ -138,42 +143,62 @@ def _children(obj: dict, ctx, what: str) -> list:
 _ROLES = ("a", "b", "c", "l", "t")
 
 
-def _paired(kids: list, ctx, first: Graph, second: Graph) -> tuple:
+def _paired(kids: list, ctx, first: tuple, second: tuple) -> tuple:
     return (kids[0], (".children[0]", ctx, first)), (kids[1], (".children[1]", ctx, second))
+
+
+def _node_graph(host: Graph, mask: int) -> Graph:
+    return host if mask == host._full_mask() else host._induced(mask)
+
+
+def _whole(g: Graph) -> tuple[Graph, int]:
+    return g, g._full_mask()
 
 
 def _read_down(obj, ctx):
     """The reader's top-down hook: check a node's fields and give a leaf, or
-    an internal node's constructor and its children's graphs."""
+    an internal node's constructor and its children's contexts, whose
+    payload (host, mask) stands for the host's subgraph induced on mask."""
     if not (isinstance(obj, dict) and "kind" in obj):
         raise _error(ctx, "node without a kind")
     kind = obj["kind"]
-    g = ctx[2]
+    host, mask = ctx[2]
     if kind == "split_leaf":
         clique = frozenset(_id_list(obj, "clique", ctx))
         stable = frozenset(_id_list(obj, "stable", ctx))
-        return SplitLeaf(graph=g, cert=SplitCert(clique=clique, stable=stable)), ()
+        cert = SplitCert(clique=clique, stable=stable)
+        return SplitLeaf(graph=_node_graph(host, mask), cert=cert), ()
     if kind == "pentagon_leaf":
-        return PentagonLeaf(graph=g, cycle=tuple(_id_list(obj, "cycle", ctx))), ()
+        cycle = tuple(_id_list(obj, "cycle", ctx))
+        return PentagonLeaf(graph=_node_graph(host, mask), cycle=cycle), ()
     if kind == "subst":
         members = _id_list(obj, "members", ctx)
         marker = _int(obj, "marker", ctx)
         if not members:
             raise _error(ctx, "empty substitution members")
         try:
-            inside = g._mask_of(members)
-        except ValueError:
-            raise _error(ctx, "substitution members outside the node graph") from None
+            inside = host._mask_of(members)
+        except ValueError:  # an id outside the host, so outside the mask
+            inside = -1
+        if inside & ~mask:
+            raise _error(ctx, "substitution members outside the node graph")
         kids = _children(obj, ctx, "substitution")
-        if marker in g and not inside >> g._pos[marker] & 1:
+        outside = mask & ~inside
+        at = host._pos.get(marker)
+        if at is not None and outside >> at & 1:
             raise _error(ctx, "marker collides with an outside vertex")
-        outside = g._full_mask() & ~inside
-        attach = outside & g._masks[(inside & -inside).bit_length() - 1]  # like the least member
-        quotient = g._induced(outside, marker, attach)
-        return partial(Subst, marker=marker), _paired(kids, ctx, quotient, g._induced(inside))
+        least = inside & -inside
+        if at == least.bit_length() - 1:
+            # the quotient collapses the members onto the least of them
+            quotient = host, outside | least
+        else:
+            attach = outside & host._masks[least.bit_length() - 1]  # like the least member
+            quotient = _whole(host._induced(outside, marker, attach))
+        return partial(Subst, marker=marker), _paired(kids, ctx, quotient, (host, inside))
     if kind in ("sgu", "cosgu"):
         sets = [frozenset(_id_list(obj, key, ctx)) for key in _ROLES]
         roles = PairRoles(*sets, _int(obj, "marker_a", ctx), _int(obj, "marker_c", ctx))
+        g = _node_graph(host, mask)
         work = g.complement() if kind == "cosgu" else g
         try:
             a, b, c, l, t = (work._mask_of(obj[key]) for key in _ROLES)
@@ -188,7 +213,7 @@ def _read_down(obj, ctx):
         part1 = work._induced(a | l | t, roles.marker_c, l)
         part2 = work._induced(b | c | l | t, roles.marker_a, b)
         node_cls = Sgu if kind == "sgu" else CoSgu
-        return partial(node_cls, roles=roles), _paired(kids, ctx, part1, part2)
+        return partial(node_cls, roles=roles), _paired(kids, ctx, _whole(part1), _whole(part2))
     raise _error(ctx, f"unknown node kind {kind!r}")
 
 
@@ -209,8 +234,12 @@ def document_to_tree(text: str) -> tuple[DecompTree, Graph]:
     _require(isinstance(doc["rootGraph"], str), "rootGraph is not a string")
     base = parse_graph6(doc["rootGraph"])
     ids = _id_list(doc, "vertexIds", ("document", None, None))
-    _require(len(ids) == base.n and len(set(ids)) == base.n, "vertexIds do not match the graph")
-    remap = dict(enumerate(ids))  # graph6 position -> stored vertex id
-    root = Graph(ids, [(remap[u], remap[v]) for u, v in base.edges()])
-    tree = _walk(doc["node"], ("node", None, root), _read_down, _assemble)
+    unique = set(ids)
+    _require(len(ids) == base.n and len(unique) == base.n, "vertexIds do not match the graph")
+    if ids == sorted(unique):  # as written: graph6 positions are the ids' ranks
+        root = Graph._from_masks(tuple(ids), base._masks)
+    else:
+        remap = dict(enumerate(ids))  # graph6 position -> stored vertex id
+        root = Graph(ids, [(remap[u], remap[v]) for u, v in base.edges()])
+    tree = _walk(doc["node"], ("node", None, _whole(root)), _read_down, _assemble)
     return tree, root

@@ -13,6 +13,81 @@ from p5house.graph6 import (
 )
 
 
+# -- reference codec -----------------------------------------------------------
+# The codec as it was before it moved onto adjacency masks: one has_edge per
+# vertex pair on the way out, one list of bits and an edge list on the way in.
+
+
+def ref_pairs(n):
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def ref_emit_graph6(g):
+    n = g.n
+    vs = g.vertices
+    bits = [1 if g.has_edge(vs[i], vs[j]) else 0 for i, j in ref_pairs(n)]
+    while len(bits) % 6:
+        bits.append(0)
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
+    for at in range(0, len(bits), 6):
+        val = 0
+        for b in bits[at : at + 6]:
+            val = val << 1 | b
+        out.append(chr(val + 63))
+    return "".join(out)
+
+
+def ref_parse_graph6(s):
+    """Decode a well-formed graph6 line."""
+    if s[0] != "~":
+        n, start = ord(s[0]) - 63, 1
+    else:
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+        start = 4
+    bits = []
+    for ch in s[start:]:
+        val = ord(ch) - 63
+        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    return Graph(range(n), [pair for pair, bit in zip(ref_pairs(n), bits) if bit])
+
+
+def graphs_of_every_size():
+    """Every n in 0..70 and the long-form sizes 200 and 300, each empty,
+    at density one half and complete, with ids spread apart."""
+    rng = random.Random(6)
+    for n in [*range(71), 200, 300]:
+        ids = sorted(rng.sample(range(4 * n), n))
+        pairs = list(itertools.combinations(ids, 2))
+        yield Graph(ids)
+        yield Graph(ids, [pair for pair in pairs if rng.random() < 0.5])
+        yield Graph(ids, pairs)
+
+
+class TestAgainstTheReference:
+    def test_emit_and_parse_match_the_reference(self):
+        count = 0
+        for g in graphs_of_every_size():
+            text = emit_graph6(g)
+            assert text == ref_emit_graph6(g)
+            parsed = parse_graph6(text)
+            assert parsed == ref_parse_graph6(text)
+            rank = {v: i for i, v in enumerate(g.vertices)}
+            assert parsed == Graph(range(g.n), [(rank[u], rank[v]) for u, v in g.edges()])
+            count += 1
+        assert count == 3 * 73
+
+    def test_asymmetric_graphs_pin_the_bit_order(self):
+        # one edge at a time: a transposed or reversed bit order moves it
+        for n in (7, 13, 63, 70):
+            for u, v in [(0, 1), (0, n - 1), (1, n - 2), (n - 2, n - 1), (2, 5)]:
+                g = Graph(range(n), [(u, v)])
+                assert emit_graph6(g) == ref_emit_graph6(g)
+                assert parse_graph6(ref_emit_graph6(g)) == g
+
+
 class TestFixtures:
     # expected strings cross-checked against an independent encoder
     def test_single_vertex(self):

@@ -336,3 +336,66 @@ class TestReader:
         capsys.readouterr()
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == "error: node: " + MARKER_IN_ROLES + "\n"
+
+
+# -- the reader's fallbacks --------------------------------------------------------
+# The writer always uses a substitution's least member as its marker and lists
+# the root's ids in ascending order; the reader takes other documents by
+# building graphs the slower way, and must still agree with the reference.
+
+
+def renamed(obj, old, new):
+    """A copy of the subtree ``obj`` with the id ``old`` replaced by ``new``."""
+    if isinstance(obj, list):
+        return [renamed(item, old, new) for item in obj]
+    if isinstance(obj, dict):
+        return {key: renamed(value, old, new) for key, value in obj.items()}
+    return new if obj == old and type(obj) is int else obj
+
+
+class TestReaderFallbacks:
+    def test_substitution_marker_other_than_the_least_member(self):
+        read_back, collisions = 0, set()
+        for g, t in generated(80):
+            text = tree_to_document(t, g)
+            for at, node in enumerate(doc_nodes(json.loads(text))):
+                if node["kind"] != "subst":
+                    continue
+                old = node["marker"]
+                outsiders = [v for v in g.vertices if v not in node["members"]]
+                for new in node["members"][1:2] + outsiders[:2] + [FOREIGN]:
+                    doc = json.loads(text)
+                    bad = doc_nodes(doc)[at]
+                    bad["marker"] = new
+                    bad["children"][0] = renamed(bad["children"][0], old, new)
+                    got = assert_same_reading(json.dumps(doc))
+                    if isinstance(got, str):
+                        collisions.add(got.partition(": ")[2])
+                    elif recompose(got[0]) == g:
+                        read_back += 1
+        assert read_back >= 200
+        assert collisions == {"marker collides with an outside vertex"}
+
+    def test_vertex_ids_out_of_order(self):
+        rng = random.Random(11)
+        count = 0
+        for g, t in generated(80):
+            if g.n < 2:
+                continue
+            order = list(g.vertices)
+            while order == sorted(order):
+                rng.shuffle(order)
+            rank = {v: p for p, v in enumerate(order)}
+            doc = json.loads(tree_to_document(t, g))
+            doc["vertexIds"] = order
+            # ids and graph permuted together: the same graph
+            doc["rootGraph"] = emit_graph6(Graph(range(g.n), [(rank[u], rank[v]) for u, v in g.edges()]))
+            assert assert_same_reading(json.dumps(doc)) == (t, g)
+            # the ids alone: another graph on the same ids
+            doc["rootGraph"] = emit_graph6(g)
+            assert not isinstance(assert_same_reading(json.dumps(doc)), str)
+            # a repeated id
+            doc["vertexIds"] = order[1:2] + order[1:]
+            assert assert_same_reading(json.dumps(doc)) == "vertexIds do not match the graph"
+            count += 1
+        assert count >= 60

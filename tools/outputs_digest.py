@@ -6,7 +6,7 @@ Usage, from the root of a checkout:
     python3 tools/outputs_digest.py --corpus labelled --max-n 4
 
 Each graph of a corpus goes through decompose and first_forbidden in both
-modes (triple off, then on).  Per corpus the script prints five lines, one
+modes (triple off, then on).  Per corpus the script prints six lines, one
 per kind of output, each with its count and the sha256 of the outputs in
 order:
 
@@ -17,7 +17,10 @@ order:
   vertex set sorted, every graph as its ids and sorted edges, with a
   separator after each call;
 - ``reports``: verify_tree's report on each member's tree;
-- ``refutations``: repr of first_forbidden's answer on each graph.
+- ``refutations``: repr of first_forbidden's answer on each graph;
+- ``readback``: what document_to_tree reads back from each member's
+  document: the tree's nodes in preorder (each node's fields, each leaf's
+  graph as its ids and sorted edges) and the root graph.
 
 The corpora are every labelled graph with n <= --max-n, 900 generated
 members (seeds 0..899, depth 3), the census6, members and prime inputs of
@@ -43,13 +46,20 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from p5house.census import labeled_graphs  # noqa: E402
-from p5house.decomposer import NotClassMember, decompose, verify_tree  # noqa: E402
+from p5house.decomposer import (  # noqa: E402
+    NotClassMember,
+    PentagonLeaf,
+    SplitLeaf,
+    Subst,
+    decompose,
+    verify_tree,
+)
 from p5house.generator import GenConfig, generate  # noqa: E402
 from p5house.graph import Graph  # noqa: E402
 from p5house.oracle import PatternKind, find_induced, first_forbidden  # noqa: E402
-from p5house.treedoc import tree_to_document  # noqa: E402
+from p5house.treedoc import document_to_tree, tree_to_document  # noqa: E402
 
-KINDS = ("documents", "witnesses", "events", "reports", "refutations")
+KINDS = ("documents", "witnesses", "events", "reports", "refutations", "readback")
 CORPORA = ("labelled", "generated", "bench", "large")
 BENCH_WORKLOADS = ("census6", "members", "prime")
 BENCH_SEEDS = (1, 2, 3)
@@ -64,6 +74,28 @@ def _sets(*sets):
 
 def _graph(g):
     return tuple(g.vertices), tuple(sorted(g.edges()))
+
+
+def _nodes(tree):
+    """A tree's nodes in preorder, each as its fields, a leaf with its graph."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SplitLeaf):
+            out.append(("split_leaf", _sets(node.cert.clique, node.cert.stable), _graph(node.graph)))
+        elif isinstance(node, PentagonLeaf):
+            out.append(("pentagon_leaf", node.cycle, _graph(node.graph)))
+        elif isinstance(node, Subst):
+            out.append(("subst", node.marker))
+            stack += (node.child, node.quotient)
+        else:
+            r = node.roles
+            out.append((
+                type(node).__name__, _sets(r.a_set, r.b_set, r.c_set, r.l_set, r.t_set),
+                r.marker_a, r.marker_c,
+            ))
+            stack += (node.part2, node.part1)
+    return out
 
 
 class Digest:
@@ -102,7 +134,10 @@ class Digest:
             except Exception as exc:
                 self.put("witnesses", (type(exc).__name__, str(exc)))
             else:
-                self.put("documents", tree_to_document(tree, g).encode())
+                text = tree_to_document(tree, g)
+                self.put("documents", text.encode())
+                tree2, root = document_to_tree(text)
+                self.put("readback", (_nodes(tree2), _graph(root)))
                 report = verify_tree(tree, g)
                 self.put("reports", (report.ok, report.failures, report.depth, report.leaf_counts))
             self.sha["events"].update(b"--\n")
