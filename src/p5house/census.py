@@ -70,14 +70,14 @@ def run_sweep(
 ) -> SweepResult:
     """Check grammar/oracle equivalence over all labeled graphs up to max_n.
 
-    Per graph, decompose (with the given observer) settles membership,
-    on graphs of up to 16 vertices (every sweep that can finish) with one
-    P5 scan of the whole graph and house (in triple mode also C5) scans
-    only at the prime nodes of the substitution skeleton it reads off the
-    graph's modular decomposition: a NotClassMember marks a non-member
-    and its witness, the least of those nodes' hits, must induce the
-    pattern it names; members must decompose and pass verify_tree, which
-    also checks that the tree recomposes to g label-exactly.  The tree's
+    Per graph, decompose (with the given observer) settles membership:
+    one P5 scan of the whole graph, then the build, whose finished tree
+    certifies a member; only a failed build (or, in triple mode, a
+    pentagon leaf) leads to the witness, read off the prime nodes of the
+    substitution skeleton.  A NotClassMember marks a non-member, and its
+    witness must induce the pattern it names; members must decompose and
+    pass verify_tree, which also checks that the tree recomposes to g
+    label-exactly.  The tree's
     root tells whether a member is split (a split leaf) and, unless it is
     split, whether it is prime (a pentagon or unification root).  In triple
     mode no pentagon leaf may appear.  Returns per-n counts plus mismatch

@@ -9,21 +9,25 @@ on one explicit-stack fold (_walk), clear of interpreter recursion limits.
 
 Branch order: split leaf, pentagon leaf, substitution, unification.  The
 last branch only ever fires on prime, non-split, pentagon-free graphs, where
-a decorated H6 is guaranteed to exist in the graph or its complement; its
-absence (or any downstream construction failure) is a loud internal error,
-never a silent fallback.
+a member is guaranteed a decorated H6 in the graph or its complement; on a
+member its absence (or any downstream construction failure) is a loud
+internal error, never a silent fallback.
 
-decompose() certifies membership first and builds second.  P5, the house
-and C5 are prime graphs, so none of them straddles a module: one oracle
-scan of the whole graph looks for a P5 (on graphs above 16 vertices only
-for a P5 starting at one of the first few vertices), and the first three
-branches alone (the substitution skeleton) lead to the prime nodes, the
-only places a pattern can sit, which are scanned for a house or C5 (above
-16 vertices for a P5 first); a non-member's witness is the least of their
-hits.  The skeleton is read off the input's modular
+decompose() builds first and explains on failure.  By the paper's theorem
+split graphs and pentagons are members and substitution and unification
+keep the class, so a finished tree whose every step was checked as it was
+built (leaves by their split certificate or cycle, substitutions by strong
+modules, unifications by factor's divide conditions) proves membership; a
+non-member's build raises.  One oracle scan of the graph looks for a P5
+first (oracle._p5_scan).  The skeleton is then read off the input's modular
 decomposition, computed once: each of its nodes is an induced subgraph of
-the input, handled on masks until it is a leaf or a prime node.
-Unification steps run only once the graph is known to be a member.
+the input, handled on masks until it is a leaf or a prime node.  Only when
+the build raises does the oracle name the witness, on the skeleton's prime
+nodes: P5, the house and C5 are prime graphs, so none of them straddles a
+module.  In triple mode a member's C5 lies in a pentagon leaf, since a
+prime graph with no P5 and no house that holds a C5 is that C5 (Fouquet,
+Discrete Math. 121, 1993).  Observer events are held during the build and
+handed over once the tree is finished and accepted.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Union
 from .graph import Graph, SplitCert, _split_cert
 from .modular import _Node, _cut, _pick, is_homogeneous, substitute
 from . import oracle, skewpart
-from .oracle import PatternHit, PatternKind, find_special_h6, first_forbidden
+from .oracle import PatternHit, PatternKind, find_special_h6
 from .skewpart import CaseTag, ConstructionFailed, NeitherCaseHolds, SkewPartition
 from .divide import ComposablePair, InvalidPair, PairRoles, build_divide, factor, unify
 
@@ -136,14 +140,13 @@ def _pentagon_cycle(g: Graph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def _notify(observer, method: str, *args) -> None:
-    if observer is not None:
-        fn = getattr(observer, method, None)
-        if fn is not None:
-            fn(*args)
+def _notify(events: list | None, method: str, *args) -> None:
+    """Hold an observer event until the tree is finished (see decompose)."""
+    if events is not None:
+        events.append((method, args))
 
 
-def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
+def _run_pipeline(work: Graph, hit, events) -> tuple[bool, ComposablePair]:
     """Run the skew-partition pipeline on ``work`` (whose complement holds
     the decorated hit, fresh from its search).  Returns (flipped, pair)
     where ``flipped`` records a final swap back to the complement of
@@ -162,7 +165,7 @@ def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
     bad = skewpart._lemma_violations(work, d, dm)
     if bad:
         raise InternalStructureError("; ".join(bad))
-    _notify(observer, "on_skew_decomposition", work, sp, d, case)
+    _notify(events, "on_skew_decomposition", work, sp, d, case)
     flipped = False
     if case.tag is CaseTag.CASE4:
         # The anti-component-side witness of a graph is the component-side
@@ -181,15 +184,15 @@ def _run_pipeline(work: Graph, hit, observer) -> tuple[bool, ComposablePair]:
         bad = skewpart._lemma_violations(work, d, dm)
         if bad:
             raise InternalStructureError("; ".join(bad))
-        _notify(observer, "on_skew_decomposition", work, sp, d, case)
+        _notify(events, "on_skew_decomposition", work, sp, d, case)
         flipped = True
     divide = build_divide(work, case)
     pair = factor(work, divide)
-    _notify(observer, "on_factor", work, divide, pair)
+    _notify(events, "on_factor", work, divide, pair)
     return flipped, pair
 
 
-def _unification_step(g: Graph, observer) -> tuple[bool, ComposablePair]:
+def _unification_step(g: Graph, events) -> tuple[bool, ComposablePair]:
     """Find the composable pair of a prime, non-split, pentagon-free member.
 
     Tries the decorated H6 of g first (pipeline in the complement).  The
@@ -205,7 +208,7 @@ def _unification_step(g: Graph, observer) -> tuple[bool, ComposablePair]:
             continue
         found = True
         try:
-            flipped, pair = _run_pipeline(work, hit, observer)
+            flipped, pair = _run_pipeline(work, hit, events)
         except ConstructionFailed as exc:
             failure = exc
             continue
@@ -215,16 +218,6 @@ def _unification_step(g: Graph, observer) -> tuple[bool, ComposablePair]:
             "no decorated H6 in a prime non-split member or its complement"
         )
     raise InternalStructureError(f"both construction sides failed: {failure}")
-
-
-def _assert_factors_free(pair: ComposablePair) -> None:
-    for part in (pair.g1, pair.g2):
-        hit = first_forbidden(part, triple=True)
-        if hit is not None:
-            raise InternalStructureError(
-                f"factor of a member contains an induced {hit.kind.value} "
-                f"at {hit.embedding}"
-            )
 
 
 def _shrunk(parent: Graph, kids: tuple[Graph, Graph]) -> tuple[Graph, Graph]:
@@ -288,78 +281,19 @@ def _skeleton(g: Graph) -> list:
     return out
 
 
-def _unification_node(g: Graph, observer):
-    """The last branch, at a prime member: a unification's constructor
-    with its two factors, each checked free of P5, house and C5."""
-    co, pair = _unification_step(g, observer)
-    _assert_factors_free(pair)
+def _unification_node(g: Graph, events):
+    """The last branch, at a prime node: a unification's constructor with
+    its two factors, which finish their own builds only if they are
+    members."""
+    co, pair = _unification_step(g, events)
     return partial(CoSgu if co else Sgu, roles=pair.roles), _shrunk(g, (pair.g1, pair.g2))
 
 
-def _least(a: PatternHit | None, b: PatternHit | None) -> PatternHit | None:
-    """Of two hits of one pattern, the one with the lexicographically least
-    embedding; None stands for no hit."""
-    if a is None or b is not None and b.embedding < a.embedding:
-        return b
-    return a
-
-
-def _certify(g: Graph, triple: bool) -> list:
-    """Pass 1: settle the membership of g on its substitution skeleton,
-    before any unification step runs, once decompose's P5 scan of the
-    whole graph has missed.
-
-    P5, the house and C5 are prime, so an induced copy never straddles a
-    module: a copy in g lies in the quotient or in the child of a
-    substitution, both induced subgraphs of their parent (the marker is a
-    member of the module), and split graphs hold none of them.  So only
-    the skeleton's prime nodes are scanned; in triple mode a pentagon leaf
-    refutes as well.  Up to _WHOLE_GRAPH_MAX vertices the P5 scan covered
-    all of g, and the nodes are scanned for a house and, with ``triple``
-    and while no house is known, a C5.  Above it the scan covered the
-    first v0 ranks only (oracle._p5_prefix), and the nodes, pentagon
-    leaves included in triple mode, are scanned for the P5 first
-    (oracle._least_hit).
-
-    The witness is first_forbidden's, in the oracle's lexicographic order:
-    each prime node's first hit is a copy in g, and g's least copy lies in
-    a prime node as it is, since replacing a vertex of it by the smaller
-    marker of a module it meets in that vertex alone would give a lesser
-    copy.  So the witness is the least of the prime nodes' first hits of
-    the first pattern any of them holds, pentagon leaves included for the
-    C5, and no further scan of the whole graph is needed.
-
-    Returns the skeleton (see _skeleton).  Raises NotClassMember on a
-    refutation."""
-    skeleton = _skeleton(g)
-    if g.n > oracle._WHOLE_GRAPH_MAX:
-        nodes = [step for step in skeleton if type(step) is Graph]
-        if triple:
-            nodes += [step.graph for step in skeleton if type(step) is PentagonLeaf]
-        hit = oracle._least_hit(g, nodes, oracle._FORBIDDEN_TRIPLE if triple else oracle._FORBIDDEN)
-    else:
-        house = c5 = None
-        for step in skeleton:
-            kind = type(step)
-            if kind is Graph:
-                hit = oracle.find_induced(step, PatternKind.HOUSE)
-                if hit is not None:
-                    house = _least(house, hit)
-                elif triple and house is None:
-                    c5 = _least(c5, oracle.find_induced(step, PatternKind.C5))
-            elif kind is PentagonLeaf and triple and house is None:
-                c5 = _least(c5, PatternHit(kind=PatternKind.C5, embedding=step.cycle))
-        hit = house or c5
-    if hit is not None:
-        raise NotClassMember(hit)
-    return skeleton
-
-
-def _build(skeleton: list, observer) -> DecompTree:
-    """Pass 2: replay a certified skeleton into a tree, in preorder.  An
-    item is an iterator over the records of the subtree still to build, or
-    a factor's Graph, whose skeleton is read then (_unification_node has
-    checked the factors, so their subtrees get no scans)."""
+def _build(skeleton: list, events) -> DecompTree:
+    """Replay a skeleton into a tree, in preorder.  An item is an iterator
+    over the records of the subtree still to build, or a factor's Graph,
+    whose skeleton is read then.  Raises at a prime node that no
+    unification step takes apart, which a member never has."""
 
     def expand(records, _):
         if type(records) is Graph:
@@ -369,7 +303,7 @@ def _build(skeleton: list, observer) -> DecompTree:
         if kind is tuple:
             return partial(Subst, marker=step[0]), ((records, None), (records, None))
         if kind is Graph:
-            node, kids = _unification_node(step, observer)
+            node, kids = _unification_node(step, events)
             return node, tuple((kid, None) for kid in kids)
         return step, ()
 
@@ -379,28 +313,43 @@ def _build(skeleton: list, observer) -> DecompTree:
 def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     """Decompose a class member into a structure tree.
 
-    Membership is settled before the tree is built, and NotClassMember
-    carries the refuting pattern: the same first hit as
-    first_forbidden(g, triple).  One scan of the whole graph looks for a
-    P5: all of it up to oracle._WHOLE_GRAPH_MAX vertices, the copies whose
-    v0 has one of the first oracle._PREFIX ranks above that.  The
-    substitution skeleton is then read off g's modular decomposition,
-    computed once, and the house (and, with ``triple``, the pentagon,
-    which makes pentagon leaves impossible), above the size limit the P5
-    first, is looked for only at its prime nodes; a non-member's witness
-    is the least of their hits (see _certify).  The tree is built after
-    that, so a non-member gets no unification step and no observer
-    event.  The optional observer
-    receives on_skew_decomposition(work, sp, d, case) and on_factor(work,
-    divide, pair) callbacks as the pipeline runs.
+    A non-member raises NotClassMember carrying the refuting pattern: the
+    same first hit as first_forbidden(g, triple).  One oracle scan looks
+    for a P5 first (oracle._p5_scan).  The tree is then built on the
+    substitution skeleton read off g's modular decomposition; the finished
+    tree proves membership (see the module docstring).  Only if the build
+    raises does the oracle look for the witness, a P5 or house, at the
+    skeleton's prime nodes (oracle._least_hit); if none holds one, the
+    build's own exception propagates, since g is a member.  With
+    ``triple`` a member is refuted by the least cycle of its skeleton's
+    pentagon leaves, the only prime nodes of a member holding a C5.
+
+    The optional observer receives on_skew_decomposition(work, sp, d,
+    case) and on_factor(work, divide, pair) callbacks, in pipeline order,
+    once the tree is finished and accepted, so a non-member gets none.
     """
-    if g.n > oracle._WHOLE_GRAPH_MAX:
-        hit = oracle._p5_prefix(g)
-    else:
-        hit = oracle.find_induced(g, PatternKind.P5)
+    hit = oracle._p5_scan(g)
     if hit is not None:
         raise NotClassMember(hit)
-    return _build(_certify(g, triple), observer)
+    skeleton = _skeleton(g)
+    events = None if observer is None else []
+    try:
+        tree = _build(skeleton, events)
+    except Exception:  # a non-member's build may fail at any stage of a step
+        hit = oracle._least_hit(g, [step for step in skeleton if type(step) is Graph],
+                                oracle._FORBIDDEN)
+        if hit is None:
+            raise
+        raise NotClassMember(hit) from None
+    if triple:
+        cycles = [step.cycle for step in skeleton if type(step) is PentagonLeaf]
+        if cycles:
+            raise NotClassMember(PatternHit(kind=PatternKind.C5, embedding=min(cycles)))
+    for method, args in events or ():
+        fn = getattr(observer, method, None)
+        if fn is not None:
+            fn(*args)
+    return tree
 
 
 def _walk(root, ctx, down, up):

@@ -27,8 +27,12 @@ with no generator frames.
 does so up to 16 vertices.  Above that it reads the modular decomposition:
 P5, the house and C5 are prime graphs, so the least copy of each lies in
 the graph of one prime node, the input restricted to the least vertex of
-each child.  A short P5 scan of the whole graph still comes first, since
-most non-members met in practice have a P5 starting at a low vertex.
+each child (``_least_hit``).  A P5 scan comes first either way
+(``_p5_scan``): of the whole graph up to 16 vertices, of the copies that
+start at one of the first 8 vertices above that, since most non-members
+met in practice have a P5 starting at a low vertex.  ``decompose`` makes
+the same P5 scan, and calls ``_least_hit`` on its own skeleton's prime
+nodes only when its build has raised.
 """
 
 from __future__ import annotations
@@ -104,13 +108,12 @@ _COMPILED = {kind: _compile(kind) for kind in PatternKind}
 _FORBIDDEN = (PatternKind.P5, PatternKind.HOUSE)
 _FORBIDDEN_TRIPLE = _FORBIDDEN + (PatternKind.C5,)
 
-# first_forbidden scans graphs with at most this many vertices whole, and
-# decompose scans them whole for a P5.  Here the decomposition costs about
-# what it saves: at n = 16, is_class_member took 0.169 ms whole against
-# 0.139 ms on the prime nodes for substitution members, 0.178 against
-# 0.325 ms for grown prime members; at n = 24, 0.78 against 0.31 ms and
-# 0.94 against 1.21 ms (medians of best-of-7 times, 2 vCPUs, Python 3.11).
-# It must be at least _PREFIX.
+# _p5_scan and first_forbidden scan graphs with at most this many vertices
+# whole.  Here the decomposition costs about what it saves: at n = 16,
+# is_class_member took 0.169 ms whole against 0.139 ms on the prime nodes
+# for substitution members, 0.178 against 0.325 ms for grown prime members;
+# at n = 24, 0.78 against 0.31 ms and 0.94 against 1.21 ms (medians of
+# best-of-7 times, 2 vCPUs, Python 3.11).  It must be at least _PREFIX.
 _WHOLE_GRAPH_MAX = 16
 
 # The v0 ranks of the P5 scan of the whole graph that comes before the
@@ -301,20 +304,33 @@ def _p5_prefix(g: Graph) -> PatternHit | None:
     return PatternHit(kind=PatternKind.P5, embedding=tuple(vs[i] for i in pos))
 
 
+def _p5_scan(g: Graph) -> PatternHit | None:
+    """The P5 scan of g that comes before its prime nodes are read: all of
+    g up to _WHOLE_GRAPH_MAX vertices, the copies whose v0 has one of the
+    first _PREFIX ranks above that.  A hit is g's first P5."""
+    if g.n <= _WHOLE_GRAPH_MAX:
+        return find_induced(g, PatternKind.P5)
+    return _p5_prefix(g)
+
+
 def _least_hit(g: Graph, nodes: list[Graph], kinds: tuple[PatternKind, ...]) -> PatternHit | None:
     """The least copy of the first of ``kinds`` that any of ``nodes``, the
     graphs of prime nodes of g (induced subgraphs), holds; None when none
     holds one.
 
-    When _p5_prefix has found no P5 in g, this is first_forbidden's hit.
+    When _p5_scan has found no P5 in g, this is first_forbidden's hit.
     Each pattern is prime, so a copy in g lies inside the smallest strong
     module holding it and meets each child of that module's node in one
     vertex at most; moving each vertex to the least vertex of its child
     gives a copy whose embedding, put in the pattern's canonical order, is
-    not greater, so g's least copy lies in that node's graph.  A P5 scan starts v0 past the vertices the prefix
-    covered, since no P5 of g begins at one of them."""
-    p5_from = g.vertices[_PREFIX]
+    not greater, so g's least copy lies in that node's graph.  P5 is looked
+    for only where _p5_scan left it open: v0 past the first _PREFIX ranks
+    of g, and not at all when the scan covered the whole graph."""
     for kind in kinds:
+        if kind is PatternKind.P5:
+            if g.n <= _WHOLE_GRAPH_MAX:
+                continue
+            p5_from = g.vertices[_PREFIX]
         best = None
         for h in nodes:
             vs = h.vertices
@@ -337,22 +353,22 @@ def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
     """The refutation of membership: the first induced P5, else the first
     house, else (with ``triple``) the first pentagon; None for a member.
 
-    Up to _WHOLE_GRAPH_MAX vertices each pattern is searched for in the
-    whole graph with find_induced.  Above that, a P5 scan of the whole
-    graph covers the first _PREFIX ranks at v0 (_p5_prefix); after a miss
-    the answer is read off the graphs of the prime nodes of one modular
-    decomposition of g (_least_hit), whose nodes are small on the
-    substitution trees this class is made of."""
+    A P5 scan comes first (_p5_scan).  After a miss, up to
+    _WHOLE_GRAPH_MAX vertices the house and C5 are searched for in the
+    whole graph with find_induced; above that, the answer is read off the
+    graphs of the prime nodes of one modular decomposition of g
+    (_least_hit), whose nodes are small on the substitution trees this
+    class is made of."""
+    hit = _p5_scan(g)
+    if hit is not None:
+        return hit
     kinds = _FORBIDDEN_TRIPLE if triple else _FORBIDDEN
     if g.n <= _WHOLE_GRAPH_MAX:
-        for kind in kinds:
+        for kind in kinds[1:]:
             hit = find_induced(g, kind)
             if hit is not None:
                 return hit
         return None
-    hit = _p5_prefix(g)
-    if hit is not None:
-        return hit
     return _least_hit(g, [g._induced(m) for m in _prime_representatives(g, 5)], kinds)
 
 

@@ -35,15 +35,16 @@ class TreeDocumentError(ValueError):
     pass
 
 
-def _fields(node: DecompTree, members: list[int] | None = None) -> dict:
-    """A node's fields other than its children, keys in sorted order."""
+def _fields(node: DecompTree) -> dict:
+    """A node's fields other than its children, keys in sorted order; a
+    substitution's members are left None for the writer to fill in."""
     if isinstance(node, SplitLeaf):
         cert = node.cert
         return {"clique": sorted(cert.clique), "kind": "split_leaf", "stable": sorted(cert.stable)}
     if isinstance(node, PentagonLeaf):
         return {"cycle": list(node.cycle), "kind": "pentagon_leaf"}
     if isinstance(node, Subst):
-        return {"kind": "subst", "marker": node.marker, "members": members}
+        return {"kind": "subst", "marker": node.marker, "members": None}
     r = node.roles
     return {
         "a": sorted(r.a_set), "b": sorted(r.b_set), "c": sorted(r.c_set),
@@ -67,7 +68,9 @@ def tree_to_document(tree: DecompTree, root_graph: Graph) -> str:
     """The document of a tree: json.dumps(doc, indent=2, sort_keys=True)'s
     bytes, emitted in one walk.  A node at depth d opens at indent 2 + 4d,
     its fields two further in, the children after a unification's a, b, c.
-    A node's value is its vertex set, a substitution's members its child's."""
+    An internal node's fields are built once, in down, and reach up with
+    the node.  A node's value is its vertex set, a substitution's members
+    its child's."""
     out = ['{\n  "node": ']
 
     def down(node, path):
@@ -76,16 +79,23 @@ def tree_to_document(tree: DecompTree, root_graph: Graph) -> str:
         if depth:
             out.append((",\n" if path[0] in (".child", ".part2") else "\n") + " " * (2 + 4 * depth))
         if kids:
+            fields = _fields(node)
             pad = "\n" + " " * (4 + 4 * depth)
-            before = (_entry(k, v, pad) + "," for k, v in _fields(node).items() if k < "children")
+            before = (_entry(k, v, pad) + "," for k, v in fields.items() if k < "children")
             out.append("{" + "".join(before) + pad + '"children": [')
+            return (node, fields), kids
         return node, kids
 
-    def up(node, path, kids) -> frozenset[int]:
+    def up(item, path, kids) -> frozenset[int]:
         pad = "\n" + " " * (4 + 4 * path[2])
-        subst = isinstance(node, Subst)
-        fields = _fields(node, sorted(kids[1]) if subst else None).items()
-        after = [_entry(k, v, pad) for k, v in fields if not kids or k > "children"]
+        if kids:
+            node, fields = item
+        else:
+            node, fields = item, _fields(item)
+        subst = type(node) is Subst
+        if subst:
+            fields["members"] = sorted(kids[1])
+        after = [_entry(k, v, pad) for k, v in fields.items() if not kids or k > "children"]
         out.append((pad + "]," if kids else "{") + ",".join(after) + pad[:-2] + "}")
         if subst:
             return kids[1] | (kids[0] - {node.marker})

@@ -7,7 +7,7 @@ from p5house import decomposer, oracle
 from p5house.census import labeled_graphs
 from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph, split_certificate
 from p5house.modular import find_proper_homogeneous_set, quotient_factor, substitute
-from p5house.oracle import PatternKind, find_special_h6, first_forbidden, is_class_member
+from p5house.oracle import PatternKind, find_induced, find_special_h6, first_forbidden, is_class_member
 from p5house.skewpart import ConstructionFailed
 from p5house.decomposer import (
     CoSgu,
@@ -415,7 +415,8 @@ def flip(rng, g):
 
 class TestWitness:
     """decompose rejects with first_forbidden's hit, although it scans
-    only the root for a P5 and only prime skeleton nodes for a house."""
+    only the root for a P5, and the skeleton's prime nodes for a house
+    only once its build has raised."""
 
     def test_every_graph_up_to_six_vertices(self):
         for triple in (False, True):
@@ -445,13 +446,15 @@ class TestWitness:
         hit = rejection(g)
         assert hit == first_forbidden(g) and set(hit.embedding) == set(house.vertices)
 
-    def test_pentagon_met_before_a_house_gives_the_house(self, scans):
+    def test_pentagon_met_before_a_house_gives_the_house(self, steps):
         # The house on 0..4 is the module split off first, so the walk
-        # reaches the pentagon (inside the quotient) before it; the house
-        # is then found on its own prime node, not by a scan of g.
+        # reaches the pentagon (inside the quotient) before it; the build
+        # raises at the house's prime node, whose house is the witness,
+        # with no scan of g for a house or a C5.
         g = Graph(range(10), HOUSE_EDGES + cycle_graph(range(5, 10)).edges())
         hit = rejection(g, triple=True)
-        assert scans == [(g, PatternKind.P5), (g.induced(range(5)), PatternKind.HOUSE)]
+        assert steps == [("scan", g, PatternKind.P5), ("raised",),
+                         ("least_hit", [g.induced(range(5))], oracle._FORBIDDEN)]
         assert hit == first_forbidden(g, triple=True) and hit.kind is PatternKind.HOUSE
 
     def test_pentagon_leaf_in_triple_mode_gives_its_c5(self):
@@ -474,19 +477,20 @@ class TestWitness:
         assert rejection(g) == expected and expected.kind is PatternKind.HOUSE
         assert rejection(g, triple=True) == expected
 
-    def test_least_hit_from_a_later_prime_node(self, scans):
-        # A house blown up by a house: the quotient's prime node is visited
-        # first, but the child's house, on lower ids, is the least.
+    def test_least_hit_from_a_later_prime_node(self, steps):
+        # A house blown up by a house: the build raises at the quotient's
+        # prime node, visited first, but the child's house, on lower ids,
+        # is the least.
         outer = on_ids(HOUSE_EDGES, [1, 20, 21, 22, 23])
         inner = on_ids(HOUSE_EDGES, [1, 2, 3, 4, 5])
         g = substitute(inner, outer, 1)
         for triple in (False, True):
             expected = first_forbidden(g, triple)
-            scans.clear()
+            steps.clear()
             assert rejection(g, triple) == expected
             assert set(expected.embedding) == set(inner.vertices)
-            assert scans == [(g, PatternKind.P5), (outer, PatternKind.HOUSE),
-                             (inner, PatternKind.HOUSE)]
+            assert steps == [("scan", g, PatternKind.P5), ("raised",),
+                             ("least_hit", [outer, inner], oracle._FORBIDDEN)]
 
     def test_least_c5_from_a_later_pentagon_leaf(self, scans):
         # The same with pentagons: a member, but in triple mode the least
@@ -533,6 +537,37 @@ def scans(monkeypatch):
     return log
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """decompose's steps in call order: ("scan", graph, kind) for every
+    oracle.find_induced call, ("built",) or ("raised",) as the build ends,
+    ("least_hit", nodes, kinds) for every oracle._least_hit call."""
+    log = []
+    find, build, least_hit = oracle.find_induced, decomposer._build, oracle._least_hit
+
+    def find_logged(g, kind):
+        log.append(("scan", g, kind))
+        return find(g, kind)
+
+    def build_logged(skeleton, events):
+        try:
+            tree = build(skeleton, events)
+        except Exception:
+            log.append(("raised",))
+            raise
+        log.append(("built",))
+        return tree
+
+    def least_hit_logged(g, nodes, kinds):
+        log.append(("least_hit", nodes, kinds))
+        return least_hit(g, nodes, kinds)
+
+    monkeypatch.setattr(oracle, "find_induced", find_logged)
+    monkeypatch.setattr(decomposer, "_build", build_logged)
+    monkeypatch.setattr(oracle, "_least_hit", least_hit_logged)
+    return log
+
+
 def is_prime_node(g):
     return (
         split_certificate(g) is None
@@ -547,23 +582,44 @@ class TestOraclePlacement:
         assert isinstance(decompose(g), SplitLeaf)
         assert scans == [(g, PatternKind.P5)]
 
-    def test_house_scans_run_on_prime_nodes_only(self, scans, monkeypatch):
-        g = substitute(h6().complement(), on_ids(H6_EDGES, range(10, 16)), 10)
+    def test_member_gets_only_the_p5_scan(self, steps, monkeypatch):
+        # The finished tree certifies a member: one pattern scan, the P5
+        # scan of g (over the prefix ranks above the size limit), whatever
+        # unification steps the build takes.
+        kernels = []
+        kernel = oracle._kernel
+
+        def kernel_logged(masks, cycle, first=0, stop=None):
+            kernels.append((masks, cycle, first, stop))
+            return kernel(masks, cycle, first, stop)
+
+        monkeypatch.setattr(oracle, "_kernel", kernel_logged)
         unified = []
         real = decomposer._unification_step
 
-        def logged(h, observer):
-            unified.append(len(scans))
-            return real(h, observer)
+        def logged(h, events):
+            unified.append(h)
+            return real(h, events)
 
         monkeypatch.setattr(decomposer, "_unification_step", logged)
-        t = decompose(g)
-        assert verify_tree(t, g).ok
-        certify = scans[: unified[0]]
-        assert certify[0] == (g, PatternKind.P5)
-        houses = [h for h, kind in certify[1:] if kind is PatternKind.HOUSE]
-        assert len(houses) == len(certify) - 1 == 2
-        assert all(h is not g and is_prime_node(h) for h in houses)
+        rng = random.Random(915)
+        graphs = [substitute(h6().complement(), on_ids(H6_EDGES, range(10, 16)), 10)]
+        graphs += [substitution_member(rng, rng.randint(20, 41)) for _ in range(20)]
+        for g in graphs:
+            for triple in (False, True):
+                if triple and not is_class_member(g, triple=True):
+                    continue
+                steps.clear()
+                kernels.clear()
+                t = decompose(g, triple=triple)
+                assert verify_tree(t, g).ok
+                if g.n <= oracle._WHOLE_GRAPH_MAX:
+                    assert steps == [("scan", g, PatternKind.P5), ("built",)]
+                    assert kernels == [(g._masks, False, 0, None)]
+                else:
+                    assert steps == [("built",)]
+                    assert kernels == [(g._masks, False, 0, oracle._PREFIX)]
+        assert len(unified) >= 10
 
     def test_p5_rejection_takes_no_homogeneous_set_search(self, monkeypatch):
         calls = []
@@ -602,11 +658,19 @@ class TestOraclePlacement:
         assert verify_tree(t, g).ok
         assert len(factors) == 4 and roots == [g] + factors
 
-    def test_house_rejection_after_a_member_prime_node(self, scans, monkeypatch):
+    def test_house_rejection_after_a_member_prime_node(self, steps, monkeypatch):
+        # The build unifies the member's prime node, an H6, before it
+        # raises at the house's: the events it held are never handed over.
         module = Graph([10, 11, 12, 13, 14, 15], on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]).edges())
         g = substitute(module, h6(), 0)
-        searched = []
-        monkeypatch.setattr(decomposer, "find_special_h6", searched.append)
+        held = []
+        notify = decomposer._notify
+
+        def notify_logged(events, method, *args):
+            held.append(method)
+            notify(events, method, *args)
+
+        monkeypatch.setattr(decomposer, "_notify", notify_logged)
         events = []
 
         class Obs:
@@ -617,16 +681,16 @@ class TestOraclePlacement:
                 events.append(args)
 
         expected = first_forbidden(g)
-        scans.clear()
+        steps.clear()
         with pytest.raises(NotClassMember) as err:
             decompose(g, observer=Obs())
         assert err.value.hit == expected and expected.kind is PatternKind.HOUSE
-        assert scans[0] == (g, PatternKind.P5)
-        houses = [h for h, kind in scans[1:] if kind is PatternKind.HOUSE]
-        assert len(houses) == len(scans) - 1 == 2
-        assert all(h != g and is_prime_node(h) for h in houses)
-        assert is_class_member(houses[0]) and not is_class_member(houses[1])
-        assert searched == [] and events == []
+        scan, raised, (name, nodes, kinds) = steps
+        assert scan == ("scan", g, PatternKind.P5) and raised == ("raised",)
+        assert name == "least_hit" and kinds == oracle._FORBIDDEN
+        assert len(nodes) == 2 and all(h != g and is_prime_node(h) for h in nodes)
+        assert is_class_member(nodes[0]) and not is_class_member(nodes[1])
+        assert held == ["on_skew_decomposition", "on_factor"] and events == []
 
     def test_refutations_make_no_whole_graph_house_scan(self, scans, monkeypatch):
         # House-only near-members above the size limit: one P5 scan of g
@@ -735,6 +799,8 @@ class TestUnificationChecksOnce:
             _check_skew(work, work._mask_of(sp.x), work._mask_of(sp.y))
         for pair in events.factor:
             assert _pair_violation(pair) is None
+            for part in (pair.g1, pair.g2):
+                assert first_forbidden(part, triple=True) is None
 
     def test_each_check_runs_once_per_unification_step(self, monkeypatch):
         from p5house import divide, skewpart
@@ -795,6 +861,47 @@ class TestUnificationChecksOnce:
                 "_divide_holds": steps,
                 "_pair_violation": 0,
             }
+
+
+class TestBuildCertifies:
+    """The two claims decompose rests on: a non-member never finishes its
+    build, and a member's C5, if any, sits in a pentagon leaf of its
+    skeleton (Fouquet: a prime graph with no P5 and no house that holds a
+    C5 is that C5)."""
+
+    def test_no_non_member_finishes_its_build(self):
+        rng = random.Random(917)
+        near = []
+        for _ in range(300):
+            g = flip(rng, substitution_member(rng, rng.randint(8, 41)))
+            near += [g, g.complement()]
+        refuted = {}
+        for corpus, graphs in (("labelled", (g for n in range(7) for g in labeled_graphs(n))),
+                               ("near", near)):
+            refuted[corpus] = 0
+            for g in graphs:
+                if is_class_member(g):
+                    continue
+                refuted[corpus] += 1
+                with pytest.raises(Exception) as err:
+                    decomposer._build(decomposer._skeleton(g), None)
+                assert not isinstance(err.value, NotClassMember)
+        assert refuted["labelled"] == 13_560 and refuted["near"] >= 500
+
+    def test_member_c5_only_in_pentagon_leaves(self):
+        from p5house.generator import GenConfig, generate
+
+        graphs = [g for n in range(7) for g in labeled_graphs(n) if is_class_member(g)]
+        for s in range(300):
+            g = generate(GenConfig(seed=s, max_depth=3))[0]
+            graphs += [g, g.complement()]
+        primes = 0
+        for g in graphs:
+            for step in decomposer._skeleton(g):
+                if type(step) is Graph:
+                    primes += 1
+                    assert find_induced(step, PatternKind.C5) is None
+        assert primes >= 700
 
 
 def reference_skeleton(g):
