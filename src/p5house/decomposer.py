@@ -28,6 +28,10 @@ module.  In triple mode a member's C5 lies in a pentagon leaf, since a
 prime graph with no P5 and no house that holds a C5 is that C5 (Fouquet,
 Discrete Math. 121, 1993).  Observer events are held during the build and
 handed over once the tree is finished and accepted.
+
+The build makes no check beyond these.  The skew-partition lemma suite
+(skewpart.lemma_violations) and the usability of the maximized partition
+hold on every member by the paper's lemmas; the tests check them.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from functools import partial
 from typing import Union
 
 from .graph import Graph, SplitCert, _split_cert
-from .modular import _Node, _cut, _pick, is_homogeneous, substitute
+from .modular import _Node, _cut, _pick, substitute
 from . import oracle, skewpart
 from .oracle import PatternHit, PatternKind, find_special_h6
 from .skewpart import CaseTag, ConstructionFailed, NeitherCaseHolds, SkewPartition
@@ -156,15 +160,10 @@ def _run_pipeline(work: Graph, hit, events) -> tuple[bool, ComposablePair]:
     x, y = skewpart._maximize(work, *skewpart._construct_on(work, hit))
     sp = SkewPartition(x=work._set_of(x), y=work._set_of(y))
     d, dm = skewpart._decompose(work, x, y)
-    if not skewpart._usable_a(dm):
-        raise InternalStructureError("maximized skew-partition of a prime member is not usable")
     try:
         case = skewpart._classify(work, d, dm)
     except NeitherCaseHolds as exc:
         raise InternalStructureError(str(exc)) from exc
-    bad = skewpart._lemma_violations(work, d, dm)
-    if bad:
-        raise InternalStructureError("; ".join(bad))
     _notify(events, "on_skew_decomposition", work, sp, d, case)
     flipped = False
     if case.tag is CaseTag.CASE4:
@@ -181,9 +180,6 @@ def _run_pipeline(work: Graph, hit, events) -> tuple[bool, ComposablePair]:
             ) from exc
         if case.tag is not CaseTag.CASE3:
             raise InternalStructureError("swapped witness classified wrong side")
-        bad = skewpart._lemma_violations(work, d, dm)
-        if bad:
-            raise InternalStructureError("; ".join(bad))
         _notify(events, "on_skew_decomposition", work, sp, d, case)
         flipped = True
     divide = build_divide(work, case)
@@ -218,13 +214,6 @@ def _unification_step(g: Graph, events) -> tuple[bool, ComposablePair]:
             "no decorated H6 in a prime non-split member or its complement"
         )
     raise InternalStructureError(f"both construction sides failed: {failure}")
-
-
-def _shrunk(parent: Graph, kids: tuple[Graph, Graph]) -> tuple[Graph, Graph]:
-    for kid in kids:
-        if kid.n >= parent.n:
-            raise InternalStructureError("child graph failed to shrink")
-    return kids
 
 
 def _induced(g: Graph, m: int) -> Graph:
@@ -284,9 +273,10 @@ def _skeleton(g: Graph) -> list:
 def _unification_node(g: Graph, events):
     """The last branch, at a prime node: a unification's constructor with
     its two factors, which finish their own builds only if they are
-    members."""
+    members.  Both are smaller than g: the divide conditions ask for
+    |A|, |C| >= 2."""
     co, pair = _unification_step(g, events)
-    return partial(CoSgu if co else Sgu, roles=pair.roles), _shrunk(g, (pair.g1, pair.g2))
+    return partial(CoSgu if co else Sgu, roles=pair.roles), (pair.g1, pair.g2)
 
 
 def _build(skeleton: list, events) -> DecompTree:
@@ -488,10 +478,10 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
 
     Verifies the recomposition equals g label-exactly, every split leaf's
     certificate, every pentagon leaf's cyclic order, every substitution
-    node's proper homogeneous set, every unification node's pair conditions,
-    and strict shrinking at internal nodes.  Failures are report entries
-    (path, message); nothing raises.  The depth and leaf counts come from
-    the same walk.
+    node's proper substituted set (a module by construction), every
+    unification node's pair conditions, and strict shrinking at internal
+    nodes.  Failures are report entries (path, message); nothing raises.
+    The depth and leaf counts come from the same walk.
     """
     report = TreeReport()
     failures = report.failures
@@ -531,8 +521,6 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
                 return None
             if not 2 <= gc.n <= composed.n - 1:
                 fail(path, "substituted set is not proper")
-            elif not is_homogeneous(composed, gc.vertex_set):
-                fail(path, "substituted set is not homogeneous")
         elif isinstance(node, (Sgu, CoSgu)):
             try:
                 glued = unify(ComposablePair(g1=kids[0], g2=kids[1], roles=node.roles))

@@ -22,7 +22,7 @@ from typing import Iterator
 from .graph import Graph, SplitCert
 from .modular import substitute
 from .decomposer import CoSgu, DecompTree, NotClassMember, PentagonLeaf, Sgu, SplitLeaf, Subst, decompose, _pentagon_cycle
-from .divide import ComposablePair, PairRoles, unify, _pair_violation
+from .divide import ComposablePair, PairRoles, unify
 
 __all__ = [
     "GenConfig",
@@ -123,7 +123,8 @@ def random_composable_pair(
     the inside of A, B, C is uniform random, L is a clique, T stable, and
     every forced cross-role adjacency follows the pair conditions.  Each
     L-vertex gets a proper nonempty neighborhood in A, so it is mixed on A.
-    No class-membership filtering happens here.
+    Neither the pair conditions nor class membership are checked here:
+    unify checks the conditions when _gen_node glues the pair.
     """
     ids = ids if ids is not None else itertools.count(0)
     a_set = [next(ids) for _ in range(rng.randint(2, 4))]
@@ -168,9 +169,6 @@ def random_composable_pair(
             marker_c=marker_c,
         ),
     )
-    bullet = _pair_violation(pair)
-    if bullet is not None:
-        raise RuntimeError(f"constructed pair invalid: {bullet}")
     return pair
 
 

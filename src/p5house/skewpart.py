@@ -8,7 +8,9 @@ six-tuple produces the witness the divide construction consumes.
 
 Each obligation is checked once: the public functions check their input,
 then run private bodies on masks, which the decomposer chains without
-re-checking what the stage before has just built.
+re-checking what the stage before has just built.  The lemma suite
+(lemma_violations, with usability) holds on every six-tuple of a prime
+member, so the decomposer leaves it to the tests.
 """
 
 from __future__ import annotations
@@ -243,9 +245,6 @@ def _construct_on(work: Graph, hit: H6Hit) -> tuple[int, int]:
              "minimal clone neighborhood is not complete to the clone class")
     y = ac["c_set"] | n_set | (clone_b & ~b1) | bit[b] | bit[c]
     x = work._full_mask() & ~y
-    _require(x == ac["a_set"] | ac["b_set"] | ac["clone_a"] | ac["clone_d"]
-             | (clone_c & ~n_set) | bit[a] | bit[d] | b1,
-             "partition does not match its intended composition")
     _require(bool(clone_c & ~n_set), "no clone of c escapes the minimal neighborhood")
     try:
         _check_skew(work, x, y)
@@ -335,10 +334,6 @@ def _decompose(g: Graph, x: int, y: int) -> tuple[SkewDecomposition, "_SixMasks"
         s &= ~m
     for m in y_parts:
         k &= ~m
-    if not g._stable(s):
-        raise RuntimeError("trivial-component leftovers are not a stable set")
-    if not g._clique(k):
-        raise RuntimeError("trivial-anti-component leftovers are not a clique")
     dm = _SixMasks(g, x_parts, y_parts, s, k)
     sets = g._set_of
     return SkewDecomposition(
@@ -482,6 +477,8 @@ def _twice(masks: list[int]) -> int:
 def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
     """Check every applicable skew-partition lemma against a six-tuple that
     arose from a prime class member; returns human-readable violations.
+    A member's six-tuples have none, so decompose does not call this; the
+    tests run it on the six-tuples decompose builds.
 
     Covered: single-part mixing (no vertex of one side is mixed on more than
     one non-trivial part of the other), mixed-witness existence and its
@@ -493,11 +490,7 @@ def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
     Each check is a mask test; where one fails, the offending vertices are
     listed in the order of the six-tuple's sets.
     """
-    return _lemma_violations(g, d, _six_masks(g, d))
-
-
-def _lemma_violations(g: Graph, d: SkewDecomposition, dm: _SixMasks) -> list[str]:
-    """lemma_violations on the six-tuple's masks, taken once."""
+    dm = _six_masks(g, d)
     out: list[str] = []
     pos = g._pos
 

@@ -196,6 +196,27 @@ class TestVerifyTree:
         rep = verify_tree(bad, g)
         assert not rep.ok
 
+    def test_one_vertex_substitution(self):
+        quotient = decompose(path_graph(range(3)))
+        child = decompose(Graph([7], []))
+        g = substitute(child.graph, quotient.graph, 1)
+        rep = verify_tree(Subst(quotient=quotient, child=child, marker=1), g)
+        assert rep.failures == [("root", "substituted set is not proper"),
+                                ("root", "children fail to shrink")]
+
+    def test_unification_with_one_vertex_a_side(self):
+        """A valid pair with |A| = 1: g2's marker stands in for A alone, so
+        g2 is as large as the glued graph."""
+        from p5house.divide import ComposablePair, PairRoles, unify
+
+        g1 = Graph([0, 1, 10], [(0, 1), (1, 10)])
+        g2 = Graph([1, 2, 3, 11], [(1, 2), (1, 3)])
+        roles = PairRoles(a_set=frozenset({0}), b_set=frozenset(), c_set=frozenset({2, 3}),
+                          l_set=frozenset({1}), t_set=frozenset(), marker_a=11, marker_c=10)
+        g = unify(ComposablePair(g1=g1, g2=g2, roles=roles))
+        t = Sgu(part1=decompose(g1), part2=decompose(g2), roles=roles)
+        assert verify_tree(t, g).failures == [("root", "children fail to shrink")]
+
 
 class TestProperties:
     def test_random_members_round_trip(self):
@@ -760,10 +781,10 @@ class _Events:
         self.factor = []
 
     def on_skew_decomposition(self, work, sp, d, case):
-        self.skew.append((work, sp))
+        self.skew.append((work, sp, d, case))
 
     def on_factor(self, work, divide, pair):
-        self.factor.append(pair)
+        self.factor.append((work, pair))
 
 
 class TestUnificationChecksOnce:
@@ -774,7 +795,7 @@ class TestUnificationChecksOnce:
         from p5house.divide import _pair_violation
         from p5house.generator import GenConfig, generate
         from p5house.oracle import validate_h6_hit
-        from p5house.skewpart import _check_skew
+        from p5house.skewpart import CaseTag, _check_skew, _six_masks, _usable_a, lemma_violations
 
         searched = []
         real = decomposer.find_special_h6
@@ -795,11 +816,19 @@ class TestUnificationChecksOnce:
         assert len(events.factor) >= 40 and len(hits) >= len(events.factor)
         for host, hit in hits:
             assert validate_h6_hit(host, hit)
-        for work, sp in events.skew:
+        # after a CASE4 event the six-tuple is rebuilt in the complement,
+        # where it need not be usable
+        flipped = False
+        for work, sp, d, case in events.skew:
             _check_skew(work, work._mask_of(sp.x), work._mask_of(sp.y))
-        for pair in events.factor:
+            assert work.is_stable(d.s) and work.is_clique(d.k)
+            assert lemma_violations(work, d) == []
+            assert flipped or _usable_a(_six_masks(work, d))
+            flipped = case.tag is CaseTag.CASE4
+        for work, pair in events.factor:
             assert _pair_violation(pair) is None
             for part in (pair.g1, pair.g2):
+                assert part.n < work.n
                 assert first_forbidden(part, triple=True) is None
 
     def test_each_check_runs_once_per_unification_step(self, monkeypatch):
@@ -841,6 +870,8 @@ class TestUnificationChecksOnce:
         count(skewpart._SixMasks, "__init__")
         count(divide, "_divide_holds")
         count(divide, "_pair_violation")
+        count(skewpart, "lemma_violations")
+        count(skewpart, "_usable_a")
         # (graph, unification steps, six-tuples): a step on the
         # anti-component side builds a second six-tuple in the complement
         for g, steps, six_tuples in ((h6(), 1, 1), (h6().complement(), 1, 1),
@@ -860,6 +891,8 @@ class TestUnificationChecksOnce:
                 "__init__": six_tuples,
                 "_divide_holds": steps,
                 "_pair_violation": 0,
+                "lemma_violations": 0,
+                "_usable_a": 0,
             }
 
 
