@@ -6,6 +6,10 @@ are substitutions, split graph unifications, or split graph unifications in
 the complement.  recompose() inverts it label-exactly; verify_tree() checks
 every obligation a tree carries.  All tree walks, documents included, run
 on one explicit-stack fold (_walk), clear of interpreter recursion limits.
+recompose() and verify_tree() take each maximal run of substitution nodes
+as one node of the walk and compose it with modular._compose, which ranks
+the run's vertex ids once: a Graph is built only for the result of a run,
+at a unification node, and at a leaf (which holds one already).
 
 Branch order: split leaf, pentagon leaf, substitution, unification.  The
 last branch only ever fires on prime, non-split, pentagon-free graphs, where
@@ -41,7 +45,7 @@ from functools import partial
 from typing import Union
 
 from .graph import Graph, SplitCert, _split_cert
-from .modular import _Node, _cut, _pick, substitute
+from .modular import _Node, _compose, _cut, _pick, _problem
 from . import oracle, skewpart
 from .oracle import PatternHit, PatternKind, find_special_h6
 from .skewpart import CaseTag, ConstructionFailed, NeitherCaseHolds, SkewPartition
@@ -342,43 +346,38 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     return tree
 
 
-def _walk(root, ctx, down, up):
+def _walk(root, ctx, down, up, leaves=()):
     """Fold a tree into its root's value on an explicit stack.  down(item,
     ctx), called in preorder, checks an item and gives the node it stands
-    for and its two children as (item, context) pairs, or none for a leaf;
+    for and its children as (item, context) pairs, or none for a leaf;
     up(node, ctx, values), in postorder, combines the children's values.
-    A lone leaf and a node over two leaves skip the stack.  A context is a
-    (label, parent, payload) chain that _render turns into a path such as
-    "root.quotient.child"; the payload is a depth or a document's graph."""
+    An item whose type is in ``leaves`` goes straight to up(item, ctx, ()).
+    A context is a (label, parent, payload) chain that _render turns into a
+    path such as "root.quotient.child"; the payload is a depth or a
+    document's graph."""
+    if type(root) in leaves:
+        return up(root, ctx, ())
     node, kids = down(root, ctx)
     if not kids:
         return up(node, ctx, ())
-    (first, first_ctx), (second, second_ctx) = kids
-    first, grandkids = down(first, first_ctx)
-    if grandkids:
-        ancestors = [(node, ctx, kids, [])]
-        node, ctx, kids, values = first, first_ctx, grandkids, []
-    else:
-        values = [up(first, first_ctx, ())]
-        second, grandkids = down(second, second_ctx)
-        if not grandkids:
-            values.append(up(second, second_ctx, ()))
-            return up(node, ctx, values)
-        ancestors = [(node, ctx, kids, values)]
-        node, ctx, kids, values = second, second_ctx, grandkids, []
+    ancestors = []
+    rest, values = iter(kids), []
     while True:
-        item, kid_ctx = kids[len(values)]
-        kid, grandkids = down(item, kid_ctx)
-        if grandkids:
-            ancestors.append((node, ctx, kids, values))
-            node, ctx, kids, values = kid, kid_ctx, grandkids, []
-            continue
-        values.append(up(kid, kid_ctx, ()))
-        while len(values) == 2:
+        for item, kid_ctx in rest:
+            if type(item) in leaves:
+                values.append(up(item, kid_ctx, ()))
+                continue
+            kid, grandkids = down(item, kid_ctx)
+            if grandkids:
+                ancestors.append((node, ctx, rest, values))
+                node, ctx, rest, values = kid, kid_ctx, iter(grandkids), []
+                break
+            values.append(up(kid, kid_ctx, ()))
+        else:
             value = up(node, ctx, values)
             if not ancestors:
                 return value
-            node, ctx, kids, values = ancestors.pop()
+            node, ctx, rest, values = ancestors.pop()
             values.append(value)
 
 
@@ -416,38 +415,111 @@ def _tree_kids(node, path):
     return node, kids
 
 
-def _recompose_node(node, path, kids) -> Graph:
-    if isinstance(node, (SplitLeaf, PentagonLeaf)):
+_LEAVES = (SplitLeaf, PentagonLeaf)
+
+
+def _run_kids(node, path):
+    """The top-down hook of recompose and verify_tree.  A maximal run of
+    substitution nodes (a substitution and every substitution directly
+    below it) is one node over its frontier, the leaves and unification
+    nodes where the run stops.  The node is (the run's substitutions for
+    modular._compose; the same, each as its node and path; the frontier in
+    order, each leaf with its path and None for any other node), and its
+    children are the frontier's other nodes with their paths, so the walk
+    meets no leaf of a run.  A unification node has its two parts as
+    children."""
+    kind = type(node)
+    if kind is Subst:
+        subs, substs, frontier, kids = [], [], [], []
+        stack = [(node, path, None, 0)]
+        while stack:
+            node, path, parent, part = stack.pop()
+            kind = type(node)
+            if kind is Subst:
+                if parent is not None:
+                    parent[part] = -len(subs)
+                record = [node.marker, 0, 0]
+                subs.append(record)
+                substs.append((node, path))
+                depth = path[2] + 1
+                stack.append((node.child, (".child", path, depth), record, 2))
+                stack.append((node.quotient, (".quotient", path, depth), record, 1))
+            else:
+                parent[part] = len(frontier)
+                if kind is SplitLeaf or kind is PentagonLeaf:
+                    frontier.append((node, path))
+                else:
+                    frontier.append(None)
+                    kids.append((node, path))
+        return (subs, substs, frontier), kids
+    if kind is Sgu or kind is CoSgu:
+        depth = path[2] + 1
+        return node, ((node.part1, (".part1", path, depth)), (node.part2, (".part2", path, depth)))
+    return node, ()
+
+
+_BRANCH = {"quotient": 0, "child": 1, "part1": 0, "part2": 1}
+
+
+def _postorder(path: str) -> list[int]:
+    """Sort key that puts nodes in postorder by their paths."""
+    return [_BRANCH[label] for label in path.split(".")[1:]] + [2]
+
+
+def _recompose_node(node, path, kids):
+    """recompose's bottom-up hook: a node's graph, or the MalformedTree of
+    the first node in postorder that does not compose, handed up as a value
+    so that a run can tell whether one of its own substitutions fails
+    first."""
+    kind = type(node)
+    if kind is tuple:  # a run of substitutions
+        subs, substs, frontier = node
+        rest = iter(kids)
+        graphs = [next(rest) if item is None else item[0].graph for item in frontier]
+        checks, g = _compose(subs, graphs)
+        if g is not None:
+            return g
+        errors = [value for value in kids if type(value) is not Graph]
+        for i, overlap, _, _ in checks:
+            if overlap is None or overlap:
+                sub, sub_path = substs[i]
+                reason = (f"marker {sub.marker} missing from quotient" if overlap is None
+                          else _problem(sub.marker, overlap))
+                errors.append(MalformedTree(_render(sub_path), reason))
+        return min(errors, key=lambda err: _postorder(err.path))
+    if kind is SplitLeaf or kind is PentagonLeaf:
         return node.graph
-    if isinstance(node, Subst):
-        quotient, child = kids
-        if node.marker not in quotient:
-            raise MalformedTree(_render(path), f"marker {node.marker} missing from quotient")
+    if kind is Sgu or kind is CoSgu:
+        for value in kids:
+            if type(value) is not Graph:
+                return value
         try:
-            return substitute(child, quotient, node.marker)
-        except ValueError as exc:
-            raise MalformedTree(_render(path), str(exc)) from exc
-    if isinstance(node, (Sgu, CoSgu)):
-        g1, g2 = kids
-        pair = ComposablePair(g1=g1, g2=g2, roles=node.roles)
-        try:
-            glued = unify(pair)
+            glued = unify(ComposablePair(g1=kids[0], g2=kids[1], roles=node.roles))
         except Exception as exc:
-            raise MalformedTree(_render(path), str(exc)) from exc
-        return glued.complement() if isinstance(node, CoSgu) else glued
-    raise MalformedTree(_render(path), f"unknown node type {type(node).__name__}")
+            err = MalformedTree(_render(path), str(exc))
+            err.__cause__ = exc
+            return err
+        return glued.complement() if kind is CoSgu else glued
+    return MalformedTree(_render(path), f"unknown node type {kind.__name__}")
 
 
 def recompose(t: DecompTree) -> Graph:
     """Rebuild the graph a tree stands for, label-exactly.
 
-    Leaves are taken as-is (their certificates are verify_tree's business);
-    internal nodes apply substitution, unification, or complemented
-    unification.  Structural problems raise MalformedTree with the node
-    path."""
-    if isinstance(t, (SplitLeaf, PentagonLeaf)):  # the commonest tree, off the walk
+    Leaves are taken as-is (their certificates are verify_tree's business).
+    Each maximal run of substitution nodes is composed at once
+    (modular._compose): its frontier's vertex ids are ranked once, and a
+    graph is built only for the run's result, so a chain of substitutions
+    costs time linear in its size.  A unification node glues its parts'
+    graphs (complemented for CoSgu).  Structural problems raise
+    MalformedTree with the path of the first failing node in postorder."""
+    kind = type(t)
+    if kind is SplitLeaf or kind is PentagonLeaf:  # the commonest tree, off the walk
         return t.graph
-    return _walk(t, _ROOT, _tree_kids, _recompose_node)
+    g = _walk(t, _ROOT, _run_kids, _recompose_node, _LEAVES)
+    if type(g) is not Graph:
+        raise g
+    return g
 
 
 @dataclass
@@ -469,7 +541,7 @@ class TreeReport:
 def tree_stats(t: DecompTree) -> tuple[int, dict[str, int]]:
     """(depth, leaf counts by kind); a lone leaf has depth 0."""
     report = TreeReport()
-    _walk(t, _ROOT, _tree_kids, lambda node, path, kids: kids or report._tally(node, path))
+    _walk(t, _ROOT, _tree_kids, lambda node, path, kids: kids or report._tally(node, path), _LEAVES)
     return report.depth, report.leaf_counts
 
 
@@ -480,8 +552,15 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
     certificate, every pentagon leaf's cyclic order, every substitution
     node's proper substituted set (a module by construction), every
     unification node's pair conditions, and strict shrinking at internal
-    nodes.  Failures are report entries (path, message); nothing raises.
-    The depth and leaf counts come from the same walk.
+    nodes.  Failures are report entries (path, message), in the postorder
+    of their nodes; nothing raises.  The depth and leaf counts come from
+    the same walk.
+
+    Substitutions are checked on vertex sets, a run of them at a time
+    (modular._compose): the marker lies in the quotient, the rest of the
+    quotient and the child share no id, the child is proper, and both
+    children are smaller than the result.  A graph is built only for the
+    parts of a unification node and for the final comparison with g.
     """
     report = TreeReport()
     failures = report.failures
@@ -489,53 +568,71 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
     def fail(path, reason: str) -> None:
         failures.append((_render(path), reason))
 
-    def check(node, path, kids) -> Graph | None:
-        if not kids:
-            report._tally(node, path)
-        elif None in kids:
-            return None
-        if isinstance(node, SplitLeaf):
-            gr, cert = node.graph, node.cert
-            if cert.clique | cert.stable != gr.vertex_set or cert.clique & cert.stable:
+    def leaf(node, path) -> Graph:
+        report._tally(node, path)
+        gr = node.graph
+        if type(node) is SplitLeaf:
+            cert = node.cert
+            try:
+                clique, stable = gr._mask_of(cert.clique), gr._mask_of(cert.stable)
+            except ValueError:  # an id outside the leaf
+                clique = stable = -1
+            if clique | stable != gr._full_mask() or clique & stable:
                 fail(path, "certificate does not partition the leaf")
-            elif not gr.is_clique(cert.clique) or not gr.is_stable(cert.stable):
+            elif not gr._clique(clique) or not gr._stable(stable):
                 fail(path, "certificate sides are not clique/stable")
             return gr
-        if isinstance(node, PentagonLeaf):
-            gr, cyc = node.graph, node.cycle
-            if not (
-                gr.n == 5
-                and set(cyc) == set(gr.vertex_set)
-                and len(cyc) == 5
-                and all(gr.has_edge(cyc[i], cyc[(i + 1) % 5]) for i in range(5))
-                and gr.edge_count == 5
-            ):
-                fail(path, "leaf is not the claimed pentagon")
-            return gr
-        if isinstance(node, Subst):
-            gq, gc = kids
-            try:
-                composed = substitute(gc, gq, node.marker)
-            except ValueError as exc:
-                fail(path, f"substitution impossible: {exc}")
+        cyc = node.cycle
+        if not (
+            gr.n == 5
+            and set(cyc) == set(gr.vertex_set)
+            and len(cyc) == 5
+            and all(gr.has_edge(cyc[i], cyc[(i + 1) % 5]) for i in range(5))
+            and gr.edge_count == 5
+        ):
+            fail(path, "leaf is not the claimed pentagon")
+        return gr
+
+    def check(node, path, kids) -> Graph | None:
+        kind = type(node)
+        if kind is SplitLeaf or kind is PentagonLeaf:
+            return leaf(node, path)
+        if kind is tuple:  # a run of substitutions
+            subs, substs, frontier = node
+            rest = iter(kids)
+            graphs = [next(rest) if item is None else leaf(*item) for item in frontier]
+            checks, composed = _compose(subs, graphs)
+            for i, overlap, q, c in checks:
+                sub, sub_path = substs[i]
+                if overlap is None or overlap:
+                    fail(sub_path, f"substitution impossible: {_problem(sub.marker, overlap)}")
+                    continue
+                qn, cn = q.bit_count(), c.bit_count()
+                n = qn + cn - 1
+                if not 2 <= cn <= n - 1:
+                    fail(sub_path, "substituted set is not proper")
+                if qn >= n or cn >= n:
+                    fail(sub_path, "children fail to shrink")
+            return composed
+        if kind is Sgu or kind is CoSgu:
+            if None in kids:
                 return None
-            if not 2 <= gc.n <= composed.n - 1:
-                fail(path, "substituted set is not proper")
-        elif isinstance(node, (Sgu, CoSgu)):
             try:
                 glued = unify(ComposablePair(g1=kids[0], g2=kids[1], roles=node.roles))
             except InvalidPair as exc:
                 fail(path, str(exc))
                 return None
-            composed = glued.complement() if isinstance(node, CoSgu) else glued
-        else:
-            fail(path, f"unknown node type {type(node).__name__}")
-            return None
-        if kids[0].n >= composed.n or kids[1].n >= composed.n:
-            fail(path, "children fail to shrink")
-        return composed
+            composed = glued.complement() if kind is CoSgu else glued
+            if kids[0].n >= composed.n or kids[1].n >= composed.n:
+                fail(path, "children fail to shrink")
+            return composed
+        report._tally(node, path)
+        fail(path, f"unknown node type {kind.__name__}")
+        return None
 
-    rebuilt = _walk(t, _ROOT, _tree_kids, check)
+    rebuilt = _walk(t, _ROOT, _run_kids, check, _LEAVES)
+    if len(failures) > 1:  # a run's substitutions are checked after its whole frontier
+        failures.sort(key=lambda failure: _postorder(failure[0]))
     if rebuilt is not None and rebuilt != g:
         failures.append(("root", "recomposition does not match the input graph"))
     report.ok = not failures

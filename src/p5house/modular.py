@@ -252,36 +252,200 @@ def _lift(m: int, bits: list[int]) -> int:
     return out
 
 
+def _compose(subs: list, frontier: list) -> tuple[list, Graph | None]:
+    """Compose a run of substitutions: (checks, graph).
+
+    ``subs`` lists the run's substitutions in preorder, each as (marker,
+    quotient, child), where a part is the index of a frontier graph, or
+    minus the index of a substitution; the first is the run's root.
+    ``frontier`` holds, in preorder, the graphs the run takes as given, and
+    anything that is not a Graph for one that could not be built.  The
+    graph of a substitution is substitute(child, quotient, marker), but no
+    intermediate graph is built: the frontier's vertex ids are ranked once,
+    and every graph of the run is a vertex mask over those ranks.
+
+    Each substitution is checked on vertex sets.  ``checks`` holds
+    (substitution, overlap, quotient set, child set) for every substitution
+    none of whose descendants failed, children before parents; overlap is
+    _overlap's answer, a failure unless empty.  ``graph`` is the run's
+    graph, None after any failure.
+
+    A vertex of a frontier graph stands for the final vertices it expands
+    to: itself, unless an enclosing substitution consumes it as its marker,
+    and then the expansion of that substitution's child (which may hold the
+    marker of a substitution further up).  A final vertex is adjacent to
+    the expansions of its frontier neighbours and to all that the markers
+    of the substitutions whose child holds it are adjacent to; so a
+    marker's own mask is the outside mask of its substitution's child.
+
+    A run of one substitution, the commonest, is composed in one pass over
+    its two graphs.  A longer run takes two: the sets, from the last
+    substitution back, give each child's expansion; then the masks are
+    built from the root down, a quotient's frontier before its child's.
+    """
+    if len(subs) == 1:
+        q, c = frontier
+        if type(q) is not Graph or type(c) is not Graph:
+            return [], None
+        ids = sorted({*q._vs, *c._vs})
+        rank = {v: i for i, v in enumerate(ids)}
+        qbits = [1 << rank[x] for x in q._vs]
+        cbits = [1 << rank[x] for x in c._vs]
+        qset, cset = sum(qbits), sum(cbits)
+        b = rank.get(subs[0][0])
+        b = 0 if b is None else 1 << b
+        if not qset & b or qset & cset & ~b:
+            return [(0, _overlap(qset, cset, b, ids), qset, cset)], None
+        checks = [(0, (), qset, cset)]
+        masks = [0] * len(ids)
+        lift = qbits.copy()
+        lift[qbits.index(b)] = cset
+        outside = 0
+        for x, m in zip(qbits, q._masks):
+            out = 0
+            while m:
+                h = m & -m
+                m ^= h
+                out |= lift[h.bit_length() - 1]
+            if x == b:
+                outside = out
+            else:
+                masks[x.bit_length() - 1] = out
+        for x, m in zip(cbits, c._masks):
+            out = outside
+            while m:
+                h = m & -m
+                m ^= h
+                out |= cbits[h.bit_length() - 1]
+            masks[x.bit_length() - 1] = out
+        g = Graph._from_masks(tuple(ids), tuple(masks), rank)
+        kept = qset ^ b | cset
+        return checks, g if kept == (1 << len(ids)) - 1 else g._induced(kept)
+
+    ids = set()
+    for g in frontier:
+        if type(g) is Graph:
+            ids.update(g._vs)
+    ids = sorted(ids)
+    rank = {v: i for i, v in enumerate(ids)}
+    parts = []  # per frontier graph: its masks, its vertices' bits and their union
+    for g in frontier:
+        if type(g) is not Graph:
+            parts.append((None, None, None))
+        else:
+            bits = [1 << rank[x] for x in g._vs]
+            parts.append((g._masks, bits, sum(bits)))
+    checks = []
+    sets = [None] * len(subs)  # per substitution: the vertex set of its graph
+    for i in range(len(subs) - 1, -1, -1):
+        s, j, c = subs[i]
+        q = parts[j][2] if j >= 0 else sets[-j]
+        c = parts[c][2] if c >= 0 else sets[-c]
+        if q is None or c is None:
+            continue
+        b = rank.get(s)
+        b = 0 if b is None else 1 << b
+        overlap = _overlap(q, c, b, ids)
+        checks.append((i, overlap, q, c))
+        if overlap == ():
+            sets[i] = q ^ b | c
+    if sets[0] is None:
+        return checks, None
+
+    masks = [0] * len(ids)
+    consumed = {}  # marker bit -> [its expansion, its mask, ...] of the innermost consumer
+    k = outside = 0  # the marker bits consumed around, the inherited outside mask
+    reading = []  # the substitutions whose quotient is being read, innermost last
+    i = 0
+    while True:
+        while i >= 0:  # open substitution i and go down its quotients
+            s, j, c = subs[i]
+            b = 1 << rank[s]
+            m = parts[c][2] if c >= 0 else sets[-c]
+            hit = m & k
+            if hit:
+                m ^= hit
+                while hit:
+                    h = hit & -hit
+                    hit ^= h
+                    m |= consumed[h][0]
+            consumed[b] = entry = [m, 0, b, consumed.get(b), k, c]
+            reading.append(entry)
+            k |= b
+            i = -j if j < 0 else ~j
+        rows, bits, hit = parts[~i]
+        hit &= k  # the graph's vertices that markers around it consume
+        lift = bits
+        if hit:
+            lift = bits.copy()
+            h = hit
+            while h:
+                b = h & -h
+                h ^= b
+                lift[bits.index(b)] = consumed[b][0]
+        for b, m in zip(bits, rows):
+            out = outside
+            while m:
+                h = m & -m
+                m ^= h
+                out |= lift[h.bit_length() - 1]
+            if b & hit:
+                consumed[b][1] = out
+            else:
+                masks[b.bit_length() - 1] = out
+        if not reading:
+            break
+        # the innermost quotient being read is done: go on to its child
+        _, outside, b, shadowed, k, c = reading.pop()
+        if shadowed is None:
+            del consumed[b]
+        else:
+            consumed[b] = shadowed
+        i = -c if c < 0 else ~c
+    g = Graph._from_masks(tuple(ids), tuple(masks), rank)
+    return checks, g if sets[0] == (1 << len(ids)) - 1 else g._induced(sets[0])
+
+
+def _overlap(q: int, c: int, b: int, ids: list[int]) -> list[int] | tuple | None:
+    """One substitution checked on the vertex sets q of its quotient and c
+    of its child, b being its marker's bit: None when the marker is missing
+    from the quotient, else the ids the rest of the quotient shares with
+    the child, () when it shares none."""
+    if not q & b:
+        return None
+    both = q & c & ~b
+    out = []
+    while both:
+        h = both & -both
+        both ^= h
+        out.append(ids[h.bit_length() - 1])
+    return out or ()
+
+
+def _problem(u: int, overlap: list[int] | None) -> str | None:
+    """substitute's complaint about one substitution of a run, if any."""
+    if overlap is None:
+        return f"substitution site {u} is not a vertex of the outer graph"
+    if overlap:
+        return f"vertex ids {overlap} appear in both graphs"
+    return None
+
+
 def substitute(g1: Graph, g2: Graph, u: int) -> Graph:
-    """Substitute g1 for the vertex u of g2.
+    """Substitute g1 for the vertex u of g2: the run of one substitution.
 
     The result keeps g1 intact, keeps g2 minus u intact, and wires every
     remaining g2-vertex to all of g1 or none of it according to its
     adjacency with u.  Vertex sets must be disjoint, except that u itself
     may also appear in g1 (the marker convention used by quotient_factor,
-    which makes the round trip label-exact).
+    which makes the round trip label-exact).  recompose and verify_tree
+    compose whole runs of substitutions with the same kernel (_compose).
     """
-    if u not in g2:
-        raise ValueError(f"substitution site {u} is not a vertex of the outer graph")
-    ju = g2._pos[u]
-    outer = g2._vs[:ju] + g2._vs[ju + 1 :]
-    overlap = [v for v in outer if v in g1]
-    if overlap:
-        raise ValueError(f"vertex ids {overlap} appear in both graphs")
-    vs = tuple(sorted(g1._vs + outer))
-    pos = {v: i for i, v in enumerate(vs)}
-    bits1 = [1 << pos[v] for v in g1._vs]
-    bits2 = [1 << pos[v] if v != u else 0 for v in g2._vs]
-    mu = g2._masks[ju]
-    around_u = _lift(mu, bits2)
-    all1 = sum(bits1)
-    masks = [0] * len(vs)
-    for b, m in zip(bits1, g1._masks):
-        masks[b.bit_length() - 1] = _lift(m, bits1) | around_u
-    for j, (b, m) in enumerate(zip(bits2, g2._masks)):
-        if b:
-            masks[b.bit_length() - 1] = _lift(m, bits2) | (all1 if mu >> j & 1 else 0)
-    return Graph._from_masks(vs, tuple(masks), pos)
+    checks, g = _compose([(u, 0, 1)], [g2, g1])
+    problem = _problem(u, checks[0][1])
+    if problem:
+        raise ValueError(problem)
+    return g
 
 
 def quotient_factor(g: Graph, h: HomogeneousSet) -> tuple[Graph, Graph, int]:

@@ -314,6 +314,40 @@ class TestDeepTrees:
              "substitution impossible: substitution site 99 is not a vertex of the outer graph")
         ]
 
+    def test_depth_5000_with_markers_absent_from_their_child(self):
+        """Each level substitutes the chain so far for a fresh marker, so
+        every marker is dropped from the final graph."""
+        t = edgeless_leaf([0, 1])
+        for i in range(5000):
+            t = Subst(quotient=edgeless_leaf([10_000 + i, 20_000 + i]), child=t, marker=20_000 + i)
+        g = recompose(t)
+        assert g == Graph([0, 1] + [10_000 + i for i in range(5000)])
+        rep = verify_tree(t, g)
+        assert rep.ok, rep.failures[:1]
+        assert rep.depth == 5000
+
+    def test_depth_500_alternating_unification_and_substitution(self):
+        """Each level substitutes the tree so far for an A-vertex of a
+        composable pair's g1 (A may hold any graph) and glues the pair.  The
+        A-vertex has no neighbour, so that the graph stays sparse."""
+        from p5house.divide import PairRoles, unify, ComposablePair
+
+        t, g, ids = edgeless_leaf([0, 1]), Graph([0, 1]), itertools.count(2)
+        for _ in range(250):
+            a, a2, l, mc, c1, c2, ma = (next(ids) for _ in range(7))
+            g1 = Graph([a, a2, l, mc], [(l, a2), (mc, l)])
+            g2 = Graph([l, c1, c2, ma], [(l, c1), (l, c2)])
+            part1 = Subst(quotient=decompose(g1), child=t, marker=a)
+            roles = PairRoles(a_set=frozenset({a2}) | g.vertex_set, b_set=frozenset(),
+                              c_set=frozenset({c1, c2}), l_set=frozenset({l}), t_set=frozenset(),
+                              marker_a=ma, marker_c=mc)
+            g = unify(ComposablePair(g1=substitute(g, g1, a), g2=g2, roles=roles))
+            t = Sgu(part1=part1, part2=decompose(g2), roles=roles)
+        assert recompose(t) == g
+        rep = verify_tree(t, g)
+        assert rep.ok, rep.failures[:1]
+        assert rep.depth == 500
+
 
 # Prime, non-split members: the first has a decorated H6 in itself and in its
 # complement; the complement of H6 has one only in its complement.
