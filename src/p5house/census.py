@@ -17,7 +17,7 @@ from .oracle import PatternKind, find_induced, is_class_member, validate_hit
 from .modular import find_proper_homogeneous_set
 from .decomposer import NotClassMember, SplitLeaf, Subst, decompose, verify_tree
 
-__all__ = ["SweepRow", "SweepResult", "pair_table", "labeled_graphs", "graph_from_pair_mask", "run_sweep", "member_masks"]
+__all__ = ["SweepRow", "SweepResult", "pair_table", "labeled_graphs", "graph_from_pair_mask", "run_sweep"]
 
 
 def pair_table(n: int) -> list[tuple[int, int]]:
@@ -120,25 +120,16 @@ def run_sweep(
     return SweepResult(rows=rows)
 
 
-def member_masks(n: int) -> list[int]:
-    """Edge masks of the n-vertex class members (pentagon allowed)."""
-    pairs = pair_table(n)
-    out = []
-    for mask in range(1 << len(pairs)):
-        if is_class_member(graph_from_pair_mask(n, mask, pairs)):
-            out.append(mask)
-    return out
-
-
 def extend_members(n: int, base_masks: list[int]) -> Iterator[Graph]:
     """All (n+1)-vertex members, derived from the n-vertex member masks.
 
-    Precondition: every mask in ``base_masks`` is a member on 0..n-1 (as
-    ``member_masks(n)`` gives).  Every member on n+1 vertices restricts to a
-    member on the first n, so attaching the new vertex to each base member
-    in all 2^n ways covers the class.  Any P5 or house in an extension then
-    passes through the new vertex, so the whole-graph membership test
-    decides exactly what a search pinned to the new vertex would.
+    Precondition: every mask in ``base_masks`` is the edge mask of a
+    member on 0..n-1, in pair_table(n)'s bit order.  Every member on n+1
+    vertices restricts to a member on the first n, so attaching the new
+    vertex to each base member in all 2^n ways covers the class.  Any P5
+    or house in an extension then passes through the new vertex, so the
+    whole-graph membership test decides exactly what a search pinned to
+    the new vertex would.
     """
     pairs = pair_table(n + 1)
     for base in base_masks:

@@ -48,7 +48,7 @@ from .graph import Graph, SplitCert, _split_cert
 from .modular import _Node, _compose, _cut, _pick, _problem
 from . import oracle, skewpart
 from .oracle import PatternHit, PatternKind, find_special_h6
-from .skewpart import CaseTag, ConstructionFailed, NeitherCaseHolds, SkewPartition
+from .skewpart import CaseTag, ConstructionFailed, SkewPartition, UsableCase
 from .divide import ComposablePair, InvalidPair, PairRoles, build_divide, factor, unify
 
 __all__ = [
@@ -160,36 +160,27 @@ def _run_pipeline(work: Graph, hit, events) -> tuple[bool, ComposablePair]:
     where ``flipped`` records a final swap back to the complement of
     ``work``, or raises ConstructionFailed for the caller to try the other
     side.  The stages are skewpart's private bodies, which re-check nothing:
-    each obligation is checked once, by the stage that establishes it."""
+    each obligation is checked once, by the stage that establishes it.
+
+    A six-tuple on the anti-component side is on the component side of the
+    complement under the swapped partition; classification has already
+    built that six-tuple, and the divide is taken there.  A six-tuple on
+    neither side raises NeitherCaseHolds, which no member's does."""
     x, y = skewpart._maximize(work, *skewpart._construct_on(work, hit))
     sp = SkewPartition(x=work._set_of(x), y=work._set_of(y))
     d, dm = skewpart._decompose(work, x, y)
-    try:
-        case = skewpart._classify(work, d, dm)
-    except NeitherCaseHolds as exc:
-        raise InternalStructureError(str(exc)) from exc
-    _notify(events, "on_skew_decomposition", work, sp, d, case)
-    flipped = False
-    if case.tag is CaseTag.CASE4:
-        # The anti-component-side witness of a graph is the component-side
-        # witness of its complement under the swapped partition.
-        work = work.complement()
+    i, swapped = skewpart._classify(work, d, dm)
+    if swapped is not None:
+        _notify(events, "on_skew_decomposition", work, sp, d,
+                UsableCase(tag=CaseTag.CASE4, decomposition=d, special_index=i))
+        work, d = swapped
         sp = SkewPartition(x=sp.y, y=sp.x)
-        d, dm = skewpart._decompose(work, y, x)
-        try:
-            case = skewpart._classify(work, d, dm)
-        except NeitherCaseHolds as exc:
-            raise InternalStructureError(
-                f"swapped witness lost its component-side conditions: {exc}"
-            ) from exc
-        if case.tag is not CaseTag.CASE3:
-            raise InternalStructureError("swapped witness classified wrong side")
-        _notify(events, "on_skew_decomposition", work, sp, d, case)
-        flipped = True
+    case = UsableCase(tag=CaseTag.CASE3, decomposition=d, special_index=i)
+    _notify(events, "on_skew_decomposition", work, sp, d, case)
     divide = build_divide(work, case)
     pair = factor(work, divide)
     _notify(events, "on_factor", work, divide, pair)
-    return flipped, pair
+    return swapped is not None, pair
 
 
 def _unification_step(g: Graph, events) -> tuple[bool, ComposablePair]:
@@ -346,16 +337,19 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     return tree
 
 
-def _walk(root, ctx, down, up, leaves=()):
+_LEAVES = (SplitLeaf, PentagonLeaf)
+
+
+def _walk(root, ctx, down, up):
     """Fold a tree into its root's value on an explicit stack.  down(item,
     ctx), called in preorder, checks an item and gives the node it stands
     for and its children as (item, context) pairs, or none for a leaf;
     up(node, ctx, values), in postorder, combines the children's values.
-    An item whose type is in ``leaves`` goes straight to up(item, ctx, ()).
+    A split or pentagon leaf goes straight to up(leaf, ctx, ()).
     A context is a (label, parent, payload) chain that _render turns into a
     path such as "root.quotient.child"; the payload is a depth or a
     document's graph."""
-    if type(root) in leaves:
+    if type(root) in _LEAVES:
         return up(root, ctx, ())
     node, kids = down(root, ctx)
     if not kids:
@@ -364,7 +358,7 @@ def _walk(root, ctx, down, up, leaves=()):
     rest, values = iter(kids), []
     while True:
         for item, kid_ctx in rest:
-            if type(item) in leaves:
+            if type(item) in _LEAVES:
                 values.append(up(item, kid_ctx, ()))
                 continue
             kid, grandkids = down(item, kid_ctx)
@@ -399,12 +393,10 @@ def _assemble(node, ctx, values):
 
 
 def _tree_kids(node, path):
-    """The top-down hook of the walks over a tree: the node and its
+    """The top-down hook of the walks over a tree: an internal node and its
     children, each with its path label and depth.  Types are matched
-    exactly, quicker than isinstance on a walk's many leaves."""
+    exactly, quicker than isinstance on a walk's many nodes."""
     kind = type(node)
-    if kind is SplitLeaf or kind is PentagonLeaf:
-        return node, ()
     depth = path[2] + 1
     if kind is Subst:
         kids = (node.quotient, (".quotient", path, depth)), (node.child, (".child", path, depth))
@@ -413,9 +405,6 @@ def _tree_kids(node, path):
     else:
         kids = ()
     return node, kids
-
-
-_LEAVES = (SplitLeaf, PentagonLeaf)
 
 
 def _run_kids(node, path):
@@ -516,7 +505,7 @@ def recompose(t: DecompTree) -> Graph:
     kind = type(t)
     if kind is SplitLeaf or kind is PentagonLeaf:  # the commonest tree, off the walk
         return t.graph
-    g = _walk(t, _ROOT, _run_kids, _recompose_node, _LEAVES)
+    g = _walk(t, _ROOT, _run_kids, _recompose_node)
     if type(g) is not Graph:
         raise g
     return g
@@ -541,7 +530,7 @@ class TreeReport:
 def tree_stats(t: DecompTree) -> tuple[int, dict[str, int]]:
     """(depth, leaf counts by kind); a lone leaf has depth 0."""
     report = TreeReport()
-    _walk(t, _ROOT, _tree_kids, lambda node, path, kids: kids or report._tally(node, path), _LEAVES)
+    _walk(t, _ROOT, _tree_kids, lambda node, path, kids: kids or report._tally(node, path))
     return report.depth, report.leaf_counts
 
 
@@ -630,7 +619,7 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
         fail(path, f"unknown node type {kind.__name__}")
         return None
 
-    rebuilt = _walk(t, _ROOT, _run_kids, check, _LEAVES)
+    rebuilt = _walk(t, _ROOT, _run_kids, check)
     if len(failures) > 1:  # a run's substitutions are checked after its whole frontier
         failures.sort(key=lambda failure: _postorder(failure[0]))
     if rebuilt is not None and rebuilt != g:

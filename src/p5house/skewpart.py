@@ -11,6 +11,11 @@ then run private bodies on masks, which the decomposer chains without
 re-checking what the stage before has just built.  The lemma suite
 (lemma_violations, with usability) holds on every six-tuple of a prime
 member, so the decomposer leaves it to the tests.
+
+The component-side conditions are the only case analysis: a six-tuple of
+G is on the anti-component side exactly when the six-tuple of G's
+complement under the swapped partition (_complement_side) is on the
+component side.
 """
 
 from __future__ import annotations
@@ -351,7 +356,7 @@ class _SixMasks:
     complete to and touching each non-trivial part, each taken once.
 
     s_mixed and k_mixed are read off the parts' mixed vertices unless
-    given (by _six_masks, from a six-tuple a caller handed in)."""
+    given (by _six_masks and _complement_side, from a known six-tuple)."""
 
     __slots__ = ("x_parts", "y_parts", "s", "k", "s_mixed", "k_mixed", "x", "y",
                  "x_touch", "x_mixed", "y_common", "y_mixed")
@@ -403,41 +408,46 @@ def _case3_conditions(g: Graph, d: _SixMasks) -> int | None:
     return None
 
 
-def _case4_conditions(g: Graph, d: _SixMasks) -> int | None:
-    """Dual of the component-side check, on the anti-component side."""
-    if not d.y_parts or not all(d.s_mixed) or _twice(d.s_mixed):
-        return None
-    for mixed, sj in zip(d.y_mixed, d.s_mixed):
-        if d.x & ~sj & mixed:
-            return None
-    full = g._full_mask()
-    for yj, common in zip(d.y_parts, d.y_common):
-        if (full & ~yj & ~d.k & common).bit_count() < 2:
-            return None
-    for j, yj in enumerate(d.y_parts):
-        if g._anti_complete(d.s_mixed[j], d.y & ~yj & ~d.k):
-            return j
-    return None
+def _complement_side(g: Graph, d: SkewDecomposition,
+                     dm: _SixMasks) -> tuple[Graph, SkewDecomposition, _SixMasks]:
+    """The six-tuple of complement(g) under the swapped partition (Y, X):
+    the same parts with their sides traded, since the anti-components of
+    G[Y] are the components of its complement, and a vertex is mixed on a
+    part in g exactly when it is in the complement.  Returns the
+    complement, the six-tuple and its masks."""
+    co = g.complement()
+    cd = SkewDecomposition(x_parts=d.y_parts, y_parts=d.x_parts, s=d.k, k=d.s,
+                           s_mixed=d.k_mixed, k_mixed=d.s_mixed)
+    return co, cd, _SixMasks(co, dm.y_parts, dm.x_parts, dm.k, dm.s, dm.k_mixed, dm.s_mixed)
 
 
 def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
-    """Decide which condition set the six-tuple satisfies.
-
-    The component-side case wins ties; special_index is the least part
-    index realizing the completeness (resp. anti-completeness) condition.
-    Raises NeitherCaseHolds when neither set of five conditions checks out.
+    """Decide which condition set the six-tuple satisfies: the
+    component-side conditions on g, else on the complement's six-tuple
+    under the swapped partition, which are g's anti-component-side ones
+    term by term (touching a part in the complement is not being complete
+    to it in g, complete there is anti-complete in g).  The component side
+    wins ties; special_index is the least part index realizing the
+    completeness (resp. anti-completeness) condition.  Raises
+    NeitherCaseHolds when neither set of five conditions checks out.
     """
-    return _classify(g, d, _six_masks(g, d))
+    i, swapped = _classify(g, d, _six_masks(g, d))
+    return UsableCase(tag=CaseTag.CASE3 if swapped is None else CaseTag.CASE4,
+                      decomposition=d, special_index=i)
 
 
-def _classify(g: Graph, d: SkewDecomposition, dm: _SixMasks) -> UsableCase:
-    """classify_usable on the six-tuple's masks, taken once."""
+def _classify(g: Graph, d: SkewDecomposition,
+              dm: _SixMasks) -> tuple[int, tuple[Graph, SkewDecomposition] | None]:
+    """classify_usable on the six-tuple's masks, taken once: the special
+    index, with None on the component side, or else the complement and its
+    six-tuple, on whose component side the index lies."""
     i = _case3_conditions(g, dm)
     if i is not None:
-        return UsableCase(tag=CaseTag.CASE3, decomposition=d, special_index=i)
-    j = _case4_conditions(g, dm)
-    if j is not None:
-        return UsableCase(tag=CaseTag.CASE4, decomposition=d, special_index=j)
+        return i, None
+    co, cd, cdm = _complement_side(g, d, dm)
+    i = _case3_conditions(co, cdm)
+    if i is not None:
+        return i, (co, cd)
     raise NeitherCaseHolds(
         f"decomposition with {len(d.x_parts)} components / {len(d.y_parts)} "
         "anti-components satisfies neither condition set"

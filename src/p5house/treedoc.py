@@ -23,7 +23,7 @@ from functools import partial
 from .graph import Graph, SplitCert
 from .graph6 import emit_graph6, parse_graph6
 from .decomposer import _ROOT, CoSgu, DecompTree, PentagonLeaf, Sgu, SplitLeaf, Subst
-from .decomposer import _assemble, _render, _tree_kids, _walk
+from .decomposer import _assemble, _induced, _render, _tree_kids, _walk
 from .divide import PairRoles
 
 __all__ = ["TreeDocumentError", "tree_to_document", "document_to_tree", "VERSION"]
@@ -68,29 +68,31 @@ def tree_to_document(tree: DecompTree, root_graph: Graph) -> str:
     """The document of a tree: json.dumps(doc, indent=2, sort_keys=True)'s
     bytes, emitted in one walk.  A node at depth d opens at indent 2 + 4d,
     its fields two further in, the children after a unification's a, b, c.
-    An internal node's fields are built once, in down, and reach up with
-    the node.  A node's value is its vertex set, a substitution's members
-    its child's."""
+    An internal node opens in down, where its fields are built once, and
+    reaches up with them; a leaf is written whole in up.  A node's value is
+    its vertex set, a substitution's members its child's."""
     out = ['{\n  "node": ']
 
-    def down(node, path):
-        node, kids = _tree_kids(node, path)
+    def place(path) -> None:
         depth = path[2]
         if depth:
             out.append((",\n" if path[0] in (".child", ".part2") else "\n") + " " * (2 + 4 * depth))
-        if kids:
-            fields = _fields(node)
-            pad = "\n" + " " * (4 + 4 * depth)
-            before = (_entry(k, v, pad) + "," for k, v in fields.items() if k < "children")
-            out.append("{" + "".join(before) + pad + '"children": [')
-            return (node, fields), kids
-        return node, kids
+
+    def down(node, path):
+        node, kids = _tree_kids(node, path)
+        place(path)
+        fields = _fields(node)
+        pad = "\n" + " " * (4 + 4 * path[2])
+        before = (_entry(k, v, pad) + "," for k, v in fields.items() if k < "children")
+        out.append("{" + "".join(before) + pad + '"children": [')
+        return (node, fields), kids
 
     def up(item, path, kids) -> frozenset[int]:
         pad = "\n" + " " * (4 + 4 * path[2])
         if kids:
             node, fields = item
         else:
+            place(path)
             node, fields = item, _fields(item)
         subst = type(node) is Subst
         if subst:
@@ -157,10 +159,6 @@ def _paired(kids: list, ctx, first: tuple, second: tuple) -> tuple:
     return (kids[0], (".children[0]", ctx, first)), (kids[1], (".children[1]", ctx, second))
 
 
-def _node_graph(host: Graph, mask: int) -> Graph:
-    return host if mask == host._full_mask() else host._induced(mask)
-
-
 def _whole(g: Graph) -> tuple[Graph, int]:
     return g, g._full_mask()
 
@@ -177,10 +175,10 @@ def _read_down(obj, ctx):
         clique = frozenset(_id_list(obj, "clique", ctx))
         stable = frozenset(_id_list(obj, "stable", ctx))
         cert = SplitCert(clique=clique, stable=stable)
-        return SplitLeaf(graph=_node_graph(host, mask), cert=cert), ()
+        return SplitLeaf(graph=_induced(host, mask), cert=cert), ()
     if kind == "pentagon_leaf":
         cycle = tuple(_id_list(obj, "cycle", ctx))
-        return PentagonLeaf(graph=_node_graph(host, mask), cycle=cycle), ()
+        return PentagonLeaf(graph=_induced(host, mask), cycle=cycle), ()
     if kind == "subst":
         members = _id_list(obj, "members", ctx)
         marker = _int(obj, "marker", ctx)
@@ -208,7 +206,7 @@ def _read_down(obj, ctx):
     if kind in ("sgu", "cosgu"):
         sets = [frozenset(_id_list(obj, key, ctx)) for key in _ROLES]
         roles = PairRoles(*sets, _int(obj, "marker_a", ctx), _int(obj, "marker_c", ctx))
-        g = _node_graph(host, mask)
+        g = _induced(host, mask)
         work = g.complement() if kind == "cosgu" else g
         try:
             a, b, c, l, t = (work._mask_of(obj[key]) for key in _ROLES)

@@ -880,14 +880,13 @@ class TestUnificationChecksOnce:
 
             monkeypatch.setattr(owner, name, counted)
 
-        parts = []  # per six-tuple: (non-trivial parts, _attach calls)
-        real_decompose = skewpart._decompose
+        sixes = []  # per six-tuple's masks: (non-trivial parts, _attach calls)
+        real_init = skewpart._SixMasks.__init__
 
-        def attach_counted(g, x, y):
+        def init(dm, g, x_parts, y_parts, *rest):
             before = attached[0]
-            d, dm = real_decompose(g, x, y)
-            parts.append((len(d.x_parts) + len(d.y_parts), attached[0] - before))
-            return d, dm
+            real_init(dm, g, x_parts, y_parts, *rest)
+            sixes.append((len(x_parts) + len(y_parts), attached[0] - before))
 
         attached = [0]
         real_attach = Graph._attach
@@ -896,33 +895,34 @@ class TestUnificationChecksOnce:
             attached[0] += 1
             return real_attach(g, m)
 
-        monkeypatch.setattr(skewpart, "_decompose", attach_counted)
+        monkeypatch.setattr(skewpart._SixMasks, "__init__", init)
         monkeypatch.setattr(Graph, "_attach", attach)
         count(skewpart, "split_certificate")  # the pipeline's own split tests
         count(skewpart, "validate_h6_hit")
         count(skewpart, "_check_skew")
-        count(skewpart._SixMasks, "__init__")
+        count(skewpart, "_decompose")
         count(divide, "_divide_holds")
         count(divide, "_pair_violation")
         count(skewpart, "lemma_violations")
         count(skewpart, "_usable_a")
         # (graph, unification steps, six-tuples): a step on the
-        # anti-component side builds a second six-tuple in the complement
+        # anti-component side takes a second six-tuple, the complement's,
+        # from the first without decomposing again
         for g, steps, six_tuples in ((h6(), 1, 1), (h6().complement(), 1, 1),
                                      (CASE4_MEMBER, 2, 3)):
             for name in calls:
                 calls[name] = 0
-            parts.clear()
+            sixes.clear()
             events = _Events()
             decompose(g, observer=events)
             assert (len(events.factor), len(events.skew)) == (steps, six_tuples)
-            # one _attach per non-trivial part of each six-tuple
-            assert len(parts) == six_tuples and all(k == n for n, k in parts)
+            # one _SixMasks per six-tuple, one _attach per non-trivial part
+            assert len(sixes) == six_tuples and all(k == n for n, k in sixes)
             assert calls == {
                 "split_certificate": 0,
                 "validate_h6_hit": 0,
                 "_check_skew": steps,
-                "__init__": six_tuples,
+                "_decompose": steps,
                 "_divide_holds": steps,
                 "_pair_violation": 0,
                 "lemma_violations": 0,

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p5house.graph import Graph, MixedStatus, cycle_graph, path_graph
 from p5house.modular import find_proper_homogeneous_set
@@ -356,3 +358,115 @@ def _find_bridge_triple(g):
                         if g.mixed_status(v, y) is MixedStatus.COMPLETE:
                             return x, y
     return None
+
+
+# -- the anti-component side as the component side of the complement ---------
+
+
+def reference_case4_conditions(g, d):
+    """The anti-component-side conditions as a dual of the component-side
+    ones, written out on g: the reference that classifying through the
+    complement (skewpart._complement_side) is held to."""
+    from p5house.skewpart import _twice
+
+    if not d.y_parts or not all(d.s_mixed) or _twice(d.s_mixed):
+        return None
+    for mixed, sj in zip(d.y_mixed, d.s_mixed):
+        if d.x & ~sj & mixed:
+            return None
+    full = g._full_mask()
+    for yj, common in zip(d.y_parts, d.y_common):
+        if (full & ~yj & ~d.k & common).bit_count() < 2:
+            return None
+    for j, yj in enumerate(d.y_parts):
+        if g._anti_complete(d.s_mixed[j], d.y & ~yj & ~d.k):
+            return j
+    return None
+
+
+def assert_classified_as_reference(g, sp):
+    """classify_usable agrees with the component-side conditions and the
+    reference dual on g; the complement's six-tuple that it checks is the
+    one of the swapped partition.  Returns the tag, or None for neither."""
+    from p5house.skewpart import _case3_conditions, _complement_side, _six_masks
+
+    d = decompose_skew(g, sp)
+    dm = _six_masks(g, d)
+    co, cd, _ = _complement_side(g, d, dm)
+    assert co == g.complement()
+    assert cd == decompose_skew(co, SkewPartition(x=sp.y, y=sp.x))
+    i, j = _case3_conditions(g, dm), reference_case4_conditions(g, dm)
+    if i is None and j is None:
+        with pytest.raises(NeitherCaseHolds):
+            classify_usable(g, d)
+        return None
+    case = classify_usable(g, d)
+    want = (CaseTag.CASE3, i) if i is not None else (CaseTag.CASE4, j)
+    assert (case.tag, case.special_index) == want and case.decomposition == d
+    return case.tag
+
+
+class TestComplementSide:
+    def test_pipeline_six_tuples_match_the_reference(self):
+        from p5house.generator import GenConfig, generate
+        from p5house.decomposer import decompose
+        from test_decomposer import CASE4_MEMBER, _Events, grown_primes
+
+        graphs = [generate(GenConfig(seed=s, max_depth=3))[0] for s in range(300)]
+        graphs += [CASE4_MEMBER] + grown_primes(7, range(8, 13))
+        events = _Events()
+        for g in graphs:
+            for side in (g, g.complement()):
+                decompose(side, observer=events)
+        tags = [assert_classified_as_reference(work, sp) for work, sp, _, _ in events.skew]
+        assert len(tags) >= 40 and CaseTag.CASE4 in tags and None not in tags
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_skew_partitions_match_the_reference(self, data):
+        """Random graphs on n <= 10 vertices with a skew partition (X, Y)
+        built in: X is one to three connected parts and a few isolated
+        vertices, Y a clique and maybe a non-adjacent pair complete to it.
+        A Y-vertex attaches to X at random or, to meet the component-side
+        conditions often, is mixed on at most one part and complete or
+        anti-complete to the others.  The swapped partition of the
+        complement is checked too, so each case is met from both sides."""
+        draw = data.draw
+        n_k, pair = draw(st.integers(0, 3)), draw(st.booleans())
+        n_k = max(n_k, 1 if pair else 2)  # Y has two anti-components
+        budget = 10 - n_k - 2 * pair
+        sizes = []
+        while budget >= 2 and len(sizes) < 3 and (not sizes or draw(st.booleans())):
+            sizes.append(draw(st.integers(2, min(3, budget))))
+            budget -= sizes[-1]
+        n_s = draw(st.integers(0 if len(sizes) > 1 else 1, min(2, budget)))
+        n = sum(sizes) + n_s + n_k + 2 * pair
+        ids = iter(draw(st.permutations(range(n))))
+        parts = [[next(ids) for _ in range(size)] for size in sizes]
+        s_side = [next(ids) for _ in range(n_s)]
+        k_side = [next(ids) for _ in range(n_k)]
+        pair_side = [next(ids) for _ in range(2 * pair)]
+        coin = st.booleans()
+        edges = set(itertools.combinations(k_side, 2))
+        edges |= {(p, k) for p in pair_side for k in k_side}
+        for part in parts:
+            edges |= set(zip(part, part[1:]))
+            edges |= {e for e in itertools.combinations(part, 2) if draw(coin)}
+        for v in s_side:
+            edges |= {(v, w) for w in k_side + pair_side if draw(coin)}
+        for v in k_side + pair_side:
+            home = draw(st.sampled_from(range(-1, len(parts)))) if v in k_side else -1
+            structured = draw(st.integers(0, 3)) > 0
+            for i, part in enumerate(parts):
+                if not structured:
+                    edges |= {(v, w) for w in part if draw(coin)}
+                elif i == home:
+                    edges |= {(v, w) for w in part[: draw(st.integers(1, len(part) - 1))]}
+                elif draw(coin):
+                    edges |= {(v, w) for w in part}
+        g = Graph(range(n), edges)
+        sp = SkewPartition(x=frozenset(s_side).union(*parts), y=frozenset(k_side + pair_side))
+        tag = assert_classified_as_reference(g, sp)
+        co_tag = assert_classified_as_reference(g.complement(), SkewPartition(x=sp.y, y=sp.x))
+        # each side's component-side case is the other's anti-component side
+        assert {tag, co_tag} in ({None}, {CaseTag.CASE3}, {CaseTag.CASE3, CaseTag.CASE4})
