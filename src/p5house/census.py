@@ -2,9 +2,10 @@
 
 The sweep is the equivalence check between the grammar and the oracle:
 every member must decompose, verify, and recompose label-exactly, and every
-non-member must be rejected with a witness.  The (n+1)-vertex members are
-enumerated as extensions of the n-vertex members, which keeps seven-vertex
-sweeps affordable.
+non-member must be rejected with a witness.  A sweep (run_sweep) visits
+every labelled graph on up to max_n vertices.  extend_members enumerates
+the (n+1)-vertex members as extensions of the n-vertex ones instead, which
+keeps the acceptance suite's seven-vertex pass affordable.
 """
 
 from __future__ import annotations

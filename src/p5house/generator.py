@@ -15,6 +15,7 @@ implementation stream compatibility is promised, only determinism here.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -47,9 +48,10 @@ class GenConfig:
     """Knobs for one deterministic generation run.
 
     weights maps the node kinds ("split", "pentagon", "subst", "sgu",
-    "cosgu") to nonnegative selection weights; leaf_size bounds the number
-    of vertices of a split leaf.  At the depth cap only the two leaf kinds
-    are drawn; if both of their weights are zero, a split leaf is used.
+    "cosgu") to finite, nonnegative selection weights with a finite,
+    positive sum; leaf_size bounds the number of vertices of a split leaf.
+    At the depth cap only the two leaf kinds are drawn; if both of their
+    weights are zero, a split leaf is used.
     """
 
     seed: int
@@ -70,7 +72,12 @@ class GenConfig:
             raise ValueError(f"unknown node kinds in weights: {sorted(unknown)}")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("weights must be nonnegative")
-        if sum(self.weights.values()) <= 0:
+        # a NaN or infinite weight, or a sum that overflows, leaves _pick's
+        # roll never below 0, so every draw would fall to the last kind
+        total = sum(self.weights.values())
+        if not math.isfinite(total):
+            raise ValueError("weights and their sum must be finite")
+        if total <= 0:
             raise ValueError("weights must have a positive sum")
 
 

@@ -144,8 +144,10 @@ class Graph:
     def _full_mask(self) -> int:
         return (1 << len(self._vs)) - 1
 
-    def _components_masks(self, mask: int) -> list[int]:
-        """Connected components of the subgraph induced on ``mask``."""
+    def _components_masks(self, mask: int, flip: int = 0) -> list[int]:
+        """Connected components of the subgraph induced on ``mask``; with
+        ``flip`` -1, of the complement's (each adjacency mask read as
+        ``masks[i] ^ flip``)."""
         masks = self._masks
         comps = []
         rest = mask
@@ -158,7 +160,7 @@ class Graph:
                 while frontier:
                     b = frontier & -frontier
                     frontier ^= b
-                    grow |= masks[b.bit_length() - 1]
+                    grow |= masks[b.bit_length() - 1] ^ flip
                 frontier = grow & rest & ~comp
                 comp |= frontier
             comps.append(comp)
@@ -166,44 +168,13 @@ class Graph:
         return comps
 
     def _anti_components_masks(self, mask: int) -> list[int]:
-        masks = self._masks
-        comps = []
-        rest = mask
-        while rest:
-            start = rest & -rest
-            comp = start
-            frontier = start
-            while frontier:
-                grow = 0
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    grow |= ~masks[b.bit_length() - 1]
-                frontier = grow & rest & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rest &= ~comp
-        return comps
+        return self._components_masks(mask, -1)
 
     def _clique(self, m: int) -> bool:
-        masks = self._masks
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if m & ~masks[b.bit_length() - 1] & ~b:
-                return False
-        return True
+        return self._complete(m, m)
 
     def _stable(self, m: int) -> bool:
-        masks = self._masks
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if m & masks[b.bit_length() - 1]:
-                return False
-        return True
+        return self._anti_complete(m, m)
 
     def _complete(self, mx: int, my: int) -> bool:
         """Every mx-my pair over distinct vertices is an edge."""

@@ -12,10 +12,11 @@ re-checking what the stage before has just built.  The lemma suite
 (lemma_violations, with usability) holds on every six-tuple of a prime
 member, so the decomposer leaves it to the tests.
 
-The component-side conditions are the only case analysis: a six-tuple of
-G is on the anti-component side exactly when the six-tuple of G's
-complement under the swapped partition (_complement_side) is on the
-component side.
+The component side is the only one stated: a six-tuple of G is on the
+anti-component side exactly when the six-tuple of G's complement under the
+swapped partition (_complement_side) is on the component side.  So the
+classification checks the component-side conditions, and the lemma suite
+the component-side lemmas, on both six-tuples.
 """
 
 from __future__ import annotations
@@ -460,19 +461,9 @@ def _classify(g: Graph, d: SkewDecomposition,
 def _usable_a(d: _SixMasks) -> bool:
     """Usability, component flavor: two non-trivial components, disjoint
     mixed families, and every Y-vertex has a neighbor in every component."""
-    if len(d.x_parts) < 2 or not _families_disjoint(d):
+    if len(d.x_parts) < 2 or _twice(d.s_mixed) or _twice(d.k_mixed):
         return False
     return all(not d.y & ~touch for touch in d.x_touch)
-
-
-def _usable_b(d: _SixMasks) -> bool:
-    if len(d.y_parts) < 2 or not _families_disjoint(d):
-        return False
-    return all(not d.x & common for common in d.y_common)
-
-
-def _families_disjoint(d: _SixMasks) -> bool:
-    return not _twice(d.s_mixed) and not _twice(d.k_mixed)
 
 
 def _twice(masks: list[int]) -> int:
@@ -482,6 +473,13 @@ def _twice(masks: list[int]) -> int:
         twice |= once & m
         once |= m
     return twice
+
+
+# The words of the component-side messages, in g's frame: for g's
+# six-tuple, and for the complement's under the swapped partition, whose
+# component side is g's anti-component side.
+_IN_G = ("Y", "component", "anti-component", "anti-complete", "connected-edge")
+_IN_COMPLEMENT = ("X", "anti-component", "component", "complete", "anti-connected")
 
 
 def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
@@ -497,83 +495,58 @@ def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
     partitions, and the non-empty/anti-complete structure of the mixed
     families when the partition is usable.
 
-    Each check is a mask test; where one fails, the offending vertices are
-    listed in the order of the six-tuple's sets.
+    The dichotomy lemmas are their own dual and are checked on g.  The
+    others are stated for the component side and checked on g's six-tuple,
+    then on the complement's under the swapped partition (_complement_side),
+    whose component side is g's anti-component side: a vertex is mixed on a
+    part in g exactly when it is in the complement, and completeness and
+    anti-completeness between disjoint sets trade places.  Every message is
+    worded in g's frame.
     """
     dm = _six_masks(g, d)
-    out: list[str] = []
-    pos = g._pos
-
-    def mixed_on(v: int, mixed: list[int]) -> list[int]:
-        return [j for j, m in enumerate(mixed) if m >> pos[v] & 1]
-
-    # No vertex mixed on two parts of the opposite side.
-    if dm.x & _twice(dm.y_mixed):
-        for v in d.x:
-            hits = mixed_on(v, dm.y_mixed)
-            if len(hits) > 1:
-                out.append(f"vertex {v} of X mixed on anti-components {hits}")
-    if dm.y & _twice(dm.x_mixed):
-        for v in d.y:
-            hits = mixed_on(v, dm.x_mixed)
-            if len(hits) > 1:
-                out.append(f"vertex {v} of Y mixed on components {hits}")
-
-    # Mixed witnesses exist and satisfy their contracts.
-    for mode, parts, mixed_masks, want_edge in (
-        (WitnessMode.CONNECTED_EDGE, dm.x_parts, dm.x_mixed, True),
-        (WitnessMode.ANTI_CONNECTED_NON_EDGE, dm.y_parts, dm.y_mixed, False),
-    ):
-        for part, mixed in zip(parts, mixed_masks):
-            while mixed:
-                b = mixed & -mixed
-                mixed ^= b
-                v = g.vertices[b.bit_length() - 1]
-                w1, w2 = _mixed_witness(g, v, part, mode)
-                if not (g.has_edge(v, w1) and not g.has_edge(v, w2)
-                        and g.has_edge(w1, w2) == want_edge):
-                    kind = "connected-edge" if want_edge else "anti-connected"
-                    out.append(f"bad {kind} witness ({w1}, {w2}) for {v}")
-
-    # Dichotomy lemmas on bridged (component, anti-component) pairs.
+    out = _component_side_violations(g, dm, _IN_G)
     for i, (xi, touch) in enumerate(zip(dm.x_parts, dm.x_touch)):
         for j, (yj, common) in enumerate(zip(dm.y_parts, dm.y_common)):
             if common & ~touch & ~xi & ~yj:
                 out.extend(_dichotomy_violations(g, d.x_parts[i], d.y_parts[j]))
+    co, _, cdm = _complement_side(g, d, dm)
+    return out + _component_side_violations(co, cdm, _IN_COMPLEMENT)
 
-    if _usable_a(dm):
-        if _union(dm.x_parts) & _union(dm.y_mixed):
-            for u in frozenset().union(frozenset(), *d.x_parts):
-                for j in mixed_on(u, dm.y_mixed):
-                    out.append(f"component vertex {u} mixed on anti-component {j}")
-        if dm.y_parts:
-            if not all(dm.s_mixed):
-                out.append("usable component-side partition with an empty mixed family")
+
+def _component_side_violations(g: Graph, d: _SixMasks, words: tuple[str, ...]) -> list[str]:
+    """The component-side lemmas on a six-tuple's masks: no Y-vertex is
+    mixed on two components, each mixed vertex of a component has a
+    connected-edge witness, and, when the partition is usable (_usable_a),
+    no component vertex is mixed on an anti-component, no mixed family of
+    S is empty and one is anti-complete to the other anti-components.
+    ``words`` name Y, a component, an anti-component, anti-complete and
+    the witness in the frame the messages are read in."""
+    side, part, other, adjacency, witness = words
+    pos = g._pos
+    out: list[str] = []
+
+    def mixed_on(v: int, mixed: list[int]) -> list[int]:
+        return [j for j, m in enumerate(mixed) if m >> pos[v] & 1]
+
+    for v in sorted(g._set_of(d.y & _twice(d.x_mixed))):
+        out.append(f"vertex {v} of {side} mixed on {part}s {mixed_on(v, d.x_mixed)}")
+    for xi, mixed in zip(d.x_parts, d.x_mixed):
+        for v in sorted(g._set_of(mixed)):
+            w1, w2 = _mixed_witness(g, v, xi, WitnessMode.CONNECTED_EDGE)
+            if not (g.has_edge(v, w1) and not g.has_edge(v, w2) and g.has_edge(w1, w2)):
+                out.append(f"bad {witness} witness ({w1}, {w2}) for {v}")
+    if _usable_a(d):
+        for u in sorted(g._set_of(d.x & ~d.s)):
+            for j in mixed_on(u, d.y_mixed):
+                out.append(f"{part} vertex {u} mixed on {other} {j}")
+        if d.y_parts:
+            if not all(d.s_mixed):
+                out.append(f"usable {part}-side partition with an empty mixed family")
             if not any(
-                g._anti_complete(sj, dm.y & ~yj & ~dm.k)
-                for sj, yj in zip(dm.s_mixed, dm.y_parts)
+                g._anti_complete(sj, d.y & ~yj & ~d.k)
+                for sj, yj in zip(d.s_mixed, d.y_parts)
             ):
-                out.append("no mixed family is anti-complete to the other anti-components")
-    if _usable_b(dm):
-        if _union(dm.y_parts) & _union(dm.x_mixed):
-            for u in frozenset().union(frozenset(), *d.y_parts):
-                for i in mixed_on(u, dm.x_mixed):
-                    out.append(f"anti-component vertex {u} mixed on component {i}")
-        if dm.x_parts:
-            if not all(dm.k_mixed):
-                out.append("usable anti-component-side partition with an empty mixed family")
-            if not any(
-                g._complete(ki, dm.x & ~xi & ~dm.s)
-                for ki, xi in zip(dm.k_mixed, dm.x_parts)
-            ):
-                out.append("no mixed family is complete to the other components")
-    return out
-
-
-def _union(masks: list[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
+                out.append(f"no mixed family is {adjacency} to the other {other}s")
     return out
 
 

@@ -242,6 +242,13 @@ class TestGenerate:
             assert emit_graph6(root) == line
             assert verify_tree(tree, root).ok
 
+    @pytest.mark.parametrize("weights", ["split=nan", "split=inf,subst=inf", "subst=1e308,sgu=1e308"])
+    def test_non_finite_weights_exit_2(self, weights, capsys):
+        assert main(["generate", "--seed", "1", "--weights", weights]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: weights and their sum must be finite\n"
+
 
 class TestCensusCommand:
     def test_small_census(self, capsys):

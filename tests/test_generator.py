@@ -30,6 +30,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             GenConfig(seed=1, weights={"nonsense": 1.0})
 
+    @pytest.mark.parametrize("weights", [
+        {"split": float("nan")},
+        {"split": 1.0, "subst": float("nan")},
+        {"split": float("inf"), "subst": float("inf")},
+        {"subst": 1e308, "sgu": 1e308},  # each finite, the sum overflows
+    ])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="weights and their sum must be finite"):
+            GenConfig(seed=1, weights=weights)
+        with pytest.raises(ValueError, match="nonnegative"):
+            GenConfig(seed=1, weights=dict(weights, cosgu=float("-inf")))
+
 
 class TestRandomSplitGraph:
     def test_outputs_certify(self):

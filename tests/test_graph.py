@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p5house.graph import (
     Graph,
@@ -251,3 +253,34 @@ class TestMixedWitness:
         for _ in range(400):
             g = graph_from_pair_mask(6, rng.getrandbits(15))
             self._check_all(g)
+
+
+# -- the mask kernel's duals ---------------------------------------------------
+
+
+@st.composite
+def graphs_and_masks(draw):
+    """A random graph on up to ten vertices with sparse ids, and a mask of
+    its vertices."""
+    n = draw(st.integers(0, 10))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    pairs = list(itertools.combinations(ids, 2))
+    edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                        max_size=len(pairs)))) if keep]
+    return Graph(ids, edges), draw(st.integers(0, (1 << n) - 1))
+
+
+class TestMaskKernelDuals:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(graphs_and_masks())
+    def test_anti_components_are_the_complements_components(self, gm):
+        g, m = gm
+        assert g._anti_components_masks(m) == g.complement()._components_masks(m)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(graphs_and_masks())
+    def test_clique_and_stable_against_every_pair(self, gm):
+        g, m = gm
+        pairs = list(itertools.combinations(sorted(g._set_of(m)), 2))
+        assert g._clique(m) == all(g.has_edge(u, v) for u, v in pairs)
+        assert g._stable(m) == (not any(g.has_edge(u, v) for u, v in pairs))
