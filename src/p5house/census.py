@@ -74,11 +74,10 @@ def run_sweep(
     Per graph, decompose (with the given observer) settles membership:
     one P5 scan of the whole graph, then the build, whose finished tree
     certifies a member; only a failed build (or, in triple mode, a
-    pentagon leaf) leads to the witness, read off the prime nodes of the
-    substitution skeleton.  A NotClassMember marks a non-member, and its
-    witness must induce the pattern it names; members must decompose and
-    pass verify_tree, which also checks that the tree recomposes to g
-    label-exactly.  The tree's
+    pentagon leaf) leads to the witness, first_forbidden's own.  A
+    NotClassMember marks a non-member, and its witness must induce the
+    pattern it names; members must decompose and pass verify_tree, which
+    also checks that the tree recomposes to g label-exactly.  The tree's
     root tells whether a member is split (a split leaf) and, unless it is
     split, whether it is prime (a pentagon or unification root).  In triple
     mode no pentagon leaf may appear.  Returns per-n counts plus mismatch

@@ -23,15 +23,16 @@ keep the class, so a finished tree whose every step was checked as it was
 built (leaves by their split certificate or cycle, substitutions by strong
 modules, unifications by factor's divide conditions) proves membership; a
 non-member's build raises.  One oracle scan of the graph looks for a P5
-first (oracle._p5_scan).  The skeleton is then read off the input's modular
-decomposition, computed once: each of its nodes is an induced subgraph of
-the input, handled on masks until it is a leaf or a prime node.  Only when
-the build raises does the oracle name the witness, on the skeleton's prime
-nodes: P5, the house and C5 are prime graphs, so none of them straddles a
-module.  In triple mode a member's C5 lies in a pentagon leaf, since a
-prime graph with no P5 and no house that holds a C5 is that C5 (Fouquet,
-Discrete Math. 121, 1993).  Observer events are held during the build and
-handed over once the tree is finished and accepted.
+first (oracle._p5_scan).  The build then walks the input's modular
+decomposition, computed once and split only where it is read: each node
+is an induced subgraph of the input, handled on masks until it is a leaf
+or a prime node, and each factor of a unification starts its own.  Only
+when the build raises does the oracle name the witness, by the rest of
+first_forbidden's own search (oracle._after_p5_scan), so a non-member is
+refuted by one rule.  In triple mode a member's C5 lies in a pentagon
+leaf, since a prime graph with no P5 and no house that holds a C5 is that
+C5 (Fouquet, Discrete Math. 121, 1993).  Observer events are held during
+the build and handed over once the tree is finished and accepted.
 
 The build makes no check beyond these.  The skew-partition lemma suite
 (skewpart.lemma_violations) and the usability of the maximized partition
@@ -48,7 +49,7 @@ from .graph import Graph, SplitCert, _split_cert
 from .modular import _Node, _compose, _cut, _pick, _problem
 from . import oracle, skewpart
 from .oracle import PatternHit, PatternKind, find_special_h6
-from .skewpart import CaseTag, ConstructionFailed, SkewPartition, UsableCase
+from .skewpart import CaseTag, SkewPartition, UsableCase
 from .divide import ComposablePair, InvalidPair, PairRoles, build_divide, factor, unify
 
 __all__ = [
@@ -158,9 +159,10 @@ def _run_pipeline(work: Graph, hit, events) -> tuple[bool, ComposablePair]:
     """Run the skew-partition pipeline on ``work`` (whose complement holds
     the decorated hit, fresh from its search).  Returns (flipped, pair)
     where ``flipped`` records a final swap back to the complement of
-    ``work``, or raises ConstructionFailed for the caller to try the other
-    side.  The stages are skewpart's private bodies, which re-check nothing:
-    each obligation is checked once, by the stage that establishes it.
+    ``work``; on a non-member's hit a stage may raise (ConstructionFailed
+    or another error), which ends the build.  The stages are skewpart's
+    private bodies, which re-check nothing: each obligation is checked
+    once, by the stage that establishes it.
 
     A six-tuple on the anti-component side is on the component side of the
     complement under the swapped partition; classification has already
@@ -186,29 +188,19 @@ def _run_pipeline(work: Graph, hit, events) -> tuple[bool, ComposablePair]:
 def _unification_step(g: Graph, events) -> tuple[bool, ComposablePair]:
     """Find the composable pair of a prime, non-split, pentagon-free member.
 
-    Tries the decorated H6 of g first (pipeline in the complement).  The
-    complement is searched for its own decorated H6 (pipeline in g) only
-    when g has none or its pipeline raises ConstructionFailed.  Returns
-    (co, pair) where ``co`` says the pair factors the complement of g."""
+    Takes the decorated H6 of g (pipeline in the complement), or when g has
+    none, the complement's own (pipeline in g); one construction, since a
+    member's decorated H6 always gives one.  Returns (co, pair) where
+    ``co`` says the pair factors the complement of g."""
     co_g = g.complement()
-    failure: Exception | None = None
-    found = False
     for work_is_complement, host, work in ((True, g, co_g), (False, co_g, g)):
         hit = find_special_h6(host)
-        if hit is None:
-            continue
-        found = True
-        try:
+        if hit is not None:
             flipped, pair = _run_pipeline(work, hit, events)
-        except ConstructionFailed as exc:
-            failure = exc
-            continue
-        return work_is_complement != flipped, pair
-    if not found:
-        raise InternalStructureError(
-            "no decorated H6 in a prime non-split member or its complement"
-        )
-    raise InternalStructureError(f"both construction sides failed: {failure}")
+            return work_is_complement != flipped, pair
+    raise InternalStructureError(
+        "no decorated H6 in a prime non-split member or its complement"
+    )
 
 
 def _induced(g: Graph, m: int) -> Graph:
@@ -232,67 +224,47 @@ def _leaf(g: Graph, m: int) -> SplitLeaf | PentagonLeaf | None:
     return None
 
 
-def _skeleton(g: Graph) -> list:
-    """The substitution skeleton of g: the first three branches, applied
-    until only leaves and prime nodes are left, in preorder (a quotient
-    before its child).
-
-    Every node is G[m] for a mask m of g.  The homogeneous set of a step is
-    the one find_proper_homogeneous_set picks (modular._pick), read off
-    g's modular decomposition tree, one tree for the whole walk whose
-    modules are split where the walk reads them (never inside a leaf);
-    modular._cut gives the quotient's and the child's trees.  Records: a
-    finished leaf; (marker, m) for a substitution, whose quotient's and
-    child's records follow; the graph G[m] at a prime node.
-    """
-    out: list = []
-    stack = [_Node(g._full_mask())]
-    while stack:
-        node = stack.pop()
-        m = node.mask
-        leaf = _leaf(g, m)
-        if leaf is not None:
-            out.append(leaf)
-            continue
-        pick = _pick(g, node)
-        if pick is None:
-            out.append(_induced(g, m))
-            continue
-        child, quotient, marker = _cut(g, node, *pick)
-        out.append((g.vertices[marker.bit_length() - 1], m))
-        stack.append(child)
-        stack.append(quotient)
-    return out
-
-
 def _unification_node(g: Graph, events):
     """The last branch, at a prime node: a unification's constructor with
-    its two factors, which finish their own builds only if they are
-    members.  Both are smaller than g: the divide conditions ask for
-    |A|, |C| >= 2."""
+    its two factors, each the root item of its own build, which finishes
+    only if it is a member.  Both are smaller than g: the divide
+    conditions ask for |A|, |C| >= 2."""
     co, pair = _unification_step(g, events)
-    return partial(CoSgu if co else Sgu, roles=pair.roles), (pair.g1, pair.g2)
+    kids = tuple(((h, _Node(h._full_mask())), None) for h in (pair.g1, pair.g2))
+    return partial(CoSgu if co else Sgu, roles=pair.roles), kids
 
 
-def _build(skeleton: list, events) -> DecompTree:
-    """Replay a skeleton into a tree, in preorder.  An item is an iterator
-    over the records of the subtree still to build, or a factor's Graph,
-    whose skeleton is read then.  Raises at a prime node that no
+def _build(g: Graph, events, cycles: list) -> DecompTree:
+    """Build g's tree in preorder, in one walk over (host, node) items: a
+    node of host's modular decomposition tree (modular._Node), standing for
+    host induced on the node's mask.  One decomposition tree serves a whole
+    host; its modules are split only where the walk reads them, never
+    inside a leaf.
+
+    An item becomes its leaf when it is split or a pentagon; else a
+    substitution along the homogeneous set find_proper_homogeneous_set
+    picks (modular._pick), whose quotient's and child's trees modular._cut
+    gives, the quotient built first; else, at a prime node, a unification
+    node, whose two factors start new hosts.  The cycles of g's own
+    pentagon leaves go into ``cycles``.  Raises at a prime node that no
     unification step takes apart, which a member never has."""
 
-    def expand(records, _):
-        if type(records) is Graph:
-            records = iter(_skeleton(records))
-        step = next(records)
-        kind = type(step)
-        if kind is tuple:
-            return partial(Subst, marker=step[0]), ((records, None), (records, None))
-        if kind is Graph:
-            node, kids = _unification_node(step, events)
-            return node, tuple((kid, None) for kid in kids)
-        return step, ()
+    def expand(item, _):
+        host, node = item
+        m = node.mask
+        leaf = _leaf(host, m)
+        if leaf is not None:
+            if host is g and type(leaf) is PentagonLeaf:
+                cycles.append(leaf.cycle)
+            return leaf, ()
+        pick = _pick(host, node)
+        if pick is None:
+            return _unification_node(_induced(host, m), events)
+        child, quotient, marker = _cut(host, node, *pick)
+        marker = host.vertices[marker.bit_length() - 1]
+        return partial(Subst, marker=marker), (((host, quotient), None), ((host, child), None))
 
-    return _walk(iter(skeleton), None, expand, _assemble)
+    return _walk((g, _Node(g._full_mask())), None, expand, _assemble)
 
 
 def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
@@ -300,14 +272,14 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
 
     A non-member raises NotClassMember carrying the refuting pattern: the
     same first hit as first_forbidden(g, triple).  One oracle scan looks
-    for a P5 first (oracle._p5_scan).  The tree is then built on the
-    substitution skeleton read off g's modular decomposition; the finished
-    tree proves membership (see the module docstring).  Only if the build
-    raises does the oracle look for the witness, a P5 or house, at the
-    skeleton's prime nodes (oracle._least_hit); if none holds one, the
-    build's own exception propagates, since g is a member.  With
-    ``triple`` a member is refuted by the least cycle of its skeleton's
-    pentagon leaves, the only prime nodes of a member holding a C5.
+    for a P5 first (oracle._p5_scan).  The tree is then built off g's
+    modular decomposition; the finished tree proves membership (see the
+    module docstring).  Only if the build raises is the witness looked
+    for, by the rest of first_forbidden's search (oracle._after_p5_scan);
+    if it finds none, the build's own exception propagates, since g is a
+    member.  With ``triple`` a member is refuted by the least cycle of
+    its pentagon leaves outside any unification, the only places a
+    member holds a C5.
 
     The optional observer receives on_skew_decomposition(work, sp, d,
     case) and on_factor(work, divide, pair) callbacks, in pipeline order,
@@ -316,20 +288,17 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     hit = oracle._p5_scan(g)
     if hit is not None:
         raise NotClassMember(hit)
-    skeleton = _skeleton(g)
     events = None if observer is None else []
+    cycles: list = []
     try:
-        tree = _build(skeleton, events)
+        tree = _build(g, events, cycles)
     except Exception:  # a non-member's build may fail at any stage of a step
-        hit = oracle._least_hit(g, [step for step in skeleton if type(step) is Graph],
-                                oracle._FORBIDDEN)
+        hit = oracle._after_p5_scan(g, oracle._FORBIDDEN)
         if hit is None:
             raise
         raise NotClassMember(hit) from None
-    if triple:
-        cycles = [step.cycle for step in skeleton if type(step) is PentagonLeaf]
-        if cycles:
-            raise NotClassMember(PatternHit(kind=PatternKind.C5, embedding=min(cycles)))
+    if triple and cycles:
+        raise NotClassMember(PatternHit(kind=PatternKind.C5, embedding=min(cycles)))
     for method, args in events or ():
         fn = getattr(observer, method, None)
         if fn is not None:

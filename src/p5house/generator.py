@@ -18,7 +18,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .graph import Graph, SplitCert
 from .modular import substitute
@@ -49,7 +50,8 @@ class GenConfig:
 
     weights maps the node kinds ("split", "pentagon", "subst", "sgu",
     "cosgu") to finite, nonnegative selection weights with a finite,
-    positive sum; leaf_size bounds the number of vertices of a split leaf.
+    positive sum, kept as a read-only copy so that no later edit bypasses
+    these checks; leaf_size bounds the number of vertices of a split leaf.
     At the depth cap only the two leaf kinds are drawn; if both of their
     weights are zero, a split leaf is used.
     """
@@ -57,7 +59,7 @@ class GenConfig:
     seed: int
     max_depth: int = 3
     leaf_size: tuple[int, int] = (1, 6)
-    weights: dict[str, float] = field(
+    weights: Mapping[str, float] = field(
         default_factory=lambda: {"split": 3.0, "pentagon": 1.0, "subst": 3.0, "sgu": 2.0, "cosgu": 2.0}
     )
 
@@ -67,6 +69,7 @@ class GenConfig:
             raise ValueError("leaf sizes must satisfy 1 <= lo <= hi")
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         unknown = set(self.weights) - set(_KINDS)
         if unknown:
             raise ValueError(f"unknown node kinds in weights: {sorted(unknown)}")
@@ -81,7 +84,7 @@ class GenConfig:
             raise ValueError("weights must have a positive sum")
 
 
-def _pick(rng: random.Random, weights: dict[str, float], kinds: tuple[str, ...]) -> str:
+def _pick(rng: random.Random, weights: Mapping[str, float], kinds: tuple[str, ...]) -> str:
     table = [(k, weights.get(k, 0.0)) for k in kinds]
     total = sum(w for _, w in table)
     if total <= 0:

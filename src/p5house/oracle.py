@@ -30,9 +30,10 @@ the graph of one prime node, the input restricted to the least vertex of
 each child (``_least_hit``).  A P5 scan comes first either way
 (``_p5_scan``): of the whole graph up to 16 vertices, of the copies that
 start at one of the first 8 vertices above that, since most non-members
-met in practice have a P5 starting at a low vertex.  ``decompose`` makes
-the same P5 scan, and calls ``_least_hit`` on its own skeleton's prime
-nodes only when its build has raised.
+met in practice have a P5 starting at a low vertex.  The rest of the
+search is ``_after_p5_scan``.  ``decompose`` makes the same P5 scan, and
+calls ``_after_p5_scan`` only when its build has raised, so a non-member
+is refuted by one rule, with first_forbidden's witness.
 """
 
 from __future__ import annotations
@@ -325,11 +326,9 @@ def _least_hit(g: Graph, nodes: list[Graph], kinds: tuple[PatternKind, ...]) -> 
     gives a copy whose embedding, put in the pattern's canonical order, is
     not greater, so g's least copy lies in that node's graph.  P5 is looked
     for only where _p5_scan left it open: v0 past the first _PREFIX ranks
-    of g, and not at all when the scan covered the whole graph."""
+    of g."""
     for kind in kinds:
         if kind is PatternKind.P5:
-            if g.n <= _WHOLE_GRAPH_MAX:
-                continue
             p5_from = g.vertices[_PREFIX]
         best = None
         for h in nodes:
@@ -349,20 +348,14 @@ def _least_hit(g: Graph, nodes: list[Graph], kinds: tuple[PatternKind, ...]) -> 
     return None
 
 
-def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
-    """The refutation of membership: the first induced P5, else the first
-    house, else (with ``triple``) the first pentagon; None for a member.
-
-    A P5 scan comes first (_p5_scan).  After a miss, up to
-    _WHOLE_GRAPH_MAX vertices the house and C5 are searched for in the
-    whole graph with find_induced; above that, the answer is read off the
-    graphs of the prime nodes of one modular decomposition of g
-    (_least_hit), whose nodes are small on the substitution trees this
-    class is made of."""
-    hit = _p5_scan(g)
-    if hit is not None:
-        return hit
-    kinds = _FORBIDDEN_TRIPLE if triple else _FORBIDDEN
+def _after_p5_scan(g: Graph, kinds: tuple[PatternKind, ...]) -> PatternHit | None:
+    """first_forbidden's answer for ``kinds`` (P5 first) once _p5_scan has
+    found no P5 in g.  Up to _WHOLE_GRAPH_MAX vertices the scan covered
+    the whole graph, and the other kinds are searched for in the whole
+    graph with find_induced; above that, the answer is read off the graphs
+    of the prime nodes of one modular decomposition of g (_least_hit),
+    whose nodes are small on the substitution trees this class is made
+    of."""
     if g.n <= _WHOLE_GRAPH_MAX:
         for kind in kinds[1:]:
             hit = find_induced(g, kind)
@@ -370,6 +363,19 @@ def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
                 return hit
         return None
     return _least_hit(g, [g._induced(m) for m in _prime_representatives(g, 5)], kinds)
+
+
+def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
+    """The refutation of membership: the first induced P5, else the first
+    house, else (with ``triple``) the first pentagon; None for a member.
+
+    A P5 scan comes first (_p5_scan); after a miss, the rest of the search
+    is _after_p5_scan's, which decompose also calls to name a non-member's
+    witness."""
+    hit = _p5_scan(g)
+    if hit is not None:
+        return hit
+    return _after_p5_scan(g, _FORBIDDEN_TRIPLE if triple else _FORBIDDEN)
 
 
 def is_class_member(g: Graph, triple: bool = False) -> bool:

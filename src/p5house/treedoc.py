@@ -4,7 +4,7 @@ A document stores the root graph (graph6 plus the sorted id list mapping
 positions back to ids) and the node structure: each internal node records
 only its role vertex ids, so the graphs below it are re-derived top-down
 in the decomposer's one tree walk.  The reader holds each node as a mask
-of a host graph, as decompose's skeleton does: a substitution whose
+of a host graph, as decompose's build does: a substitution whose
 marker is its least member (as written) hands its host to both children,
 and a Graph is built only at a leaf, at a unification node and for the
 quotient of a substitution with another marker.  The root takes graph6's

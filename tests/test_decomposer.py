@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from p5house import decomposer, oracle
+from p5house import decomposer, modular, oracle
 from p5house.census import labeled_graphs
 from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph, split_certificate
 from p5house.modular import find_proper_homogeneous_set, quotient_factor, substitute
 from p5house.oracle import PatternKind, find_induced, find_special_h6, first_forbidden, is_class_member
-from p5house.skewpart import ConstructionFailed
+from p5house.skewpart import ConstructionFailed, NeitherCaseHolds
 from p5house.decomposer import (
     CoSgu,
     InternalStructureError,
@@ -383,26 +383,6 @@ class TestComplementSideOnDemand:
         assert hosts == [g, g.complement()]
         assert verify_tree(t, g).ok
 
-    def test_complement_side_tried_after_a_construction_failure(self, monkeypatch):
-        g = BOTH_SIDES
-        co_hit = find_special_h6(g.complement())
-        assert find_special_h6(g) is not None and co_hit is not None
-        flipped, pair = decomposer._run_pipeline(g, co_hit, None)
-        real = decomposer._run_pipeline
-        works = []
-
-        def fail_first(work, hit, observer):
-            works.append(work)
-            if len(works) == 1:
-                raise ConstructionFailed("first side refused")
-            return real(work, hit, observer)
-
-        monkeypatch.setattr(decomposer, "_run_pipeline", fail_first)
-        t = decompose(g)
-        assert works[:2] == [g.complement(), g]
-        assert type(t) is (CoSgu if flipped else Sgu) and t.roles == pair.roles
-        assert verify_tree(t, g).ok
-
     def test_error_messages(self, monkeypatch):
         monkeypatch.setattr(decomposer, "find_special_h6", lambda g: None)
         with pytest.raises(InternalStructureError) as err:
@@ -410,13 +390,18 @@ class TestComplementSideOnDemand:
         assert str(err.value) == "no decorated H6 in a prime non-split member or its complement"
         monkeypatch.undo()
 
+        works = []
+
         def refuse(work, hit, observer):
+            works.append(work)
             raise ConstructionFailed("refused")
 
+        # one construction: the complement side is not tried after a
+        # failure, and a member's build raises the failure itself
         monkeypatch.setattr(decomposer, "_run_pipeline", refuse)
-        with pytest.raises(InternalStructureError) as err:
+        with pytest.raises(ConstructionFailed) as err:
             decompose(BOTH_SIDES)
-        assert str(err.value) == "both construction sides failed: refused"
+        assert str(err.value) == "refused" and works == [BOTH_SIDES.complement()]
 
 
 # The house: the complement of the path 0-1-2-3-4.
@@ -470,8 +455,8 @@ def flip(rng, g):
 
 class TestWitness:
     """decompose rejects with first_forbidden's hit, although it scans
-    only the root for a P5, and the skeleton's prime nodes for a house
-    only once its build has raised."""
+    only the root for a P5, and looks for a house, by first_forbidden's
+    own search after the P5 scan, only once its build has raised."""
 
     def test_every_graph_up_to_six_vertices(self):
         for triple in (False, True):
@@ -504,12 +489,12 @@ class TestWitness:
     def test_pentagon_met_before_a_house_gives_the_house(self, steps):
         # The house on 0..4 is the module split off first, so the walk
         # reaches the pentagon (inside the quotient) before it; the build
-        # raises at the house's prime node, whose house is the witness,
-        # with no scan of g for a house or a C5.
+        # raises at the house's prime node, and the witness is the house
+        # that first_forbidden's whole-graph search finds, with no scan of
+        # g for a C5.
         g = Graph(range(10), HOUSE_EDGES + cycle_graph(range(5, 10)).edges())
         hit = rejection(g, triple=True)
-        assert steps == [("scan", g, PatternKind.P5), ("raised",),
-                         ("least_hit", [g.induced(range(5))], oracle._FORBIDDEN)]
+        assert steps == [("scan", g, PatternKind.P5), ("raised",), ("scan", g, PatternKind.HOUSE)]
         assert hit == first_forbidden(g, triple=True) and hit.kind is PatternKind.HOUSE
 
     def test_pentagon_leaf_in_triple_mode_gives_its_c5(self):
@@ -519,9 +504,11 @@ class TestWitness:
         assert hit == first_forbidden(g, triple=True) and set(hit.embedding) == set(c5.vertices)
 
     def test_node_hit_missing_from_the_root(self, monkeypatch):
-        # The witness comes from the prime node, so a house scan of the
-        # whole graph that saw nothing would change nothing: none is made.
-        g = substitute(on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]), path_graph([0, 1, 2]), 1)
+        # Above the size limit the witness comes from the prime node, so a
+        # house scan of the whole graph that saw nothing would change
+        # nothing: none is made.
+        g = substitute(on_ids(HOUSE_EDGES, [30, 31, 32, 33, 34]), complete_graph(range(13)), 1)
+        assert g.n > oracle._WHOLE_GRAPH_MAX
         expected = first_forbidden(g)
         real = oracle.find_induced
 
@@ -535,17 +522,22 @@ class TestWitness:
     def test_least_hit_from_a_later_prime_node(self, steps):
         # A house blown up by a house: the build raises at the quotient's
         # prime node, visited first, but the child's house, on lower ids,
-        # is the least.
+        # is the least.  Up to the size limit it is found by a whole-graph
+        # search; above it, in a clique, on the prime representatives.
         outer = on_ids(HOUSE_EDGES, [1, 20, 21, 22, 23])
         inner = on_ids(HOUSE_EDGES, [1, 2, 3, 4, 5])
         g = substitute(inner, outer, 1)
-        for triple in (False, True):
-            expected = first_forbidden(g, triple)
-            steps.clear()
-            assert rejection(g, triple) == expected
-            assert set(expected.embedding) == set(inner.vertices)
-            assert steps == [("scan", g, PatternKind.P5), ("raised",),
-                             ("least_hit", [outer, inner], oracle._FORBIDDEN)]
+        big = substitute(g, complete_graph([1] + list(range(30, 38))), 1)
+        assert g.n <= oracle._WHOLE_GRAPH_MAX < big.n
+        for h, after in ((g, [("scan", g, PatternKind.HOUSE)]),
+                         (big, [("least_hit", [outer, inner], oracle._FORBIDDEN)])):
+            for triple in (False, True):
+                expected = first_forbidden(h, triple)
+                steps.clear()
+                assert rejection(h, triple) == expected
+                assert set(expected.embedding) == set(inner.vertices)
+                scan = [("scan", h, PatternKind.P5)] if h is g else []
+                assert steps == scan + [("raised",)] + after
 
     def test_least_c5_from_a_later_pentagon_leaf(self, scans):
         # The same with pentagons: a member, but in triple mode the least
@@ -604,9 +596,9 @@ def steps(monkeypatch):
         log.append(("scan", g, kind))
         return find(g, kind)
 
-    def build_logged(skeleton, events):
+    def build_logged(g, events, cycles):
         try:
-            tree = build(skeleton, events)
+            tree = build(g, events, cycles)
         except Exception:
             log.append(("raised",))
             raise
@@ -678,30 +670,34 @@ class TestOraclePlacement:
 
     def test_p5_rejection_takes_no_homogeneous_set_search(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(decomposer, "_skeleton", calls.append)
+        monkeypatch.setattr(decomposer, "_build", lambda *args: calls.append(args))
         g = substitute(complete_graph([10, 11]), path_graph(range(5)), 2)
         assert rejection(g).kind is PatternKind.P5
         assert calls == []
 
     def test_one_decomposition_and_no_homogeneous_set_search(self, monkeypatch):
-        # A substitution member over two unification nodes: one skeleton,
-        # so one modular decomposition tree, for the input and for each
-        # factor, and no homogeneous-set search or quotient_factor call.
-        from p5house import modular
-
+        # A substitution member over two unification nodes: one modular
+        # decomposition tree, for the input and for each factor, each the
+        # host of the items below it, and no homogeneous-set search or
+        # quotient_factor call.
         def refuse(*args):
             raise AssertionError("called")
 
         monkeypatch.setattr(modular, "find_proper_homogeneous_set", refuse)
         monkeypatch.setattr(modular, "quotient_factor", refuse)
-        roots = []
-        real = decomposer._skeleton
+        trees, hosts = [], set()
+        node, expand = decomposer._Node, decomposer._leaf
 
-        def logged(h):
-            roots.append(h)
-            return real(h)
+        def tree_logged(mask):
+            trees.append(mask)
+            return node(mask)
 
-        monkeypatch.setattr(decomposer, "_skeleton", logged)
+        def leaf_logged(host, m):
+            hosts.add(host)
+            return expand(host, m)
+
+        monkeypatch.setattr(decomposer, "_Node", tree_logged)
+        monkeypatch.setattr(decomposer, "_leaf", leaf_logged)
         factors = []
 
         class Obs:
@@ -711,7 +707,9 @@ class TestOraclePlacement:
         g = substitute(h6().complement(), on_ids(H6_EDGES, range(10, 16)), 10)
         t = decompose(g, observer=Obs())
         assert verify_tree(t, g).ok
-        assert len(factors) == 4 and roots == [g] + factors
+        roots = [g] + factors
+        assert len(factors) == 4 and trees == [h._full_mask() for h in roots]
+        assert hosts == set(roots)
 
     def test_house_rejection_after_a_member_prime_node(self, steps, monkeypatch):
         # The build unifies the member's prime node, an H6, before it
@@ -740,17 +738,14 @@ class TestOraclePlacement:
         with pytest.raises(NotClassMember) as err:
             decompose(g, observer=Obs())
         assert err.value.hit == expected and expected.kind is PatternKind.HOUSE
-        scan, raised, (name, nodes, kinds) = steps
-        assert scan == ("scan", g, PatternKind.P5) and raised == ("raised",)
-        assert name == "least_hit" and kinds == oracle._FORBIDDEN
-        assert len(nodes) == 2 and all(h != g and is_prime_node(h) for h in nodes)
-        assert is_class_member(nodes[0]) and not is_class_member(nodes[1])
+        assert steps == [("scan", g, PatternKind.P5), ("raised",), ("scan", g, PatternKind.HOUSE)]
         assert held == ["on_skew_decomposition", "on_factor"] and events == []
 
     def test_refutations_make_no_whole_graph_house_scan(self, scans, monkeypatch):
         # House-only near-members above the size limit: one P5 scan of g
-        # over the prefix ranks, then every scan is of a prime node's graph
-        # (a pentagon leaf's too in triple mode).
+        # over the prefix ranks, then every scan is of the representative
+        # graph of a prime node of g with five children or more, split ones
+        # included, as in first_forbidden.
         kernels, nodes = [], []
         kernel, least_hit = oracle._kernel, oracle._least_hit
 
@@ -781,8 +776,8 @@ class TestOraclePlacement:
                 assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
                 assert all(len(masks) < g.n for masks, *_ in kernels[1:])
                 assert nodes and all(h != g for h in nodes)
-                assert all(is_prime_node(h) or triple and decomposer._pentagon_cycle(h)
-                           for h in nodes)
+                assert nodes == [g._induced(m) for m in modular._prime_representatives(g, 5)]
+                assert all(find_proper_homogeneous_set(h) is None for h in nodes)
 
 
 # A prime member whose maximized partition classifies on the anti-component
@@ -933,8 +928,8 @@ class TestUnificationChecksOnce:
 class TestBuildCertifies:
     """The two claims decompose rests on: a non-member never finishes its
     build, and a member's C5, if any, sits in a pentagon leaf of its
-    skeleton (Fouquet: a prime graph with no P5 and no house that holds a
-    C5 is that C5)."""
+    substitution skeleton (Fouquet: a prime graph with no P5 and no house
+    that holds a C5 is that C5)."""
 
     def test_no_non_member_finishes_its_build(self):
         rng = random.Random(917)
@@ -950,9 +945,9 @@ class TestBuildCertifies:
                 if is_class_member(g):
                     continue
                 refuted[corpus] += 1
-                with pytest.raises(Exception) as err:
-                    decomposer._build(decomposer._skeleton(g), None)
-                assert not isinstance(err.value, NotClassMember)
+                # the failures of a construction, not of a programming error
+                with pytest.raises((InternalStructureError, ConstructionFailed, NeitherCaseHolds)):
+                    decomposer._build(g, None, [])
         assert refuted["labelled"] == 13_560 and refuted["near"] >= 500
 
     def test_member_c5_only_in_pentagon_leaves(self):
@@ -964,8 +959,8 @@ class TestBuildCertifies:
             graphs += [g, g.complement()]
         primes = 0
         for g in graphs:
-            for step in decomposer._skeleton(g):
-                if type(step) is Graph:
+            for kind, _, step in read_skeleton(g):
+                if kind == "prime":
                     primes += 1
                     assert find_induced(step, PatternKind.C5) is None
         assert primes >= 700
@@ -1001,18 +996,37 @@ def reference_skeleton(g):
 
 
 def read_skeleton(g):
-    """decompose's skeleton of g in the records of reference_skeleton."""
+    """decompose's skeleton of g in the records of reference_skeleton: the
+    tree _build makes with each prime node's graph kept as a leaf.  The
+    build must meet the prime nodes in the records' order (a quotient
+    before its child), the order of its unification steps."""
+    met = []
+
+    def prime_leaf(h, events):
+        met.append(h)
+        return h, ()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposer, "_unification_node", prime_leaf)
+        tree = decomposer._build(g, None, [])
     out = []
-    for step in decomposer._skeleton(g):
-        if isinstance(step, SplitLeaf):
-            out.append(("split", step.graph.vertex_set, step))
-        elif isinstance(step, PentagonLeaf):
-            out.append(("pentagon", step.graph.vertex_set, step))
-        elif isinstance(step, Graph):
-            out.append(("prime", step.vertex_set, step))
-        else:
-            marker, m = step
-            out.append(("subst", g._set_of(m), marker))
+
+    def read(t):
+        """Append t's records in preorder; return its vertex set."""
+        if type(t) is Subst:
+            i = len(out)
+            out.append(None)
+            vs = read(t.quotient) | read(t.child)
+            out[i] = ("subst", vs, t.marker)
+            return vs
+        if type(t) is Graph:
+            out.append(("prime", t.vertex_set, t))
+            return t.vertex_set
+        out.append(("split" if type(t) is SplitLeaf else "pentagon", t.graph.vertex_set, t))
+        return t.graph.vertex_set
+
+    read(tree)
+    assert met == [h for kind, _, h in out if kind == "prime"]
     return out
 
 
@@ -1025,8 +1039,8 @@ def chain(n):
 
 
 class TestSkeletonFromTheDecomposition:
-    """The skeleton read off one modular decomposition equals the one the
-    per-node homogeneous-set search gives, record for record."""
+    """The skeleton the build reads off one modular decomposition equals
+    the one the per-node homogeneous-set search gives, record for record."""
 
     def test_every_graph_up_to_six_vertices(self):
         for n in range(7):

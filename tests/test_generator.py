@@ -42,6 +42,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonnegative"):
             GenConfig(seed=1, weights=dict(weights, cosgu=float("-inf")))
 
+    def test_weights_cannot_change_after_construction(self):
+        # the checks above would be bypassed by an edit made afterwards:
+        # the config's weights are a read-only copy of the caller's
+        weights = {"split": 1.0, "subst": 1.0}
+        cfg = GenConfig(seed=1, weights=weights)
+        for key in ("split", "cosgu"):
+            with pytest.raises(TypeError):
+                cfg.weights[key] = float("nan")
+        weights["subst"] = float("inf")
+        weights["sgu"] = 5.0
+        assert dict(cfg.weights) == {"split": 1.0, "subst": 1.0}
+        assert generate(cfg) == generate(GenConfig(seed=1, weights={"split": 1.0, "subst": 1.0}))
+
 
 class TestRandomSplitGraph:
     def test_outputs_certify(self):

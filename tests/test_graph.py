@@ -155,11 +155,17 @@ class TestSimplicial:
 
 
 def brute_force_split(g):
+    """Whether some subset of the vertices is a clique whose complement is
+    stable, trying every subset, on adjacency masks read off has_edge."""
     vs = list(g.vertices)
-    for bits in range(1 << len(vs)):
-        clique = {v for i, v in enumerate(vs) if bits >> i & 1}
-        stable = set(vs) - clique
-        if g.is_clique(clique) and g.is_stable(stable):
+    n = len(vs)
+    adj = [sum(1 << j for j, w in enumerate(vs) if g.has_edge(v, w)) for v in vs]
+    full = (1 << n) - 1
+    for clique in range(1 << n):
+        stable = full ^ clique
+        if all((adj[i] | 1 << i) & clique == clique for i in range(n) if clique >> i & 1) and all(
+            not adj[i] & stable for i in range(n) if stable >> i & 1
+        ):
             return True
     return False
 
@@ -186,17 +192,39 @@ class TestSplitCertificate:
         assert split_certificate(empty_graph([5])) is not None
 
     def test_agrees_with_brute_force_up_to_n6(self):
+        # every labelled graph up to six vertices, then seeded random
+        # graphs with n 7..14: as many split graphs (a random clique and
+        # stable set with random edges between them, so degrees tie often)
+        # as arbitrary ones, each with one vertex pair flipped half the time
         from p5house.census import labeled_graphs
 
-        for n in range(7):
-            for g in labeled_graphs(n):
-                cert = split_certificate(g)
-                assert (cert is not None) == brute_force_split(g)
-                if cert is not None:
-                    assert cert.clique | cert.stable == g.vertex_set
-                    assert not cert.clique & cert.stable
-                    assert g.is_clique(cert.clique)
-                    assert g.is_stable(cert.stable)
+        rng = random.Random(1607)
+        graphs = [g for n in range(7) for g in labeled_graphs(n)]
+        for n in range(7, 15):
+            for i in range(24):
+                if i % 2:
+                    g = random_graph(rng, n, rng.random())
+                else:
+                    k = rng.randint(0, n)
+                    p = rng.random()
+                    edges = list(itertools.combinations(range(k), 2))
+                    edges += [(u, v) for u in range(k) for v in range(k, n) if rng.random() < p]
+                    g = Graph(range(n), edges)
+                if rng.random() < 0.5:
+                    edges = set(g.edges()) ^ {tuple(sorted(rng.sample(range(n), 2)))}
+                    g = Graph(range(n), edges)
+                graphs.append(g)
+        found = 0
+        for g in graphs:
+            cert = split_certificate(g)
+            assert (cert is not None) == brute_force_split(g)
+            if cert is not None:
+                found += g.n >= 7
+                assert cert.clique | cert.stable == g.vertex_set
+                assert not cert.clique & cert.stable
+                assert g.is_clique(cert.clique)
+                assert g.is_stable(cert.stable)
+        assert found >= 50
 
 
 class TestMixedWitness:

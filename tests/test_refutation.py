@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from p5house import decomposer, modular, oracle
+from p5house import oracle
 from p5house.decomposer import NotClassMember, decompose
-from p5house.graph import Graph, split_certificate
+from p5house.graph import Graph
 from p5house.oracle import PatternHit, PatternKind, find_induced, first_forbidden, is_class_member
 
 from test_decomposer import chain, flip, substitution_member
@@ -185,21 +185,3 @@ class TestPlacement:
         is_class_member(g)
         assert logged["find_induced"] == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
         assert logged["decompositions"] == 0
-
-
-def test_prime_representatives_cover_the_skeleton():
-    # first_forbidden and decompose scan the same graphs: the skeleton's
-    # prime nodes and pentagon leaves are representative graphs of prime
-    # nodes, and every other representative lies inside a split leaf.
-    rng = random.Random(4806)
-    for _ in range(100):
-        g = substitution_member(rng, rng.randint(17, 48))
-        reps = set(modular._prime_representatives(g, 5))
-        scanned = set()
-        for step in decomposer._skeleton(g):
-            if type(step) is decomposer.PentagonLeaf:
-                step = step.graph
-            if type(step) is Graph:
-                scanned.add(g._mask_of(step.vertices))
-        assert scanned <= reps
-        assert all(split_certificate(g._induced(m)) is not None for m in reps - scanned)

@@ -28,9 +28,16 @@ bench seeds 1-3 as the benchmark builds them, and ``large``: 300 seeded
 random graphs with n 17..48 over the full density range, 40 near-members
 with n 30..41 whose only patterns are houses (a substitution member of the
 benchmark's builder with one pair flipped) and the n = 60 chain.  The bench
-and large graphs are taken as given and complemented.  Two checkouts give the same outputs on these corpora exactly
-when they print the same lines.  The script uses the standard library and
-the p5house package of the checkout it sits in.
+and large graphs are taken as given and complemented.  Two checkouts give
+the same outputs on these corpora exactly when they print the same lines.
+The script uses the standard library and the p5house package of the
+checkout it sits in.
+
+``tools/outputs_digest.txt`` holds the lines of a full run, and CI diffs a
+fresh run against it, so a change that keeps every output passes as it
+is.  A change meant to alter outputs must regenerate the file:
+
+    python3 tools/outputs_digest.py > tools/outputs_digest.txt
 """
 
 from __future__ import annotations
