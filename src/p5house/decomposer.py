@@ -22,17 +22,20 @@ split graphs and pentagons are members and substitution and unification
 keep the class, so a finished tree whose every step was checked as it was
 built (leaves by their split certificate or cycle, substitutions by strong
 modules, unifications by factor's divide conditions) proves membership; a
-non-member's build raises.  One oracle scan of the graph looks for a P5
-first (oracle._p5_scan).  The build then walks the input's modular
-decomposition, computed once and split only where it is read: each node
-is an induced subgraph of the input, handled on masks until it is a leaf
-or a prime node, and each factor of a unification starts its own.  Only
+non-member's build raises.  The input's modular decomposition tree is
+made once and split only where it is read.  The oracle's P5 scan comes
+first (oracle._p5_scan); above 16 vertices it reads the tree's prime
+nodes, so a P5 non-member never starts a build, and the build finds those
+modules already split.  The build walks the same tree: each node is an
+induced subgraph of the input, handled on masks until it is a leaf or a
+prime node, and each factor of a unification starts its own tree.  Only
 when the build raises does the oracle name the witness, by the rest of
-first_forbidden's own search (oracle._after_p5_scan), so a non-member is
-refuted by one rule.  In triple mode a member's C5 lies in a pentagon
-leaf, since a prime graph with no P5 and no house that holds a C5 is that
-C5 (Fouquet, Discrete Math. 121, 1993).  Observer events are held during
-the build and handed over once the tree is finished and accepted.
+first_forbidden's own search over the same tree (oracle._after_p5_scan),
+so a non-member is refuted by one rule.  In triple mode a member's C5
+lies in a pentagon leaf, since a prime graph with no P5 and no house that
+holds a C5 is that C5 (Fouquet, Discrete Math. 121, 1993).  Observer
+events are held during the build and handed over once the tree is
+finished and accepted.
 
 The build makes no check beyond these.  The skew-partition lemma suite
 (skewpart.lemma_violations) and the usability of the maximized partition
@@ -234,7 +237,7 @@ def _unification_node(g: Graph, events):
     return partial(CoSgu if co else Sgu, roles=pair.roles), kids
 
 
-def _build(g: Graph, events, cycles: list) -> DecompTree:
+def _build(g: Graph, events, cycles: list, root: _Node | None = None) -> DecompTree:
     """Build g's tree in preorder, in one walk over (host, node) items: a
     node of host's modular decomposition tree (modular._Node), standing for
     host induced on the node's mask.  One decomposition tree serves a whole
@@ -246,7 +249,8 @@ def _build(g: Graph, events, cycles: list) -> DecompTree:
     picks (modular._pick), whose quotient's and child's trees modular._cut
     gives, the quotient built first; else, at a prime node, a unification
     node, whose two factors start new hosts.  The cycles of g's own
-    pentagon leaves go into ``cycles``.  Raises at a prime node that no
+    pentagon leaves go into ``cycles``.  ``root`` is g's decomposition
+    tree, by default a fresh one.  Raises at a prime node that no
     unification step takes apart, which a member never has."""
 
     def expand(item, _):
@@ -264,19 +268,20 @@ def _build(g: Graph, events, cycles: list) -> DecompTree:
         marker = host.vertices[marker.bit_length() - 1]
         return partial(Subst, marker=marker), (((host, quotient), None), ((host, child), None))
 
-    return _walk((g, _Node(g._full_mask())), None, expand, _assemble)
+    return _walk((g, root or _Node(g._full_mask())), None, expand, _assemble)
 
 
 def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     """Decompose a class member into a structure tree.
 
     A non-member raises NotClassMember carrying the refuting pattern: the
-    same first hit as first_forbidden(g, triple).  One oracle scan looks
-    for a P5 first (oracle._p5_scan).  The tree is then built off g's
-    modular decomposition; the finished tree proves membership (see the
-    module docstring).  Only if the build raises is the witness looked
-    for, by the rest of first_forbidden's search (oracle._after_p5_scan);
-    if it finds none, the build's own exception propagates, since g is a
+    same first hit as first_forbidden(g, triple).  g's modular
+    decomposition tree is made once, for three readers: the P5 scan
+    (oracle._p5_scan), which above 16 vertices reads its prime nodes, the
+    build, and, only if the build raises, the rest of first_forbidden's
+    search (oracle._after_p5_scan), which names the witness.  The finished
+    tree proves membership (see the module docstring); if the search finds
+    no witness, the build's own exception propagates, since g is a
     member.  With ``triple`` a member is refuted by the least cycle of
     its pentagon leaves outside any unification, the only places a
     member holds a C5.
@@ -285,15 +290,16 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     case) and on_factor(work, divide, pair) callbacks, in pipeline order,
     once the tree is finished and accepted, so a non-member gets none.
     """
-    hit = oracle._p5_scan(g)
+    root = oracle._tree(g)
+    hit = oracle._p5_scan(g, root)
     if hit is not None:
         raise NotClassMember(hit)
     events = None if observer is None else []
     cycles: list = []
     try:
-        tree = _build(g, events, cycles)
+        tree = _build(g, events, cycles, root)
     except Exception:  # a non-member's build may fail at any stage of a step
-        hit = oracle._after_p5_scan(g, oracle._FORBIDDEN)
+        hit = oracle._after_p5_scan(g, oracle._FORBIDDEN, root)
         if hit is None:
             raise
         raise NotClassMember(hit) from None

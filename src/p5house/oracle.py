@@ -27,11 +27,13 @@ with no generator frames.
 does so up to 16 vertices.  Above that it reads the modular decomposition:
 P5, the house and C5 are prime graphs, so the least copy of each lies in
 the graph of one prime node, the input restricted to the least vertex of
-each child (``_least_hit``).  A P5 scan comes first either way
-(``_p5_scan``): of the whole graph up to 16 vertices, of the copies that
-start at one of the first 8 vertices above that, since most non-members
-met in practice have a P5 starting at a low vertex.  The rest of the
-search is ``_after_p5_scan``.  ``decompose`` makes the same P5 scan, and
+each child (``_least_hit``).  The search is two calls over one
+decomposition tree.  ``_p5_scan`` gives the first P5: up to 16 vertices
+from the whole graph; above that, from the copies that start at one of the
+first few vertices (``_PREFIX``), since most non-members met in practice
+have a P5 starting at a low vertex, and after a miss from the prime nodes.
+``_after_p5_scan`` then looks for the house (and C5) the same way.
+``decompose`` makes the same P5 scan over the tree its build walks, and
 calls ``_after_p5_scan`` only when its build has raised, so a non-member
 is refuted by one rule, with first_forbidden's witness.
 """
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Graph
-from .modular import _prime_representatives
+from .modular import _Node, _prime_representatives
 
 __all__ = [
     "PatternKind",
@@ -109,7 +111,7 @@ _COMPILED = {kind: _compile(kind) for kind in PatternKind}
 _FORBIDDEN = (PatternKind.P5, PatternKind.HOUSE)
 _FORBIDDEN_TRIPLE = _FORBIDDEN + (PatternKind.C5,)
 
-# _p5_scan and first_forbidden scan graphs with at most this many vertices
+# _p5_scan and _after_p5_scan scan graphs with at most this many vertices
 # whole.  Here the decomposition costs about what it saves: at n = 16,
 # is_class_member took 0.169 ms whole against 0.139 ms on the prime nodes
 # for substitution members, 0.178 against 0.325 ms for grown prime members;
@@ -118,12 +120,15 @@ _FORBIDDEN_TRIPLE = _FORBIDDEN + (PatternKind.C5,)
 _WHOLE_GRAPH_MAX = 16
 
 # The v0 ranks of the P5 scan of the whole graph that comes before the
-# modular decomposition.  On the bench's 768 members near-members of seed 1
-# (n 30..41), prefixes of 4, 6, 8, 12 and 16 ranks hold the first P5 of
-# 655, 702, 729, 752 and 762 of them, and their summed decompose
-# rejections took 197, 135, 105, 100 and 116 ms, while the members'
-# median is_class_member grew from 0.79 ms at 4 ranks to 1.73 ms at 16.
-_PREFIX = 8
+# prime nodes are read.  On the bench's 768 members near-members of seed 1
+# (n 30..41), prefixes of 2, 3, 4, 6 and 8 ranks hold the first P5 of 517,
+# 606, 655, 702 and 729 of them; their summed decompose rejections took
+# 127, 106, 98, 105 and 105 ms, and the members' median decompose took
+# 0.76, 0.85, 0.85, 1.06 and 1.23 ms (best of two sweeps of best-of-7
+# times, 2 vCPUs, Python 3.11).  Below 4 ranks the members bench's
+# graphs_per_s, which sums the rejections, falls: 3,288 and 3,700 at 2 and
+# 3 ranks against 3,959 at 4 (medians of six 8 s runs, seeds 1..3).
+_PREFIX = 4
 
 
 @dataclass(frozen=True)
@@ -295,87 +300,94 @@ def contains_induced_using(g: Graph, kind: PatternKind, v: int) -> bool:
     return False
 
 
-def _p5_prefix(g: Graph) -> PatternHit | None:
-    """The first P5 of g whose v0 has one of the first _PREFIX ranks, which
-    is g's first P5 when there is one."""
+def _representatives(g: Graph, root: _Node | None) -> list[Graph]:
+    """The representative graphs of the prime nodes of g with five
+    children or more, read off g's decomposition tree ``root``: the only
+    graphs that can hold g's least P5, house or C5 (see _least_hit)."""
+    return [g._induced(m) for m in _prime_representatives(g, 5, root)]
+
+
+def _least_hit(nodes: list[Graph], kind: PatternKind, v0_from: int | None = None) -> PatternHit | None:
+    """The least copy of ``kind`` (P5, the house or C5) that any of
+    ``nodes`` holds, or None; a P5 among those whose v0 is ``v0_from`` or
+    above, which P5 needs.
+
+    For the representative graphs of g's prime nodes (_representatives)
+    this is g's least copy.  Each pattern is prime, so a copy in g lies
+    inside the smallest strong module holding it and meets each child of
+    that module's node in one vertex at most; moving each vertex to the
+    least vertex of its child gives a copy whose embedding, put in the
+    pattern's canonical order, is not greater, so g's least copy lies in
+    that node's representative graph."""
+    best = None
+    for h in nodes:
+        vs = h.vertices
+        if kind is PatternKind.P5:
+            pos = _kernel(h._masks, False, bisect_left(vs, v0_from))
+        elif kind is PatternKind.HOUSE:
+            pos = _kernel(h.complement()._masks, False)
+        else:
+            pos = _kernel(h._masks, True)
+        if pos is not None:
+            emb = tuple(vs[i] for i in pos)
+            if best is None or emb < best:
+                best = emb
+    return None if best is None else PatternHit(kind=kind, embedding=best)
+
+
+def _tree(g: Graph) -> _Node | None:
+    """g's modular decomposition tree for _p5_scan and _after_p5_scan to
+    read, or None up to _WHOLE_GRAPH_MAX vertices, where they read none."""
+    return None if g.n <= _WHOLE_GRAPH_MAX else _Node(g._full_mask())
+
+
+def _p5_scan(g: Graph, root: _Node | None = None) -> PatternHit | None:
+    """g's first P5, or None.  Up to _WHOLE_GRAPH_MAX vertices, a scan of
+    the whole graph.  Above that, the copies whose v0 has one of g's first
+    _PREFIX ranks are scanned in g, since most non-members met in practice
+    have a P5 starting at a low vertex; after a miss, the least P5 from
+    that rank on is read off the prime nodes of g's decomposition tree
+    ``root`` (_least_hit), which decompose then builds from."""
+    if g.n <= _WHOLE_GRAPH_MAX:
+        return find_induced(g, PatternKind.P5)
     pos = _kernel(g._masks, False, 0, _PREFIX)
     if pos is None:
-        return None
+        return _least_hit(_representatives(g, root), PatternKind.P5, g.vertices[_PREFIX])
     vs = g.vertices
     return PatternHit(kind=PatternKind.P5, embedding=tuple(vs[i] for i in pos))
 
 
-def _p5_scan(g: Graph) -> PatternHit | None:
-    """The P5 scan of g that comes before its prime nodes are read: all of
-    g up to _WHOLE_GRAPH_MAX vertices, the copies whose v0 has one of the
-    first _PREFIX ranks above that.  A hit is g's first P5."""
-    if g.n <= _WHOLE_GRAPH_MAX:
-        return find_induced(g, PatternKind.P5)
-    return _p5_prefix(g)
-
-
-def _least_hit(g: Graph, nodes: list[Graph], kinds: tuple[PatternKind, ...]) -> PatternHit | None:
-    """The least copy of the first of ``kinds`` that any of ``nodes``, the
-    graphs of prime nodes of g (induced subgraphs), holds; None when none
-    holds one.
-
-    When _p5_scan has found no P5 in g, this is first_forbidden's hit.
-    Each pattern is prime, so a copy in g lies inside the smallest strong
-    module holding it and meets each child of that module's node in one
-    vertex at most; moving each vertex to the least vertex of its child
-    gives a copy whose embedding, put in the pattern's canonical order, is
-    not greater, so g's least copy lies in that node's graph.  P5 is looked
-    for only where _p5_scan left it open: v0 past the first _PREFIX ranks
-    of g."""
-    for kind in kinds:
-        if kind is PatternKind.P5:
-            p5_from = g.vertices[_PREFIX]
-        best = None
-        for h in nodes:
-            vs = h.vertices
-            if kind is PatternKind.P5:
-                pos = _kernel(h._masks, False, bisect_left(vs, p5_from))
-            elif kind is PatternKind.HOUSE:
-                pos = _kernel(h.complement()._masks, False)
-            else:
-                pos = _kernel(h._masks, True)
-            if pos is not None:
-                emb = tuple(vs[i] for i in pos)
-                if best is None or emb < best:
-                    best = emb
-        if best is not None:
-            return PatternHit(kind=kind, embedding=best)
-    return None
-
-
-def _after_p5_scan(g: Graph, kinds: tuple[PatternKind, ...]) -> PatternHit | None:
+def _after_p5_scan(
+    g: Graph, kinds: tuple[PatternKind, ...], root: _Node | None = None
+) -> PatternHit | None:
     """first_forbidden's answer for ``kinds`` (P5 first) once _p5_scan has
-    found no P5 in g.  Up to _WHOLE_GRAPH_MAX vertices the scan covered
-    the whole graph, and the other kinds are searched for in the whole
-    graph with find_induced; above that, the answer is read off the graphs
-    of the prime nodes of one modular decomposition of g (_least_hit),
-    whose nodes are small on the substitution trees this class is made
-    of."""
-    if g.n <= _WHOLE_GRAPH_MAX:
-        for kind in kinds[1:]:
-            hit = find_induced(g, kind)
-            if hit is not None:
-                return hit
-        return None
-    return _least_hit(g, [g._induced(m) for m in _prime_representatives(g, 5)], kinds)
+    found no P5 in g: the first hit of the other kinds, in order.  Up to
+    _WHOLE_GRAPH_MAX vertices they are searched for in the whole graph
+    with find_induced; above that, in the representative graphs of the
+    prime nodes of g's decomposition tree ``root`` (_least_hit), the same
+    that _p5_scan read, which are small on the substitution trees this
+    class is made of."""
+    nodes = None if g.n <= _WHOLE_GRAPH_MAX else _representatives(g, root)
+    for kind in kinds[1:]:
+        hit = find_induced(g, kind) if nodes is None else _least_hit(nodes, kind)
+        if hit is not None:
+            return hit
+    return None
 
 
 def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
     """The refutation of membership: the first induced P5, else the first
     house, else (with ``triple``) the first pentagon; None for a member.
 
-    A P5 scan comes first (_p5_scan); after a miss, the rest of the search
-    is _after_p5_scan's, which decompose also calls to name a non-member's
-    witness."""
-    hit = _p5_scan(g)
+    The search is _p5_scan, then, after a miss, _after_p5_scan, over one
+    decomposition tree of g; decompose makes the same two calls around its
+    build, over the tree it builds from, so a non-member is refuted by one
+    rule."""
+    root = _tree(g)
+    hit = _p5_scan(g, root)
     if hit is not None:
         return hit
-    return _after_p5_scan(g, _FORBIDDEN_TRIPLE if triple else _FORBIDDEN)
+    return _after_p5_scan(g, _FORBIDDEN_TRIPLE if triple else _FORBIDDEN, root)
 
 
 def is_class_member(g: Graph, triple: bool = False) -> bool:

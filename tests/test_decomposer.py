@@ -454,9 +454,9 @@ def flip(rng, g):
 
 
 class TestWitness:
-    """decompose rejects with first_forbidden's hit, although it scans
-    only the root for a P5, and looks for a house, by first_forbidden's
-    own search after the P5 scan, only once its build has raised."""
+    """decompose rejects with first_forbidden's hit: it makes the same P5
+    scan, and looks for a house, by first_forbidden's own search after the
+    P5 scan, only once its build has raised."""
 
     def test_every_graph_up_to_six_vertices(self):
         for triple in (False, True):
@@ -523,20 +523,23 @@ class TestWitness:
         # A house blown up by a house: the build raises at the quotient's
         # prime node, visited first, but the child's house, on lower ids,
         # is the least.  Up to the size limit it is found by a whole-graph
-        # search; above it, in a clique, on the prime representatives.
+        # search; above it, in a clique, on the prime representatives,
+        # which the P5 scan has read before the build.
         outer = on_ids(HOUSE_EDGES, [1, 20, 21, 22, 23])
         inner = on_ids(HOUSE_EDGES, [1, 2, 3, 4, 5])
         g = substitute(inner, outer, 1)
         big = substitute(g, complete_graph([1] + list(range(30, 38))), 1)
         assert g.n <= oracle._WHOLE_GRAPH_MAX < big.n
-        for h, after in ((g, [("scan", g, PatternKind.HOUSE)]),
-                         (big, [("least_hit", [outer, inner], oracle._FORBIDDEN)])):
+        reps = [outer, inner]
+        for h, scan, after in (
+            (g, [("scan", g, PatternKind.P5)], [("scan", g, PatternKind.HOUSE)]),
+            (big, [("least_hit", reps, PatternKind.P5)], [("least_hit", reps, PatternKind.HOUSE)]),
+        ):
             for triple in (False, True):
                 expected = first_forbidden(h, triple)
                 steps.clear()
                 assert rejection(h, triple) == expected
                 assert set(expected.embedding) == set(inner.vertices)
-                scan = [("scan", h, PatternKind.P5)] if h is g else []
                 assert steps == scan + [("raised",)] + after
 
     def test_least_c5_from_a_later_pentagon_leaf(self, scans):
@@ -588,7 +591,9 @@ def scans(monkeypatch):
 def steps(monkeypatch):
     """decompose's steps in call order: ("scan", graph, kind) for every
     oracle.find_induced call, ("built",) or ("raised",) as the build ends,
-    ("least_hit", nodes, kinds) for every oracle._least_hit call."""
+    ("least_hit", nodes, kind) for every oracle._least_hit call.  The
+    wrappers pass every argument on, so a changed signature fails at its
+    call, not as a missing step."""
     log = []
     find, build, least_hit = oracle.find_induced, decomposer._build, oracle._least_hit
 
@@ -596,18 +601,18 @@ def steps(monkeypatch):
         log.append(("scan", g, kind))
         return find(g, kind)
 
-    def build_logged(g, events, cycles):
+    def build_logged(*args, **kwargs):
         try:
-            tree = build(g, events, cycles)
+            tree = build(*args, **kwargs)
         except Exception:
             log.append(("raised",))
             raise
         log.append(("built",))
         return tree
 
-    def least_hit_logged(g, nodes, kinds):
-        log.append(("least_hit", nodes, kinds))
-        return least_hit(g, nodes, kinds)
+    def least_hit_logged(nodes, kind, *args, **kwargs):
+        log.append(("least_hit", nodes, kind))
+        return least_hit(nodes, kind, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "find_induced", find_logged)
     monkeypatch.setattr(decomposer, "_build", build_logged)
@@ -631,8 +636,9 @@ class TestOraclePlacement:
 
     def test_member_gets_only_the_p5_scan(self, steps, monkeypatch):
         # The finished tree certifies a member: one pattern scan, the P5
-        # scan of g (over the prefix ranks above the size limit), whatever
-        # unification steps the build takes.
+        # scan of g, whatever unification steps the build takes.  Above
+        # the size limit that is g over the prefix ranks, then the prime
+        # representatives, all smaller than g, from the next rank on.
         kernels = []
         kernel = oracle._kernel
 
@@ -664,8 +670,11 @@ class TestOraclePlacement:
                     assert steps == [("scan", g, PatternKind.P5), ("built",)]
                     assert kernels == [(g._masks, False, 0, None)]
                 else:
-                    assert steps == [("built",)]
-                    assert kernels == [(g._masks, False, 0, oracle._PREFIX)]
+                    reps = [g._induced(m) for m in modular._prime_representatives(g, 5)]
+                    assert steps == [("least_hit", reps, PatternKind.P5), ("built",)]
+                    assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
+                    assert [masks for masks, *_ in kernels[1:]] == [h._masks for h in reps]
+                    assert all(len(masks) < g.n for masks, *_ in kernels[1:])
         assert len(unified) >= 10
 
     def test_p5_rejection_takes_no_homogeneous_set_search(self, monkeypatch):
@@ -741,24 +750,64 @@ class TestOraclePlacement:
         assert steps == [("scan", g, PatternKind.P5), ("raised",), ("scan", g, PatternKind.HOUSE)]
         assert held == ["on_skew_decomposition", "on_factor"] and events == []
 
-    def test_refutations_make_no_whole_graph_house_scan(self, scans, monkeypatch):
+    def test_p5_past_the_prefix_never_reaches_the_build(self, monkeypatch):
+        # P5 near-members above the size limit whose first P5 begins at
+        # rank _PREFIX or later: the P5 scan finds it on the prime nodes of
+        # g's decomposition tree, made once per call, so no build starts.
+        made, calls = [], []
+
+        class Counted(modular._Node):
+            __slots__ = ()
+
+            def __init__(self, mask, *args):
+                made.append(mask)
+                super().__init__(mask, *args)
+
+        for module in (modular, oracle, decomposer):
+            monkeypatch.setattr(module, "_Node", Counted)
+        for name in ("_build", "_unification_step"):
+            monkeypatch.setattr(decomposer, name, lambda *args, name=name: calls.append(name))
+        rng = random.Random(917)
+        found = 0
+        for _ in range(100):
+            g = flip(rng, substitution_member(rng, rng.randint(20, 41)))
+            expected = first_forbidden(g)
+            if (expected is None or expected.kind is not PatternKind.P5
+                    or g.vertices.index(expected.embedding[0]) < oracle._PREFIX):
+                continue
+            found += 1
+            for triple in (False, True):
+                made.clear()
+                assert rejection(g, triple) == expected
+                assert made.count(g._full_mask()) == 1
+                assert calls == []
+        assert found >= 10
+
+    def test_refutations_make_no_whole_graph_house_scan(self, steps, monkeypatch):
         # House-only near-members above the size limit: one P5 scan of g
         # over the prefix ranks, then every scan is of the representative
         # graph of a prime node of g with five children or more, split ones
-        # included, as in first_forbidden.
-        kernels, nodes = [], []
-        kernel, least_hit = oracle._kernel, oracle._least_hit
+        # included, as in first_forbidden: for a P5 before the build, for
+        # the house after it has raised.  All are read off the one
+        # decomposition tree that the build walks.
+        kernels, roots = [], []
+        kernel, reps, build = oracle._kernel, oracle._prime_representatives, decomposer._build
 
         def kernel_logged(masks, cycle, first=0, stop=None):
             kernels.append((masks, cycle, first, stop))
             return kernel(masks, cycle, first, stop)
 
-        def least_hit_logged(g, hs, kinds):
-            nodes.extend(hs)
-            return least_hit(g, hs, kinds)
+        def reps_logged(g, least, root=None):
+            roots.append(root)
+            return reps(g, least, root)
+
+        def build_logged(g, events, cycles, root=None):
+            roots.append(root)
+            return build(g, events, cycles, root)
 
         monkeypatch.setattr(oracle, "_kernel", kernel_logged)
-        monkeypatch.setattr(oracle, "_least_hit", least_hit_logged)
+        monkeypatch.setattr(oracle, "_prime_representatives", reps_logged)
+        monkeypatch.setattr(decomposer, "_build", build_logged)
         rng = random.Random(913)
         found = 0
         while found < 20:
@@ -767,17 +816,21 @@ class TestOraclePlacement:
                     or is_prime_node(g)):
                 continue
             found += 1
+            nodes = [g._induced(m) for m in modular._prime_representatives(g, 5)]
+            assert nodes and all(h != g for h in nodes)
+            assert all(find_proper_homogeneous_set(h) is None for h in nodes)
             for triple in (False, True):
-                scans.clear()
+                expected = first_forbidden(g, triple)
+                steps.clear()
                 kernels.clear()
-                nodes.clear()
-                rejection(g, triple)
-                assert scans == []
+                roots.clear()
+                assert rejection(g, triple) == expected
+                assert steps == [("least_hit", nodes, PatternKind.P5), ("raised",),
+                                 ("least_hit", nodes, PatternKind.HOUSE)]
                 assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
                 assert all(len(masks) < g.n for masks, *_ in kernels[1:])
-                assert nodes and all(h != g for h in nodes)
-                assert nodes == [g._induced(m) for m in modular._prime_representatives(g, 5)]
-                assert all(find_proper_homogeneous_set(h) is None for h in nodes)
+                assert len(roots) == 3 and all(root is roots[0] for root in roots)
+                assert roots[0].mask == g._full_mask()
 
 
 # A prime member whose maximized partition classifies on the anti-component

@@ -61,16 +61,18 @@ def random_graph(rng, n):
 
 
 def late_p5():
-    """A non-member on 19 vertices whose only P5, 8-10-12-14-16, begins at
-    rank 8, the first rank past the whole-graph prefix: a clique on 0..7
-    joined to the disjoint union of that path and a clique on the odd ids
-    9..17 and 18."""
-    path = [8, 10, 12, 14, 16]
-    clique = [9, 11, 13, 15, 17, 18]
-    edges = list(itertools.combinations(range(8), 2))
-    edges += [(u, v) for u in range(8) for v in path + clique]
+    """A non-member above the size limit whose only P5, k, k+2, ..., k+8
+    for k = oracle._PREFIX, begins at rank k, the first rank past the
+    whole-graph prefix: a clique on 0..k-1 joined to the disjoint union of
+    that path and a clique on the other vertices, at least six."""
+    k = oracle._PREFIX
+    n = max(k + 11, oracle._WHOLE_GRAPH_MAX + 1)
+    path = list(range(k, k + 9, 2))
+    clique = [v for v in range(k, n) if v not in path]
+    edges = list(itertools.combinations(range(k), 2))
+    edges += [(u, v) for u in range(k) for v in path + clique]
     edges += list(zip(path, path[1:])) + list(itertools.combinations(clique, 2))
-    return Graph(range(19), edges)
+    return Graph(range(n), edges)
 
 
 class TestAgainstTheReference:
@@ -118,9 +120,14 @@ class TestAgainstTheReference:
                     assert_matches_reference(flip(rng, h))
 
     def test_only_p5_begins_past_the_prefix(self):
+        # Above the size limit, g has a vertex at rank _PREFIX, where the
+        # search on the prime nodes starts.
+        assert oracle._PREFIX <= oracle._WHOLE_GRAPH_MAX
         g = late_p5()
-        assert oracle._p5_prefix(g) is None
-        expected = PatternHit(kind=PatternKind.P5, embedding=(8, 10, 12, 14, 16))
+        k = oracle._PREFIX
+        assert g.n > oracle._WHOLE_GRAPH_MAX
+        assert oracle._kernel(g._masks, False, 0, k) is None
+        expected = PatternHit(kind=PatternKind.P5, embedding=tuple(range(k, k + 9, 2)))
         assert assert_matches_reference(g) == {False: expected, True: expected}
 
 
@@ -128,8 +135,8 @@ class TestAgainstTheReference:
 def logged(monkeypatch):
     """The scans and decompositions of the oracle: every find_induced call
     as (graph, kind), every _kernel call as (masks, cycle, first, stop) and
-    every modular decomposition read for the refutation."""
-    log = {"find_induced": [], "kernel": [], "decompositions": 0}
+    the decomposition tree of every read of the prime nodes."""
+    log = {"find_induced": [], "kernel": [], "roots": []}
     find, kernel, reps = oracle.find_induced, oracle._kernel, oracle._prime_representatives
 
     def find_logged(g, kind):
@@ -140,9 +147,9 @@ def logged(monkeypatch):
         log["kernel"].append((masks, cycle, first, stop))
         return kernel(masks, cycle, first, stop)
 
-    def reps_logged(g, least):
-        log["decompositions"] += 1
-        return reps(g, least)
+    def reps_logged(g, least, root=None):
+        log["roots"].append(root)
+        return reps(g, least, root)
 
     monkeypatch.setattr(oracle, "find_induced", find_logged)
     monkeypatch.setattr(oracle, "_kernel", kernel_logged)
@@ -153,14 +160,16 @@ def logged(monkeypatch):
 def clear(log):
     log["find_induced"].clear()
     log["kernel"].clear()
-    log["decompositions"] = 0
+    log["roots"].clear()
 
 
 class TestPlacement:
     def test_is_class_member_above_the_limit(self, logged):
         # One P5 scan of the whole graph over the prefix ranks, one
-        # decomposition, and scans of smaller graphs only: no whole-graph
-        # house scan, on members, house-only near-members and late_p5.
+        # decomposition tree, read for P5 from the next rank on and then
+        # for the other kinds, and scans of smaller graphs only: no
+        # whole-graph house scan, on members, house-only near-members and
+        # late_p5.
         rng = random.Random(4804)
         members, house_only = [], []
         while len(house_only) < 10:
@@ -177,11 +186,13 @@ class TestPlacement:
                 assert is_class_member(g, triple) == (expected[triple] is None)
                 assert logged["find_induced"] == []
                 assert logged["kernel"][0] == (g._masks, False, 0, oracle._PREFIX)
-                assert logged["decompositions"] == 1
+                roots, hit = logged["roots"], expected[triple]
+                assert len(roots) == (1 if hit is not None and hit.kind is PatternKind.P5 else 2)
+                assert roots[0].mask == g._full_mask() and all(r is roots[0] for r in roots)
                 assert all(len(masks) < g.n for masks, *_ in logged["kernel"][1:])
 
     def test_whole_graph_scans_up_to_the_limit(self, logged):
         g = substitution_member(random.Random(4805), oracle._WHOLE_GRAPH_MAX)
         is_class_member(g)
         assert logged["find_induced"] == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
-        assert logged["decompositions"] == 0
+        assert logged["roots"] == []
