@@ -22,16 +22,14 @@ split graphs and pentagons are members and substitution and unification
 keep the class, so a finished tree whose every step was checked as it was
 built (leaves by their split certificate or cycle, substitutions by strong
 modules, unifications by factor's divide conditions) proves membership; a
-non-member's build raises.  The input's modular decomposition tree is
-made once and split only where it is read.  The oracle's P5 scan comes
-first (oracle._p5_scan); above 16 vertices it reads the tree's prime
-nodes, so a P5 non-member never starts a build, and the build finds those
-modules already split.  The build walks the same tree: each node is an
-induced subgraph of the input, handled on masks until it is a leaf or a
-prime node, and each factor of a unification starts its own tree.  Only
-when the build raises does the oracle name the witness, by the rest of
-first_forbidden's own search over the same tree (oracle._after_p5_scan),
-so a non-member is refuted by one rule.  In triple mode a member's C5
+non-member's build raises.  Around the build sits the refutation rule,
+stated in the oracle's module docstring alone: its P5 scan
+(oracle._p5_scan) comes first, and its rest (oracle._after_p5_scan) names
+the witness only when the build raises.  The input's modular decomposition
+tree is made once, shared by the P5 scan and the build, and split only
+where it is read.  The build walks it: each node is an induced subgraph of
+the input, handled on masks until it is a leaf or a prime node, and each
+factor of a unification starts its own tree.  In triple mode a member's C5
 lies in a pentagon leaf, since a prime graph with no P5 and no house that
 holds a C5 is that C5 (Fouquet, Discrete Math. 121, 1993).  Observer
 events are held during the build and handed over once the tree is
@@ -237,7 +235,7 @@ def _unification_node(g: Graph, events):
     return partial(CoSgu if co else Sgu, roles=pair.roles), kids
 
 
-def _build(g: Graph, events, cycles: list, root: _Node | None = None) -> DecompTree:
+def _build(g: Graph, events, cycles: list, root: _Node) -> DecompTree:
     """Build g's tree in preorder, in one walk over (host, node) items: a
     node of host's modular decomposition tree (modular._Node), standing for
     host induced on the node's mask.  One decomposition tree serves a whole
@@ -250,8 +248,8 @@ def _build(g: Graph, events, cycles: list, root: _Node | None = None) -> DecompT
     gives, the quotient built first; else, at a prime node, a unification
     node, whose two factors start new hosts.  The cycles of g's own
     pentagon leaves go into ``cycles``.  ``root`` is g's decomposition
-    tree, by default a fresh one.  Raises at a prime node that no
-    unification step takes apart, which a member never has."""
+    tree.  Raises at a prime node that no unification step takes apart,
+    which a member never has."""
 
     def expand(item, _):
         host, node = item
@@ -268,30 +266,28 @@ def _build(g: Graph, events, cycles: list, root: _Node | None = None) -> DecompT
         marker = host.vertices[marker.bit_length() - 1]
         return partial(Subst, marker=marker), (((host, quotient), None), ((host, child), None))
 
-    return _walk((g, root or _Node(g._full_mask())), None, expand, _assemble)
+    return _walk((g, root), None, expand, _assemble)
 
 
 def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     """Decompose a class member into a structure tree.
 
     A non-member raises NotClassMember carrying the refuting pattern: the
-    same first hit as first_forbidden(g, triple).  g's modular
-    decomposition tree is made once, for three readers: the P5 scan
-    (oracle._p5_scan), which above 16 vertices reads its prime nodes, the
-    build, and, only if the build raises, the rest of first_forbidden's
-    search (oracle._after_p5_scan), which names the witness.  The finished
-    tree proves membership (see the module docstring); if the search finds
-    no witness, the build's own exception propagates, since g is a
-    member.  With ``triple`` a member is refuted by the least cycle of
-    its pentagon leaves outside any unification, the only places a
-    member holds a C5.
+    same first hit as first_forbidden(g, triple), by the oracle's rule
+    (see its module docstring): its P5 scan before the build, over the
+    decomposition tree the build walks, and its rest only if the build
+    raises.  The finished tree proves membership (see the module
+    docstring); if the rule finds no witness, the build's own exception
+    propagates, since g is a member.  With ``triple`` a member is refuted
+    by the least cycle of its pentagon leaves outside any unification, the
+    only places a member holds a C5.
 
     The optional observer receives on_skew_decomposition(work, sp, d,
     case) and on_factor(work, divide, pair) callbacks, in pipeline order,
     once the tree is finished and accepted, so a non-member gets none.
     """
-    root = oracle._tree(g)
-    hit = oracle._p5_scan(g, root)
+    root = _Node(g._full_mask())
+    hit, nodes = oracle._p5_scan(g, root)
     if hit is not None:
         raise NotClassMember(hit)
     events = None if observer is None else []
@@ -299,7 +295,7 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     try:
         tree = _build(g, events, cycles, root)
     except Exception:  # a non-member's build may fail at any stage of a step
-        hit = oracle._after_p5_scan(g, oracle._FORBIDDEN, root)
+        hit = oracle._after_p5_scan(nodes, oracle._FORBIDDEN)
         if hit is None:
             raise
         raise NotClassMember(hit) from None
@@ -390,36 +386,31 @@ def _run_kids(node, path):
     modular._compose; the same, each as its node and path; the frontier in
     order, each leaf with its path and None for any other node), and its
     children are the frontier's other nodes with their paths, so the walk
-    meets no leaf of a run.  A unification node has its two parts as
-    children."""
-    kind = type(node)
-    if kind is Subst:
-        subs, substs, frontier, kids = [], [], [], []
-        stack = [(node, path, None, 0)]
-        while stack:
-            node, path, parent, part = stack.pop()
-            kind = type(node)
-            if kind is Subst:
-                if parent is not None:
-                    parent[part] = -len(subs)
-                record = [node.marker, 0, 0]
-                subs.append(record)
-                substs.append((node, path))
-                depth = path[2] + 1
-                stack.append((node.child, (".child", path, depth), record, 2))
-                stack.append((node.quotient, (".quotient", path, depth), record, 1))
+    meets no leaf of a run.  Any other node is _tree_kids'."""
+    if type(node) is not Subst:
+        return _tree_kids(node, path)
+    subs, substs, frontier, kids = [], [], [], []
+    stack = [(node, path, None, 0)]
+    while stack:
+        node, path, parent, part = stack.pop()
+        kind = type(node)
+        if kind is Subst:
+            if parent is not None:
+                parent[part] = -len(subs)
+            record = [node.marker, 0, 0]
+            subs.append(record)
+            substs.append((node, path))
+            depth = path[2] + 1
+            stack.append((node.child, (".child", path, depth), record, 2))
+            stack.append((node.quotient, (".quotient", path, depth), record, 1))
+        else:
+            parent[part] = len(frontier)
+            if kind is SplitLeaf or kind is PentagonLeaf:
+                frontier.append((node, path))
             else:
-                parent[part] = len(frontier)
-                if kind is SplitLeaf or kind is PentagonLeaf:
-                    frontier.append((node, path))
-                else:
-                    frontier.append(None)
-                    kids.append((node, path))
-        return (subs, substs, frontier), kids
-    if kind is Sgu or kind is CoSgu:
-        depth = path[2] + 1
-        return node, ((node.part1, (".part1", path, depth)), (node.part2, (".part2", path, depth)))
-    return node, ()
+                frontier.append(None)
+                kids.append((node, path))
+    return (subs, substs, frontier), kids
 
 
 _BRANCH = {"quotient": 0, "child": 1, "part1": 0, "part2": 1}

@@ -196,6 +196,15 @@ def _pair_violation(p: ComposablePair) -> str | None:
     return None
 
 
+def _factor_graphs(
+    g: Graph, a: int, b: int, c: int, l: int, t: int, marker_a: int, marker_c: int
+) -> tuple[Graph, Graph]:
+    """The two factor graphs of g along the role masks a, b, c, l, t: g1 is
+    g on A, L, T plus ``marker_c`` adjacent to L, g2 is g on B, C, L, T plus
+    ``marker_a`` adjacent to B."""
+    return g._induced(a | l | t, marker_c, l), g._induced(b | c | l | t, marker_a, b)
+
+
 def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
     """Split g along a valid divide into its composable pair.
 
@@ -211,12 +220,10 @@ def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
     masks = _role_masks(g, d.a, d.b, d.c, d.l, d.t)
     if masks is None or not _divide_holds(g, *masks):
         raise DivideInvalid("factor called with an invalid divide")
-    a, b, c, l, t = masks
     top = g.vertices[-1]
     marker_c, marker_a = top + 1, top + 2
     return ComposablePair(
-        g1=g._induced(a | l | t, marker_c, l),
-        g2=g._induced(b | c | l | t, marker_a, b),
+        *_factor_graphs(g, *masks, marker_a, marker_c),
         roles=PairRoles(
             a_set=d.a, b_set=d.b, c_set=d.c, l_set=d.l, t_set=d.t,
             marker_a=marker_a, marker_c=marker_c,

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Generator, Iterator, Mapping
 
 from .graph import Graph, SplitCert
 from .modular import substitute
@@ -184,7 +184,10 @@ def random_composable_pair(
 
 def _gen_node(
     rng: random.Random, cfg: GenConfig, depth: int, ids: Iterator[int]
-) -> tuple[DecompTree, Graph]:
+) -> Generator[int, tuple[DecompTree, Graph], tuple[DecompTree, Graph]]:
+    """One node of a generated tree at ``depth``, as a generator driven by
+    generate: it yields the depth of each subtree it needs, is sent back
+    that subtree with its graph, and returns its own."""
     kinds = _LEAF_KINDS if depth >= cfg.max_depth else _KINDS
     kind = _pick(rng, cfg.weights, kinds)
     if kind == "split":
@@ -199,8 +202,8 @@ def _gen_node(
         return PentagonLeaf(graph=g, cycle=cycle), g
     if kind == "subst":
         for _ in range(_RETRY_CAP):
-            child_tree, child_g = _gen_node(rng, cfg, depth + 1, ids)
-            quot_tree, quot_g = _gen_node(rng, cfg, depth + 1, ids)
+            child_tree, child_g = yield depth + 1
+            quot_tree, quot_g = yield depth + 1
             if child_g.n >= 2 and quot_g.n >= 2:
                 break
         else:
@@ -230,8 +233,18 @@ def generate(cfg: GenConfig) -> tuple[Graph, DecompTree]:
     """Generate one class member together with the tree that built it.
 
     The output is a pure function of the config; recomposing the tree gives
-    back exactly the returned graph."""
+    back exactly the returned graph.  The nodes being built are kept on an
+    explicit stack, so a tree of any depth is clear of the interpreter's
+    recursion limit."""
     rng = random.Random(cfg.seed)
     ids = itertools.count(0)
-    tree, graph = _gen_node(rng, cfg, 0, ids)
-    return graph, tree
+    stack, done = [_gen_node(rng, cfg, 0, ids)], None
+    while True:
+        try:
+            stack.append(_gen_node(rng, cfg, stack[-1].send(done), ids))
+            done = None
+        except StopIteration as finished:
+            stack.pop()
+            done = finished.value
+            if not stack:
+                return done[1], done[0]

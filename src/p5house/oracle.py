@@ -11,7 +11,8 @@ positions in nested loops over adjacency masks, carrying down the masks
 that earlier positions rule out, and test the last vertex with one mask
 operation.  ``_kernel`` serves P5, C5 (the same walk with the closing edge
 and its order constraints) and the house, which on positions 0..4 is
-exactly the complement of P5 with the same constraint v0 < v4.
+exactly the complement of P5 with the same constraint v0 < v4;
+``_search`` is the one place that picks the walk for each.
 ``_h6_kernel`` serves the decorated-H6 search: it walks H6's six
 positions and prunes with the simplicial and anti-simplicial vertex
 masks, which only drops prefixes no decorated copy extends, so it returns
@@ -23,19 +24,20 @@ in the worst case; the kernels spend a few mask operations per prefix,
 with no generator frames.
 
 ``find_induced`` always searches the whole graph and is the ground truth.
-``first_forbidden``, the refutation every membership test goes through,
-does so up to 16 vertices.  Above that it reads the modular decomposition:
-P5, the house and C5 are prime graphs, so the least copy of each lies in
-the graph of one prime node, the input restricted to the least vertex of
-each child (``_least_hit``).  The search is two calls over one
-decomposition tree.  ``_p5_scan`` gives the first P5: up to 16 vertices
-from the whole graph; above that, from the copies that start at one of the
-first few vertices (``_PREFIX``), since most non-members met in practice
-have a P5 starting at a low vertex, and after a miss from the prime nodes.
-``_after_p5_scan`` then looks for the house (and C5) the same way.
-``decompose`` makes the same P5 scan over the tree its build walks, and
-calls ``_after_p5_scan`` only when its build has raised, so a non-member
-is refuted by one rule, with first_forbidden's witness.
+The refutation rule, which every membership answer and witness comes
+from, is stated here alone: the first induced P5, else the first house,
+else (in triple mode) the first pentagon.  Up to 16 vertices
+(``_WHOLE_GRAPH_MAX``) each is sought in the whole graph.  Above that, P5
+is first sought among the copies that start at one of the first few
+vertices (``_PREFIX``), where most non-members met in practice have one;
+after a miss the search reads the modular decomposition: P5, the house
+and C5 are prime graphs, so the least copy of each lies in the graph of
+one prime node, the input restricted to the least vertex of each child
+(``_least_hit``).  ``_p5_scan`` makes this size choice, the only one, and
+builds those graphs once for ``_after_p5_scan``, the house and C5 search.
+``first_forbidden`` is these two calls over one decomposition tree;
+``decompose`` makes them around its build, over the tree the build walks,
+the second only when its build has raised.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ _COMPILED = {kind: _compile(kind) for kind in PatternKind}
 _FORBIDDEN = (PatternKind.P5, PatternKind.HOUSE)
 _FORBIDDEN_TRIPLE = _FORBIDDEN + (PatternKind.C5,)
 
-# _p5_scan and _after_p5_scan scan graphs with at most this many vertices
+# _p5_scan scans graphs with at most this many vertices
 # whole.  Here the decomposition costs about what it saves: at n = 16,
 # is_class_member took 0.169 ms whole against 0.139 ms on the prime nodes
 # for substitution members, 0.178 against 0.325 ms for grown prime members;
@@ -265,27 +267,37 @@ def _kernel(
     return None
 
 
-def find_induced(g: Graph, kind: PatternKind) -> PatternHit | None:
-    """First induced copy of the pattern in lexicographic order, or None.
-
-    P5, house and C5 go through the bitmask kernel; the house is the P5 of
-    the complement on the same positions, with the same v0 < v4 constraint.
-    Other patterns take the generic search.
-    """
+def _search(
+    g: Graph, kind: PatternKind, first: int = 0, stop: int | None = None
+) -> tuple[int, ...] | None:
+    """g's first copy of ``kind`` (P5, the house or C5) whose v0 has a rank
+    in range(first, stop), as vertex ids, or None.  The house is the P5 of
+    the complement, whose masks are taken here without building its graph."""
+    masks = g._masks
     if kind is PatternKind.P5:
-        pos = _kernel(g._masks, cycle=False)
+        pos = _kernel(masks, False, first, stop)
     elif kind is PatternKind.HOUSE:
-        pos = _kernel(g.complement()._masks, cycle=False)
-    elif kind is PatternKind.C5:
-        pos = _kernel(g._masks, cycle=True)
+        full = (1 << len(masks)) - 1
+        pos = _kernel([full ^ m ^ (1 << i) for i, m in enumerate(masks)], False, first, stop)
     else:
-        for emb in _embeddings(g, kind):
-            return PatternHit(kind=kind, embedding=emb)
-        return None
+        pos = _kernel(masks, True, first, stop)
     if pos is None:
         return None
     vs = g.vertices
-    return PatternHit(kind=kind, embedding=tuple(vs[i] for i in pos))
+    return tuple(vs[i] for i in pos)
+
+
+def find_induced(g: Graph, kind: PatternKind) -> PatternHit | None:
+    """First induced copy of the pattern in lexicographic order, or None.
+
+    P5, house and C5 go through the bitmask kernel (_search); other
+    patterns take the generic search.
+    """
+    if kind in _FORBIDDEN_TRIPLE:
+        emb = _search(g, kind)
+    else:
+        emb = next(_embeddings(g, kind), None)
+    return None if emb is None else PatternHit(kind=kind, embedding=emb)
 
 
 def contains_induced_using(g: Graph, kind: PatternKind, v: int) -> bool:
@@ -300,19 +312,12 @@ def contains_induced_using(g: Graph, kind: PatternKind, v: int) -> bool:
     return False
 
 
-def _representatives(g: Graph, root: _Node | None) -> list[Graph]:
-    """The representative graphs of the prime nodes of g with five
-    children or more, read off g's decomposition tree ``root``: the only
-    graphs that can hold g's least P5, house or C5 (see _least_hit)."""
-    return [g._induced(m) for m in _prime_representatives(g, 5, root)]
-
-
 def _least_hit(nodes: list[Graph], kind: PatternKind, v0_from: int | None = None) -> PatternHit | None:
     """The least copy of ``kind`` (P5, the house or C5) that any of
     ``nodes`` holds, or None; a P5 among those whose v0 is ``v0_from`` or
     above, which P5 needs.
 
-    For the representative graphs of g's prime nodes (_representatives)
+    For the representative graphs of g's prime nodes (see _p5_scan)
     this is g's least copy.  Each pattern is prime, so a copy in g lies
     inside the smallest strong module holding it and meets each child of
     that module's node in one vertex at most; moving each vertex to the
@@ -321,55 +326,35 @@ def _least_hit(nodes: list[Graph], kind: PatternKind, v0_from: int | None = None
     that node's representative graph."""
     best = None
     for h in nodes:
-        vs = h.vertices
-        if kind is PatternKind.P5:
-            pos = _kernel(h._masks, False, bisect_left(vs, v0_from))
-        elif kind is PatternKind.HOUSE:
-            pos = _kernel(h.complement()._masks, False)
-        else:
-            pos = _kernel(h._masks, True)
-        if pos is not None:
-            emb = tuple(vs[i] for i in pos)
-            if best is None or emb < best:
-                best = emb
+        emb = _search(h, kind, 0 if v0_from is None else bisect_left(h.vertices, v0_from))
+        if emb is not None and (best is None or emb < best):
+            best = emb
     return None if best is None else PatternHit(kind=kind, embedding=best)
 
 
-def _tree(g: Graph) -> _Node | None:
-    """g's modular decomposition tree for _p5_scan and _after_p5_scan to
-    read, or None up to _WHOLE_GRAPH_MAX vertices, where they read none."""
-    return None if g.n <= _WHOLE_GRAPH_MAX else _Node(g._full_mask())
-
-
-def _p5_scan(g: Graph, root: _Node | None = None) -> PatternHit | None:
-    """g's first P5, or None.  Up to _WHOLE_GRAPH_MAX vertices, a scan of
-    the whole graph.  Above that, the copies whose v0 has one of g's first
-    _PREFIX ranks are scanned in g, since most non-members met in practice
-    have a P5 starting at a low vertex; after a miss, the least P5 from
-    that rank on is read off the prime nodes of g's decomposition tree
-    ``root`` (_least_hit), which decompose then builds from."""
+def _p5_scan(g: Graph, root: _Node) -> tuple[PatternHit | None, list[Graph]]:
+    """g's first P5 or None, with the graphs the rest of the rule reads:
+    [g] up to _WHOLE_GRAPH_MAX vertices, where g is scanned whole.  Above
+    that, g's copies whose v0 has one of its first _PREFIX ranks are
+    scanned; after a miss the graphs are the representative graphs of the
+    prime nodes of g's decomposition tree ``root`` with five children or
+    more, built here once, and the least P5 from that rank on is read off
+    them (_least_hit)."""
     if g.n <= _WHOLE_GRAPH_MAX:
-        return find_induced(g, PatternKind.P5)
-    pos = _kernel(g._masks, False, 0, _PREFIX)
-    if pos is None:
-        return _least_hit(_representatives(g, root), PatternKind.P5, g.vertices[_PREFIX])
-    vs = g.vertices
-    return PatternHit(kind=PatternKind.P5, embedding=tuple(vs[i] for i in pos))
+        return find_induced(g, PatternKind.P5), [g]
+    emb = _search(g, PatternKind.P5, 0, _PREFIX)
+    if emb is not None:
+        return PatternHit(kind=PatternKind.P5, embedding=emb), [g]
+    nodes = [g._induced(m) for m in _prime_representatives(g, 5, root)]
+    return _least_hit(nodes, PatternKind.P5, g.vertices[_PREFIX]), nodes
 
 
-def _after_p5_scan(
-    g: Graph, kinds: tuple[PatternKind, ...], root: _Node | None = None
-) -> PatternHit | None:
+def _after_p5_scan(nodes: list[Graph], kinds: tuple[PatternKind, ...]) -> PatternHit | None:
     """first_forbidden's answer for ``kinds`` (P5 first) once _p5_scan has
-    found no P5 in g: the first hit of the other kinds, in order.  Up to
-    _WHOLE_GRAPH_MAX vertices they are searched for in the whole graph
-    with find_induced; above that, in the representative graphs of the
-    prime nodes of g's decomposition tree ``root`` (_least_hit), the same
-    that _p5_scan read, which are small on the substitution trees this
-    class is made of."""
-    nodes = None if g.n <= _WHOLE_GRAPH_MAX else _representatives(g, root)
+    found no P5: the first hit of the other kinds, in order, each the least
+    copy in the graphs ``nodes`` that _p5_scan gave (_least_hit)."""
     for kind in kinds[1:]:
-        hit = find_induced(g, kind) if nodes is None else _least_hit(nodes, kind)
+        hit = _least_hit(nodes, kind)
         if hit is not None:
             return hit
     return None
@@ -378,16 +363,12 @@ def _after_p5_scan(
 def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
     """The refutation of membership: the first induced P5, else the first
     house, else (with ``triple``) the first pentagon; None for a member.
-
-    The search is _p5_scan, then, after a miss, _after_p5_scan, over one
-    decomposition tree of g; decompose makes the same two calls around its
-    build, over the tree it builds from, so a non-member is refuted by one
-    rule."""
-    root = _tree(g)
-    hit = _p5_scan(g, root)
+    The search is the module docstring's rule, over one decomposition tree
+    of g."""
+    hit, nodes = _p5_scan(g, _Node(g._full_mask()))
     if hit is not None:
         return hit
-    return _after_p5_scan(g, _FORBIDDEN_TRIPLE if triple else _FORBIDDEN, root)
+    return _after_p5_scan(nodes, _FORBIDDEN_TRIPLE if triple else _FORBIDDEN)
 
 
 def is_class_member(g: Graph, triple: bool = False) -> bool:

@@ -24,7 +24,7 @@ from .graph import Graph, SplitCert
 from .graph6 import emit_graph6, parse_graph6
 from .decomposer import _ROOT, CoSgu, DecompTree, PentagonLeaf, Sgu, SplitLeaf, Subst
 from .decomposer import _assemble, _induced, _render, _tree_kids, _walk
-from .divide import PairRoles
+from .divide import PairRoles, _factor_graphs
 
 __all__ = ["TreeDocumentError", "tree_to_document", "document_to_tree", "VERSION"]
 
@@ -218,8 +218,7 @@ def _read_down(obj, ctx):
         kids = _children(obj, ctx, "unification")
         if roles.marker_a in work or roles.marker_c in work:
             raise _error(ctx, "a marker collides with a role vertex")
-        part1 = work._induced(a | l | t, roles.marker_c, l)
-        part2 = work._induced(b | c | l | t, roles.marker_a, b)
+        part1, part2 = _factor_graphs(work, a, b, c, l, t, roles.marker_a, roles.marker_c)
         node_cls = Sgu if kind == "sgu" else CoSgu
         return partial(node_cls, roles=roles), _paired(kids, ctx, _whole(part1), _whole(part2))
     raise _error(ctx, f"unknown node kind {kind!r}")

@@ -490,11 +490,11 @@ class TestWitness:
         # The house on 0..4 is the module split off first, so the walk
         # reaches the pentagon (inside the quotient) before it; the build
         # raises at the house's prime node, and the witness is the house
-        # that first_forbidden's whole-graph search finds, with no scan of
-        # g for a C5.
+        # that first_forbidden's search finds in the graphs of the P5 scan,
+        # up to the size limit g alone, with no scan of g for a C5.
         g = Graph(range(10), HOUSE_EDGES + cycle_graph(range(5, 10)).edges())
         hit = rejection(g, triple=True)
-        assert steps == [("scan", g, PatternKind.P5), ("raised",), ("scan", g, PatternKind.HOUSE)]
+        assert steps == [("scan", g, PatternKind.P5), ("raised",), *reads([g], PatternKind.HOUSE)]
         assert hit == first_forbidden(g, triple=True) and hit.kind is PatternKind.HOUSE
 
     def test_pentagon_leaf_in_triple_mode_gives_its_c5(self):
@@ -510,12 +510,12 @@ class TestWitness:
         g = substitute(on_ids(HOUSE_EDGES, [30, 31, 32, 33, 34]), complete_graph(range(13)), 1)
         assert g.n > oracle._WHOLE_GRAPH_MAX
         expected = first_forbidden(g)
-        real = oracle.find_induced
+        real = oracle._search
 
-        def blind_at_root(h, kind):
-            return None if h == g and kind is not PatternKind.P5 else real(h, kind)
+        def blind_at_root(h, kind, *args):
+            return None if h == g and kind is not PatternKind.P5 else real(h, kind, *args)
 
-        monkeypatch.setattr(oracle, "find_induced", blind_at_root)
+        monkeypatch.setattr(oracle, "_search", blind_at_root)
         assert rejection(g) == expected and expected.kind is PatternKind.HOUSE
         assert rejection(g, triple=True) == expected
 
@@ -524,7 +524,7 @@ class TestWitness:
         # prime node, visited first, but the child's house, on lower ids,
         # is the least.  Up to the size limit it is found by a whole-graph
         # search; above it, in a clique, on the prime representatives,
-        # which the P5 scan has read before the build.
+        # which the P5 scan has built and read before the build.
         outer = on_ids(HOUSE_EDGES, [1, 20, 21, 22, 23])
         inner = on_ids(HOUSE_EDGES, [1, 2, 3, 4, 5])
         g = substitute(inner, outer, 1)
@@ -532,8 +532,9 @@ class TestWitness:
         assert g.n <= oracle._WHOLE_GRAPH_MAX < big.n
         reps = [outer, inner]
         for h, scan, after in (
-            (g, [("scan", g, PatternKind.P5)], [("scan", g, PatternKind.HOUSE)]),
-            (big, [("least_hit", reps, PatternKind.P5)], [("least_hit", reps, PatternKind.HOUSE)]),
+            (g, [("scan", g, PatternKind.P5)], reads([g], PatternKind.HOUSE)),
+            (big, [("scan", big, PatternKind.P5), *reads(reps, PatternKind.P5)],
+             reads(reps, PatternKind.HOUSE)),
         ):
             for triple in (False, True):
                 expected = first_forbidden(h, triple)
@@ -575,31 +576,32 @@ class TestWitness:
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Every oracle.find_induced call, as (graph, kind), in call order."""
+    """Every P5, house or C5 scan of the oracle (oracle._search), as
+    (graph, kind), in call order."""
     log = []
-    real = oracle.find_induced
+    real = oracle._search
 
-    def logged(g, kind):
+    def logged(g, kind, *args):
         log.append((g, kind))
-        return real(g, kind)
+        return real(g, kind, *args)
 
-    monkeypatch.setattr(oracle, "find_induced", logged)
+    monkeypatch.setattr(oracle, "_search", logged)
     return log
 
 
 @pytest.fixture
 def steps(monkeypatch):
-    """decompose's steps in call order: ("scan", graph, kind) for every
-    oracle.find_induced call, ("built",) or ("raised",) as the build ends,
-    ("least_hit", nodes, kind) for every oracle._least_hit call.  The
-    wrappers pass every argument on, so a changed signature fails at its
-    call, not as a missing step."""
+    """decompose's steps in call order: ("scan", graph, kind) for every P5,
+    house or C5 scan (oracle._search), ("built",) or ("raised",) as the
+    build ends, ("least_hit", nodes, kind) for every oracle._least_hit
+    call.  The wrappers pass every argument on, so a changed signature
+    fails at its call, not as a missing step."""
     log = []
-    find, build, least_hit = oracle.find_induced, decomposer._build, oracle._least_hit
+    find, build, least_hit = oracle._search, decomposer._build, oracle._least_hit
 
-    def find_logged(g, kind):
+    def find_logged(g, kind, *args):
         log.append(("scan", g, kind))
-        return find(g, kind)
+        return find(g, kind, *args)
 
     def build_logged(*args, **kwargs):
         try:
@@ -614,10 +616,16 @@ def steps(monkeypatch):
         log.append(("least_hit", nodes, kind))
         return least_hit(nodes, kind, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "find_induced", find_logged)
+    monkeypatch.setattr(oracle, "_search", find_logged)
     monkeypatch.setattr(decomposer, "_build", build_logged)
     monkeypatch.setattr(oracle, "_least_hit", least_hit_logged)
     return log
+
+
+def reads(nodes, kind):
+    """The steps of one _least_hit over ``nodes``: the call, then a scan of
+    each graph."""
+    return [("least_hit", nodes, kind)] + [("scan", h, kind) for h in nodes]
 
 
 def is_prime_node(g):
@@ -671,7 +679,8 @@ class TestOraclePlacement:
                     assert kernels == [(g._masks, False, 0, None)]
                 else:
                     reps = [g._induced(m) for m in modular._prime_representatives(g, 5)]
-                    assert steps == [("least_hit", reps, PatternKind.P5), ("built",)]
+                    assert steps == [("scan", g, PatternKind.P5), *reads(reps, PatternKind.P5),
+                                     ("built",)]
                     assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
                     assert [masks for masks, *_ in kernels[1:]] == [h._masks for h in reps]
                     assert all(len(masks) < g.n for masks, *_ in kernels[1:])
@@ -747,7 +756,7 @@ class TestOraclePlacement:
         with pytest.raises(NotClassMember) as err:
             decompose(g, observer=Obs())
         assert err.value.hit == expected and expected.kind is PatternKind.HOUSE
-        assert steps == [("scan", g, PatternKind.P5), ("raised",), ("scan", g, PatternKind.HOUSE)]
+        assert steps == [("scan", g, PatternKind.P5), ("raised",), *reads([g], PatternKind.HOUSE)]
         assert held == ["on_skew_decomposition", "on_factor"] and events == []
 
     def test_p5_past_the_prefix_never_reaches_the_build(self, monkeypatch):
@@ -788,7 +797,7 @@ class TestOraclePlacement:
         # over the prefix ranks, then every scan is of the representative
         # graph of a prime node of g with five children or more, split ones
         # included, as in first_forbidden: for a P5 before the build, for
-        # the house after it has raised.  All are read off the one
+        # the house after it has raised.  They are built once, off the one
         # decomposition tree that the build walks.
         kernels, roots = [], []
         kernel, reps, build = oracle._kernel, oracle._prime_representatives, decomposer._build
@@ -801,7 +810,7 @@ class TestOraclePlacement:
             roots.append(root)
             return reps(g, least, root)
 
-        def build_logged(g, events, cycles, root=None):
+        def build_logged(g, events, cycles, root):
             roots.append(root)
             return build(g, events, cycles, root)
 
@@ -825,11 +834,11 @@ class TestOraclePlacement:
                 kernels.clear()
                 roots.clear()
                 assert rejection(g, triple) == expected
-                assert steps == [("least_hit", nodes, PatternKind.P5), ("raised",),
-                                 ("least_hit", nodes, PatternKind.HOUSE)]
+                assert steps == [("scan", g, PatternKind.P5), *reads(nodes, PatternKind.P5),
+                                 ("raised",), *reads(nodes, PatternKind.HOUSE)]
                 assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
                 assert all(len(masks) < g.n for masks, *_ in kernels[1:])
-                assert len(roots) == 3 and all(root is roots[0] for root in roots)
+                assert len(roots) == 2 and all(root is roots[0] for root in roots)
                 assert roots[0].mask == g._full_mask()
 
 
@@ -1000,7 +1009,7 @@ class TestBuildCertifies:
                 refuted[corpus] += 1
                 # the failures of a construction, not of a programming error
                 with pytest.raises((InternalStructureError, ConstructionFailed, NeitherCaseHolds)):
-                    decomposer._build(g, None, [])
+                    decomposer._build(g, None, [], modular._Node(g._full_mask()))
         assert refuted["labelled"] == 13_560 and refuted["near"] >= 500
 
     def test_member_c5_only_in_pentagon_leaves(self):
@@ -1061,7 +1070,7 @@ def read_skeleton(g):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomposer, "_unification_node", prime_leaf)
-        tree = decomposer._build(g, None, [])
+        tree = decomposer._build(g, None, [], modular._Node(g._full_mask()))
     out = []
 
     def read(t):

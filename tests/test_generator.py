@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -129,3 +130,21 @@ class TestGenerate:
         cfg = GenConfig(seed=1, max_depth=1, leaf_size=(1, 1), weights={"subst": 1.0, "split": 0.0})
         with pytest.raises(GenerationExhausted):
             generate(cfg)
+
+    def test_deep_tree_under_a_low_recursion_limit(self):
+        # Nodes under construction sit on an explicit stack: seed 322's
+        # tree is 43 levels deep, past a recursion limit 25 frames above
+        # this test's own.
+        cfg = GenConfig(seed=322, max_depth=1000, leaf_size=(2, 3),
+                        weights={"subst": 1.0, "split": 1.0})
+        frames, f = 0, sys._getframe()
+        while f is not None:
+            frames, f = frames + 1, f.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 25)
+        try:
+            g, t = generate(cfg)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree_stats(t)[0] == 43
+        assert recompose(t) == g and verify_tree(t, g).ok

@@ -133,15 +133,16 @@ class TestAgainstTheReference:
 
 @pytest.fixture
 def logged(monkeypatch):
-    """The scans and decompositions of the oracle: every find_induced call
-    as (graph, kind), every _kernel call as (masks, cycle, first, stop) and
-    the decomposition tree of every read of the prime nodes."""
-    log = {"find_induced": [], "kernel": [], "roots": []}
-    find, kernel, reps = oracle.find_induced, oracle._kernel, oracle._prime_representatives
+    """The scans and decompositions of the oracle: every P5, house or C5
+    scan (oracle._search) as (graph, kind), every _kernel call as (masks,
+    cycle, first, stop) and the decomposition tree of every read of the
+    prime nodes."""
+    log = {"scans": [], "kernel": [], "roots": []}
+    find, kernel, reps = oracle._search, oracle._kernel, oracle._prime_representatives
 
-    def find_logged(g, kind):
-        log["find_induced"].append((g, kind))
-        return find(g, kind)
+    def find_logged(g, kind, *args):
+        log["scans"].append((g, kind))
+        return find(g, kind, *args)
 
     def kernel_logged(masks, cycle, first=0, stop=None):
         log["kernel"].append((masks, cycle, first, stop))
@@ -151,25 +152,24 @@ def logged(monkeypatch):
         log["roots"].append(root)
         return reps(g, least, root)
 
-    monkeypatch.setattr(oracle, "find_induced", find_logged)
+    monkeypatch.setattr(oracle, "_search", find_logged)
     monkeypatch.setattr(oracle, "_kernel", kernel_logged)
     monkeypatch.setattr(oracle, "_prime_representatives", reps_logged)
     return log
 
 
 def clear(log):
-    log["find_induced"].clear()
-    log["kernel"].clear()
-    log["roots"].clear()
+    for entries in log.values():
+        entries.clear()
 
 
 class TestPlacement:
     def test_is_class_member_above_the_limit(self, logged):
         # One P5 scan of the whole graph over the prefix ranks, one
-        # decomposition tree, read for P5 from the next rank on and then
-        # for the other kinds, and scans of smaller graphs only: no
-        # whole-graph house scan, on members, house-only near-members and
-        # late_p5.
+        # decomposition tree, whose prime nodes are read once, for P5 from
+        # the next rank on and then for the other kinds, and scans of
+        # smaller graphs only: no whole-graph house scan, on members,
+        # house-only near-members and late_p5.
         rng = random.Random(4804)
         members, house_only = [], []
         while len(house_only) < 10:
@@ -184,15 +184,55 @@ class TestPlacement:
             for triple in (False, True):
                 clear(logged)
                 assert is_class_member(g, triple) == (expected[triple] is None)
-                assert logged["find_induced"] == []
+                assert logged["scans"][0] == (g, PatternKind.P5)
+                assert all(h.n < g.n for h, _ in logged["scans"][1:])
                 assert logged["kernel"][0] == (g._masks, False, 0, oracle._PREFIX)
-                roots, hit = logged["roots"], expected[triple]
-                assert len(roots) == (1 if hit is not None and hit.kind is PatternKind.P5 else 2)
-                assert roots[0].mask == g._full_mask() and all(r is roots[0] for r in roots)
+                roots = logged["roots"]
+                assert len(roots) == 1 and roots[0].mask == g._full_mask()
                 assert all(len(masks) < g.n for masks, *_ in logged["kernel"][1:])
 
     def test_whole_graph_scans_up_to_the_limit(self, logged):
         g = substitution_member(random.Random(4805), oracle._WHOLE_GRAPH_MAX)
         is_class_member(g)
-        assert logged["find_induced"] == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
+        assert logged["scans"] == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
         assert logged["roots"] == []
+
+    def test_prime_representatives_built_once(self, logged, monkeypatch):
+        # Above the size limit the representative graphs of g's prime nodes
+        # are built once per call, by the P5 scan, and every later search
+        # reads those same graphs: first_forbidden on members, decompose on
+        # house-only near-members, whose house is looked for after the
+        # build has raised.
+        induced, least_hit = Graph._induced, oracle._least_hit
+        built, read = [], []
+
+        def induced_logged(h, *args):
+            built.append(h)
+            return induced(h, *args)
+
+        def least_hit_logged(nodes, *args):
+            read.append(nodes)
+            return least_hit(nodes, *args)
+
+        monkeypatch.setattr(Graph, "_induced", induced_logged)
+        monkeypatch.setattr(oracle, "_least_hit", least_hit_logged)
+        rng = random.Random(4806)
+        members = house_only = 0
+        while members < 20 or house_only < 10:
+            g = substitution_member(rng, rng.randint(20, 41))
+            near = flip(rng, g)
+            for h, check in ((g, first_forbidden), (near, decompose_hit)):
+                if check is decompose_hit and (find_induced(h, PatternKind.P5) is not None
+                                               or first_forbidden(h) is None):
+                    continue
+                for triple in (False, True):
+                    clear(logged)
+                    built.clear()
+                    read.clear()
+                    check(h, triple)
+                    assert len(logged["roots"]) == 1
+                    assert len(read) >= 2 and all(nodes is read[0] for nodes in read)
+                    if check is first_forbidden:
+                        assert built.count(h) == len(built) == len(read[0])
+                members += check is first_forbidden
+                house_only += check is decompose_hit
