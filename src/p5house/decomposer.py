@@ -26,14 +26,15 @@ non-member's build raises.  Around the build sits the refutation rule,
 stated in the oracle's module docstring alone: its P5 scan
 (oracle._p5_scan) comes first, and its rest (oracle._after_p5_scan) names
 the witness only when the build raises.  The input's modular decomposition
-tree is made once, shared by the P5 scan and the build, and split only
-where it is read.  The build walks it: each node is an induced subgraph of
-the input, handled on masks until it is a leaf or a prime node, and each
-factor of a unification starts its own tree.  In triple mode a member's C5
-lies in a pentagon leaf, since a prime graph with no P5 and no house that
-holds a C5 is that C5 (Fouquet, Discrete Math. 121, 1993).  Observer
-events are held during the build and handed over once the tree is
-finished and accepted.
+tree is made once, where it is first read (by the P5 scan above its size
+limit, else just before the build), shared by the P5 scan and the build,
+and split only where it is read.  The build walks it: each node is an
+induced subgraph of the input, handled on masks until it is a leaf or a
+prime node, and each factor of a unification starts its own tree.  In
+triple mode a member's C5 lies in a pentagon leaf, since a prime graph with
+no P5 and no house that holds a C5 is that C5 (Fouquet, Discrete Math.
+121, 1993).  Observer events are held during the build and handed over
+once the tree is finished and accepted.
 
 The build makes no check beyond these.  The skew-partition lemma suite
 (skewpart.lemma_violations) and the usability of the maximized partition
@@ -286,14 +287,13 @@ def decompose(g: Graph, triple: bool = False, observer=None) -> DecompTree:
     case) and on_factor(work, divide, pair) callbacks, in pipeline order,
     once the tree is finished and accepted, so a non-member gets none.
     """
-    root = _Node(g._full_mask())
-    hit, nodes = oracle._p5_scan(g, root)
+    hit, nodes, root = oracle._p5_scan(g)
     if hit is not None:
         raise NotClassMember(hit)
     events = None if observer is None else []
     cycles: list = []
     try:
-        tree = _build(g, events, cycles, root)
+        tree = _build(g, events, cycles, root or _Node(g._full_mask()))
     except Exception:  # a non-member's build may fail at any stage of a step
         hit = oracle._after_p5_scan(nodes, oracle._FORBIDDEN)
         if hit is None:

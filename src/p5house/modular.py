@@ -44,23 +44,6 @@ def is_homogeneous(g: Graph, xs: VertexSet) -> bool:
     )
 
 
-def _closure(masks: tuple[int, ...], full: int, m: int) -> int:
-    """Smallest module containing the mask m: every vertex mixed on the
-    current set is forced into any homogeneous superset."""
-    changed = True
-    while changed and m != full:
-        changed = False
-        rest = full & ~m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            hit = masks[b.bit_length() - 1] & m
-            if hit != 0 and hit != m:
-                m |= b
-                changed = True
-    return m
-
-
 def _better(a: int, b: int) -> bool:
     """a beats b: a is larger, or as large with the smaller sorted tuple,
     which for equal sizes is the set holding the lowest bit of a ^ b."""
@@ -114,28 +97,55 @@ def _prime_parts(masks: tuple[int, ...], m: int) -> list[int]:
     """Maximal proper modules of G[m] when that graph is prime.
 
     Refines m - v, v its least vertex, into P(G[m], v), the maximal modules
-    not containing v; each is a child or lies inside M(v), the child
-    holding v, which one closure per remaining part grows."""
+    not containing v (Ehrenfeucht, Gabow, McConnell and Sullivan, J.
+    Algorithms 16, 1994), from its split into v's neighbours and
+    non-neighbours: a part on which some vertex is mixed, the union of its
+    vertices' masks less their intersection, is split by that vertex's
+    neighbourhood, which every module inside the part respects.
+
+    Each part is a child or lies inside M(v), the child holding v.  G[m]
+    being prime, every proper module lies inside one child, so the closure
+    of mv, the part of M(v) found so far, and a part P is proper exactly
+    when P lies inside M(v); once it takes in a vertex of a part already
+    found outside M(v), it is all of m and stops there.  The closure is
+    anchored at v: every vertex left out of a module that holds v agrees
+    with v on it, so adding a vertex b forces in exactly the vertices not
+    yet taken that see b and v differently, (masks[v] ^ masks[b]) & m."""
     v = m & -m
     nv = masks[v.bit_length() - 1]
-    parts = [p for p in (nv & m, m & ~nv & ~v) if p]
-    pending = m & ~v
-    while pending:
-        y = pending & -pending
-        pending ^= y
-        adj = masks[y.bit_length() - 1]
-        for i, part in enumerate(parts):
-            inside = part & adj
-            if inside and inside != part and not part & y:
-                parts[i] = inside
-                parts.append(part ^ inside)
-                pending |= part
-    mv = v
+    parts, work = [], [p for p in (nv & m, m & ~nv & ~v) if p]
+    while work:
+        part = work.pop()
+        some, every, rest = 0, -1, part
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            adj = masks[b.bit_length() - 1]
+            some |= adj
+            every &= adj
+        mixed = some & ~every & m & ~part
+        if mixed:
+            inside = part & masks[(mixed & -mixed).bit_length() - 1]
+            work += (inside, part ^ inside)
+        else:
+            parts.append(part)
+    mv, out = v, 0
     for part in parts:
-        if not part & mv:
-            grown = _closure(masks, m, mv | part)
-            if grown != m:
-                mv = grown
+        if part & mv:
+            continue
+        todo, grown = part, part | mv
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            new = (nv ^ masks[b.bit_length() - 1]) & m & ~grown
+            grown |= new
+            if new & out or grown == m:
+                break
+            todo |= new
+        if grown & out or grown == m:
+            out |= part
+        else:
+            mv = grown
     return [mv] + [p for p in parts if not p & mv]
 
 

@@ -110,7 +110,10 @@ def _compile(kind: PatternKind):
 
 _COMPILED = {kind: _compile(kind) for kind in PatternKind}
 
-_FORBIDDEN = (PatternKind.P5, PatternKind.HOUSE)
+# The kinds the per-call paths test, bound once: a member lookup on the
+# enum class costs several times a global name's.
+_P5, _HOUSE = PatternKind.P5, PatternKind.HOUSE
+_FORBIDDEN = (_P5, _HOUSE)
 _FORBIDDEN_TRIPLE = _FORBIDDEN + (PatternKind.C5,)
 
 # _p5_scan scans graphs with at most this many vertices
@@ -124,12 +127,14 @@ _WHOLE_GRAPH_MAX = 16
 # The v0 ranks of the P5 scan of the whole graph that comes before the
 # prime nodes are read.  On the bench's 768 members near-members of seed 1
 # (n 30..41), prefixes of 2, 3, 4, 6 and 8 ranks hold the first P5 of 517,
-# 606, 655, 702 and 729 of them; their summed decompose rejections took
-# 127, 106, 98, 105 and 105 ms, and the members' median decompose took
-# 0.76, 0.85, 0.85, 1.06 and 1.23 ms (best of two sweeps of best-of-7
-# times, 2 vCPUs, Python 3.11).  Below 4 ranks the members bench's
-# graphs_per_s, which sums the rejections, falls: 3,288 and 3,700 at 2 and
-# 3 ranks against 3,959 at 4 (medians of six 8 s runs, seeds 1..3).
+# 606, 655, 702 and 729 of them; 6 and 8 ranks made the members' decompose
+# slower for no faster rejection.  With prime nodes split by anchored
+# closures, the summed decompose rejections took 88, 88 and 92 ms at 2, 3
+# and 4 ranks and the members' median decompose 0.73, 0.81 and 0.90 ms
+# (best-of-7 times, 2 vCPUs, Python 3.11), but the members bench's
+# graphs_per_s, which sums the rejections as the bench times them, was
+# 4,223, 4,307 and 4,439 and its reject_ms 0.0494, 0.0478 and 0.0474 ms
+# (medians of six 8 s runs, seeds 1..3), so 4 ranks stay.
 _PREFIX = 4
 
 
@@ -274,9 +279,9 @@ def _search(
     in range(first, stop), as vertex ids, or None.  The house is the P5 of
     the complement, whose masks are taken here without building its graph."""
     masks = g._masks
-    if kind is PatternKind.P5:
+    if kind is _P5:
         pos = _kernel(masks, False, first, stop)
-    elif kind is PatternKind.HOUSE:
+    elif kind is _HOUSE:
         full = (1 << len(masks)) - 1
         pos = _kernel([full ^ m ^ (1 << i) for i, m in enumerate(masks)], False, first, stop)
     else:
@@ -332,21 +337,23 @@ def _least_hit(nodes: list[Graph], kind: PatternKind, v0_from: int | None = None
     return None if best is None else PatternHit(kind=kind, embedding=best)
 
 
-def _p5_scan(g: Graph, root: _Node) -> tuple[PatternHit | None, list[Graph]]:
-    """g's first P5 or None, with the graphs the rest of the rule reads:
-    [g] up to _WHOLE_GRAPH_MAX vertices, where g is scanned whole.  Above
-    that, g's copies whose v0 has one of its first _PREFIX ranks are
-    scanned; after a miss the graphs are the representative graphs of the
-    prime nodes of g's decomposition tree ``root`` with five children or
-    more, built here once, and the least P5 from that rank on is read off
-    them (_least_hit)."""
+def _p5_scan(g: Graph) -> tuple[PatternHit | None, list[Graph], _Node | None]:
+    """g's first P5 or None, with the graphs the rest of the rule reads and
+    g's decomposition tree where this made it.  Up to _WHOLE_GRAPH_MAX
+    vertices g is scanned whole, the graphs are [g] and no tree is made.
+    Above that, g's copies whose v0 has one of its first _PREFIX ranks are
+    scanned; after a miss the tree is made, the graphs are the
+    representative graphs of its prime nodes with five children or more,
+    built here once, and the least P5 from that rank on is read off them
+    (_least_hit)."""
     if g.n <= _WHOLE_GRAPH_MAX:
-        return find_induced(g, PatternKind.P5), [g]
-    emb = _search(g, PatternKind.P5, 0, _PREFIX)
+        return find_induced(g, _P5), [g], None
+    emb = _search(g, _P5, 0, _PREFIX)
     if emb is not None:
-        return PatternHit(kind=PatternKind.P5, embedding=emb), [g]
+        return PatternHit(kind=_P5, embedding=emb), [g], None
+    root = _Node(g._full_mask())
     nodes = [g._induced(m) for m in _prime_representatives(g, 5, root)]
-    return _least_hit(nodes, PatternKind.P5, g.vertices[_PREFIX]), nodes
+    return _least_hit(nodes, _P5, g.vertices[_PREFIX]), nodes, root
 
 
 def _after_p5_scan(nodes: list[Graph], kinds: tuple[PatternKind, ...]) -> PatternHit | None:
@@ -364,8 +371,8 @@ def first_forbidden(g: Graph, triple: bool = False) -> PatternHit | None:
     """The refutation of membership: the first induced P5, else the first
     house, else (with ``triple``) the first pentagon; None for a member.
     The search is the module docstring's rule, over one decomposition tree
-    of g."""
-    hit, nodes = _p5_scan(g, _Node(g._full_mask()))
+    of g, made only where the search reads it."""
+    hit, nodes, _ = _p5_scan(g)
     if hit is not None:
         return hit
     return _after_p5_scan(nodes, _FORBIDDEN_TRIPLE if triple else _FORBIDDEN)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import reference_prime_parts as reference
 from p5house.graph import Graph, MixedStatus, complete_graph, cycle_graph, path_graph
 from p5house.modular import (
     HomogeneousSet,
@@ -12,6 +13,7 @@ from p5house.modular import (
     substitute,
 )
 from p5house.oracle import is_class_member
+from test_decomposer import flip, substitution_member
 
 
 def diamond():
@@ -392,3 +394,92 @@ class TestDecompositionTree:
             n = rng.randint(1, 10)
             g = substitution_graph(rng, n) if i % 2 else random_graph(rng, n, rng.random())
             self.check(g)
+
+
+def prime_graph(rng, ids):
+    """A random prime graph on ``ids``, |ids| >= 4: the reference closure
+    of every vertex pair is the whole graph."""
+    full = (1 << len(ids)) - 1
+    while True:
+        g = random_graph(rng, len(ids))
+        if all(reference.closure(g._masks, full, 1 << u | 1 << v) == full
+               for u, v in itertools.combinations(range(len(ids)), 2)):
+            return Graph(ids, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+class TestPrimePartsAgainstReference:
+    """modular._prime_parts splits each prime node into the same children
+    as the reference split by one full closure per part
+    (reference_prime_parts), on graphs with n 17..60."""
+
+    def reference_split(self, g, m):
+        from p5house.modular import _PARALLEL, _PRIME, _SERIES
+
+        if not m & (m - 1):
+            return _PRIME, []
+        for kind, parts in ((_PARALLEL, g._components_masks(m)),
+                            (_SERIES, g._anti_components_masks(m))):
+            if len(parts) > 1:
+                return kind, parts
+        return _PRIME, reference.prime_parts(g._masks, m)
+
+    def check(self, g):
+        """Walk g's decomposition tree, split all the way down, beside the
+        reference's; return its prime nodes with children, as a map from
+        mask to the children's masks."""
+        from p5house.modular import _PRIME, _Node
+
+        primes = {}
+        stack = [_Node(g._full_mask())]
+        while stack:
+            node = stack.pop()
+            kind, parts = self.reference_split(g, node.mask)
+            kids = node.kids(g)
+            assert node.kind(g) == kind
+            assert sorted(k.mask for k in kids) == sorted(parts)
+            if kind == _PRIME and kids:
+                primes[node.mask] = [k.mask for k in kids]
+            stack.extend(kids)
+        return primes
+
+    def test_random_graphs_and_their_complements(self):
+        rng = random.Random(1901)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(17, 60), rng.uniform(0.2, 0.8))
+            self.check(g)
+            self.check(g.complement())
+
+    def test_substitution_graphs(self):
+        rng = random.Random(1902)
+        done = 0
+        while done < 40:
+            g = substitution_graph(rng, 60)
+            if g.n >= 17:
+                self.check(g)
+                done += 1
+
+    def test_near_members_of_substitution_members(self):
+        rng = random.Random(1903)
+        for _ in range(40):
+            g = flip(rng, substitution_member(rng, rng.randint(17, 60)))
+            self.check(g)
+
+    def test_least_vertex_inside_a_large_prime_child(self):
+        # M(v) is a prime child of 24 vertices, split further: the closure
+        # of v and any of its other vertices takes in all of it.
+        rng = random.Random(1904)
+        inner = substitute(prime_graph(rng, list(range(20, 25))), prime_graph(rng, list(range(20))), 19)
+        g = substitute(inner, prime_graph(rng, list(range(100, 120))), 100)
+        primes = self.check(g)
+        assert g.vertices[0] == 0
+        assert g._mask_of(inner.vertices) in primes[g._full_mask()]
+
+    def test_least_vertex_a_child_of_its_own(self):
+        # M(v) = {v}, the other children large modules.
+        rng = random.Random(1905)
+        g = prime_graph(rng, list(range(20)))
+        for u, size in ((5, 8), (11, 12), (17, 6)):
+            ids = [100 * u + x for x in range(size)]
+            g = substitute(Graph(ids, [(ids[a], ids[b]) for a, b in random_graph(rng, size).edges()]), g, u)
+        kids = self.check(g)[g._full_mask()]
+        assert 1 in kids and max(k.bit_count() for k in kids) == 12
