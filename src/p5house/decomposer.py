@@ -317,9 +317,10 @@ def _walk(root, ctx, down, up):
     for and its children as (item, context) pairs, or none for a leaf;
     up(node, ctx, values), in postorder, combines the children's values.
     A split or pentagon leaf goes straight to up(leaf, ctx, ()).
-    A context is a (label, parent, payload) chain that _render turns into a
-    path such as "root.quotient.child"; the payload is a depth or a
-    document's graph."""
+    A context is anything down hands down: the walks over a tree use a
+    (label, parent, payload) chain that _render turns into a path such as
+    "root.quotient.child", the payload a depth or a document's graph;
+    generate uses a bare depth."""
     if type(root) in _LEAVES:
         return up(root, ctx, ())
     node, kids = down(root, ctx)

@@ -1,11 +1,12 @@
 """Seeded synthesis of class members by running the grammar forward.
 
-Trees are built top-down.  Leaves are random split graphs or pentagons;
-substitution nodes plug one generated member into another; unification nodes
+Trees are drawn top-down on the decomposer's tree walk.  Leaves are random
+split graphs or pentagons; substitution nodes plug one generated member into
+another, and a one-vertex part leaves the other as it is; unification nodes
 build a composable pair role by role (the cross-role adjacency is forced by
 the pair conditions, the inside of each role is random) and keep only pairs
-whose sides decompose, retrying up to a fixed cap.  The resulting
-graph is the recomposition of the tree by construction.
+whose sides decompose, retrying up to a fixed cap.  The graph is the tree's
+recomposition, which checks each unification node's pair conditions.
 
 Randomness comes from random.Random (Mersenne Twister) seeded from the
 config, so a corpus is a pure function of its configuration; no cross-
@@ -19,12 +20,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Generator, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .graph import Graph, SplitCert
-from .modular import substitute
-from .decomposer import CoSgu, DecompTree, NotClassMember, PentagonLeaf, Sgu, SplitLeaf, Subst, decompose, _pentagon_cycle
-from .divide import ComposablePair, PairRoles, unify
+from .decomposer import CoSgu, DecompTree, NotClassMember, PentagonLeaf, Sgu, SplitLeaf, Subst, decompose, recompose, _pentagon_cycle, _walk
+from .divide import ComposablePair, PairRoles
 
 __all__ = [
     "GenConfig",
@@ -134,7 +134,7 @@ def random_composable_pair(
     every forced cross-role adjacency follows the pair conditions.  Each
     L-vertex gets a proper nonempty neighborhood in A, so it is mixed on A.
     Neither the pair conditions nor class membership are checked here:
-    unify checks the conditions when _gen_node glues the pair.
+    unify checks the conditions when generate recomposes its tree.
     """
     ids = ids if ids is not None else itertools.count(0)
     a_set = [next(ids) for _ in range(rng.randint(2, 4))]
@@ -182,37 +182,21 @@ def random_composable_pair(
     return pair
 
 
-def _gen_node(
-    rng: random.Random, cfg: GenConfig, depth: int, ids: Iterator[int]
-) -> Generator[int, tuple[DecompTree, Graph], tuple[DecompTree, Graph]]:
-    """One node of a generated tree at ``depth``, as a generator driven by
-    generate: it yields the depth of each subtree it needs, is sent back
-    that subtree with its graph, and returns its own."""
-    kinds = _LEAF_KINDS if depth >= cfg.max_depth else _KINDS
-    kind = _pick(rng, cfg.weights, kinds)
+def _draw(rng: random.Random, cfg: GenConfig, kind: str, ids: Iterator[int]):
+    """A node of a generated tree that generate's walk does not descend
+    into, as (tree, sorted vertex ids): a split or pentagon leaf, or a
+    unification node over a composable pair, kept only when both sides
+    decompose, which certifies them as members and gives their subtrees."""
     if kind == "split":
         g, cert = random_split_graph(rng, cfg.leaf_size, ids)
-        return SplitLeaf(graph=g, cert=cert), g
+        return SplitLeaf(graph=g, cert=cert), g.vertices
     if kind == "pentagon":
         verts = [next(ids) for _ in range(5)]
         order = rng.sample(verts, 5)
         g = Graph(verts, list(zip(order, order[1:])) + [(order[-1], order[0])])
         cycle = _pentagon_cycle(g)
         assert cycle is not None
-        return PentagonLeaf(graph=g, cycle=cycle), g
-    if kind == "subst":
-        for _ in range(_RETRY_CAP):
-            child_tree, child_g = yield depth + 1
-            quot_tree, quot_g = yield depth + 1
-            if child_g.n >= 2 and quot_g.n >= 2:
-                break
-        else:
-            raise GenerationExhausted("substitution parts kept coming out too small")
-        marker = rng.choice(quot_g.vertices)
-        composed = substitute(child_g, quot_g, marker)
-        return Subst(quotient=quot_tree, child=child_tree, marker=marker), composed
-    # sgu / cosgu: build the pair and keep it only when both sides
-    # decompose, which certifies them as members and gives their subtrees.
+        return PentagonLeaf(graph=g, cycle=cycle), g.vertices
     for _ in range(_RETRY_CAP):
         pair = random_composable_pair(rng, ids)
         try:
@@ -223,28 +207,40 @@ def _gen_node(
         break
     else:
         raise GenerationExhausted("no member pair within the retry cap")
-    glued = unify(pair)
-    if kind == "sgu":
-        return Sgu(part1=t1, part2=t2, roles=pair.roles), glued
-    return CoSgu(part1=t1, part2=t2, roles=pair.roles), glued.complement()
+    r = pair.roles
+    node = Sgu if kind == "sgu" else CoSgu
+    return node(part1=t1, part2=t2, roles=r), tuple(sorted(r.a_set | r.b_set | r.c_set | r.l_set | r.t_set))
 
 
 def generate(cfg: GenConfig) -> tuple[Graph, DecompTree]:
     """Generate one class member together with the tree that built it.
 
-    The output is a pure function of the config; recomposing the tree gives
-    back exactly the returned graph.  The nodes being built are kept on an
-    explicit stack, so a tree of any depth is clear of the interpreter's
-    recursion limit."""
+    The output is a pure function of the config.  The tree is drawn top
+    down on decomposer._walk, whose explicit stack keeps a tree of any
+    depth clear of the interpreter's recursion limit; the graph is the
+    tree's recomposition, made once at the end."""
     rng = random.Random(cfg.seed)
     ids = itertools.count(0)
-    stack, done = [_gen_node(rng, cfg, 0, ids)], None
-    while True:
-        try:
-            stack.append(_gen_node(rng, cfg, stack[-1].send(done), ids))
-            done = None
-        except StopIteration as finished:
-            stack.pop()
-            done = finished.value
-            if not stack:
-                return done[1], done[0]
+
+    def down(_, depth):
+        kind = _pick(rng, cfg.weights, _LEAF_KINDS if depth >= cfg.max_depth else _KINDS)
+        if kind == "subst":  # the child is drawn first, so its ids are the lower
+            return None, ((None, depth + 1), (None, depth + 1))
+        return _draw(rng, cfg, kind, ids), ()
+
+    def up(node, _depth, parts):
+        if not parts:
+            return node
+        (child, child_vs), (quotient, quotient_vs) = parts
+        # substituting a single vertex changes nothing: the substitution
+        # is its other part
+        if len(child_vs) == 1:
+            return parts[1]
+        if len(quotient_vs) == 1:
+            return parts[0]
+        marker = rng.choice(quotient_vs)
+        vs = child_vs + tuple(v for v in quotient_vs if v != marker)
+        return Subst(quotient=quotient, child=child, marker=marker), vs
+
+    tree = _walk(None, 0, down, up)[0]
+    return recompose(tree), tree

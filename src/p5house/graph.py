@@ -407,9 +407,10 @@ def _split_cert(g: Graph, keep: int) -> SplitCert | None:
         m = i + 1
     if sum(top[:m]) != m * (m - 1) + sum(top[m:]):
         return None
-    # a stable sort keeps equal degrees in id order
-    order = sorted(range(len(bits)), key=lambda i: -degs[i])
-    clique = sum(bits[i] for i in order[:m])
+    # every degree above the m-th, then the lowest ids of its ties
+    t = top[m - 1] if m else 0
+    clique = sum(b for b, d in zip(bits, degs) if d > t)
+    clique += sum([b for b, d in zip(bits, degs) if d == t][: top[:m].count(t)])
     return SplitCert(clique=g._set_of(clique), stable=g._set_of(keep & ~clique))
 
 

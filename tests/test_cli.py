@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,22 @@ class TestGenerate:
             tree, root = document_to_tree((outdir / f"sample_{i:04d}.json").read_text())
             assert emit_graph6(root) == line
             assert verify_tree(tree, root).ok
+
+    def test_deep_subst_heavy_trees_finish(self, capsys):
+        # half the draws below the root are substitutions: parts of one
+        # vertex once made generation redraw forever, and composing the
+        # graph at every node made deep trees quadratic.  Seed 0 gives
+        # 1,613 vertices; the 20 samples take about a second.
+        argv = ["generate", "--seed", "0", "--count", "20", "--depth", "1000",
+                "--weights", "subst=1,split=1"]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 30
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 20
+        root, tree = generate(GenConfig(seed=0, max_depth=1000, weights={"subst": 1, "split": 1}))
+        assert emit_graph6(root) == lines[0]
+        assert root.n == 1613 and verify_tree(tree, root).ok
 
     @pytest.mark.parametrize("weights", ["split=nan", "split=inf,subst=inf", "subst=1e308,sgu=1e308"])
     def test_non_finite_weights_exit_2(self, weights, capsys):

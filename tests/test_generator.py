@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from p5house.graph import split_certificate
-from p5house.oracle import is_class_member
-from p5house.decomposer import recompose, tree_stats, verify_tree
+from p5house.oracle import PatternHit, PatternKind, is_class_member
+from p5house.decomposer import NotClassMember, SplitLeaf, recompose, tree_stats, verify_tree
 from p5house.generator import (
     GenConfig,
     GenerationExhausted,
@@ -125,11 +125,23 @@ class TestGenerate:
                 assert is_class_member(g, triple=True)
         assert hits > 0
 
-    def test_exhaustion_on_impossible_config(self):
-        # substitution parts need two vertices each, but leaves are pinned at one
+    def test_one_vertex_parts_collapse(self):
+        # every node above the depth cap is a substitution and every leaf
+        # has one vertex: substituting a single vertex changes nothing, so
+        # the whole tree is one leaf
         cfg = GenConfig(seed=1, max_depth=1, leaf_size=(1, 1), weights={"subst": 1.0, "split": 0.0})
-        with pytest.raises(GenerationExhausted):
-            generate(cfg)
+        g, t = generate(cfg)
+        assert type(t) is SplitLeaf and t.graph == g and g.n == 1
+
+    def test_exhaustion_when_no_pair_decomposes(self, monkeypatch):
+        import p5house.generator as generator
+
+        def refuse(g):
+            raise NotClassMember(PatternHit(kind=PatternKind.P5, embedding=(0, 1, 2, 3, 4)))
+
+        monkeypatch.setattr(generator, "decompose", refuse)
+        with pytest.raises(GenerationExhausted, match="no member pair"):
+            generate(GenConfig(seed=1, weights={"sgu": 1.0}))
 
     def test_deep_tree_under_a_low_recursion_limit(self):
         # Nodes under construction sit on an explicit stack: seed 322's

@@ -5,7 +5,9 @@ A change that claims to keep every tree, document and witness is held to it
 here: the digests below were computed before the decorated-H6 search and
 the unification pipeline moved onto bitmasks, and that move kept them;
 the events digest was computed before the pipeline stopped re-checking
-what its own stages had just built.
+what its own stages had just built.  The generated corpus changed when
+generate stopped redrawing a substitution with a one-vertex part, so its
+documents and events digests were recomputed then; the labelled one held.
 When an intended change of output moves them, recompute them and say why
 in the change's notes.
 """
@@ -18,7 +20,7 @@ from p5house.generator import GenConfig, generate
 from p5house.treedoc import tree_to_document
 
 # sha256 over the corpora below, in order.
-GENERATED_DIGEST = "0d509b7a15a94485b310e2187a6d5a8b32b25639eb2672caea0366892c118a3d"
+GENERATED_DIGEST = "62bb29821df830dfd6161d7a0d27a438840df35449192a5dbf7c6d5a48f2e44c"
 LABELLED_DIGEST = "e9f3c08925bab3dd8c7cdbdb3048f9b98f3f6ef46238cc5703c8b5e121a87ece"
 
 
@@ -40,7 +42,7 @@ def digest(graphs):
 
 
 def test_generated_members():
-    # seeds 0..299 give 14 CoSgu and 12 Sgu nodes
+    # seeds 0..299 give 11 CoSgu and 14 Sgu nodes
     graphs = (generate(GenConfig(seed=s, max_depth=3))[0] for s in range(300))
     assert digest(graphs) == (GENERATED_DIGEST, 300, 0)
 
@@ -51,7 +53,7 @@ def test_labelled_graphs_up_to_five_vertices():
 
 
 # sha256 of the observer events decompose emits over both corpora above.
-EVENTS_DIGEST = "f323ba206a88075bda15046181cd1e2136d1bcd981d49437627c9a3072ed7a4d"
+EVENTS_DIGEST = "0ae5be00698a6cf14eb9597f0fc265b84545bf7ad0a4fcb34cb2739e31e0387a"
 
 
 def _sets(*sets):
@@ -103,4 +105,4 @@ def test_observer_events():
         except NotClassMember:
             pass
         log.sha.update(b"--\n")
-    assert (log.sha.hexdigest(), log.events) == (EVENTS_DIGEST, 52)
+    assert (log.sha.hexdigest(), log.events) == (EVENTS_DIGEST, 50)

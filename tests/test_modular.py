@@ -159,7 +159,7 @@ class TestSameChoiceAsPairSearch:
         from p5house.generator import GenConfig, generate
 
         seen = []
-        for seed in range(60):
+        for seed in range(80):
             g, _ = generate(GenConfig(seed=seed, max_depth=4))
             stack = [decompose(g)]
             while stack:
