@@ -12,7 +12,10 @@ that earlier positions rule out, and test the last vertex with one mask
 operation.  ``_kernel`` serves P5, C5 (the same walk with the closing edge
 and its order constraints) and the house, which on positions 0..4 is
 exactly the complement of P5 with the same constraint v0 < v4;
-``_search`` is the one place that picks the walk for each.
+``_search`` is the one place that picks the walk for each.  For the P5
+scan of a large graph's first ranks, ``_twin_kernel`` walks one vertex at
+positions 1 and 2 per class of vertices that the rest of the walk cannot
+tell apart, as the vertices of a module are, and gives the same hit.
 ``_h6_kernel`` serves the decorated-H6 search: it walks H6's six
 positions and prunes with the simplicial and anti-simplicial vertex
 masks, which only drops prefixes no decorated copy extends, so it returns
@@ -29,7 +32,8 @@ from, is stated here alone: the first induced P5, else the first house,
 else (in triple mode) the first pentagon.  Up to 16 vertices
 (``_WHOLE_GRAPH_MAX``) each is sought in the whole graph.  Above that, P5
 is first sought among the copies that start at one of the first few
-vertices (``_PREFIX``), where most non-members met in practice have one;
+vertices (``_PREFIX``), where most non-members met in practice have one,
+by ``_twin_kernel``'s walk;
 after a miss the search reads the modular decomposition: P5, the house
 and C5 are prime graphs, so the least copy of each lies in the graph of
 one prime node, the input restricted to the least vertex of each child
@@ -127,15 +131,16 @@ _WHOLE_GRAPH_MAX = 16
 # The v0 ranks of the P5 scan of the whole graph that comes before the
 # prime nodes are read.  On the bench's 768 members near-members of seed 1
 # (n 30..41), prefixes of 2, 3, 4, 6 and 8 ranks hold the first P5 of 517,
-# 606, 655, 702 and 729 of them; 6 and 8 ranks made the members' decompose
-# slower for no faster rejection.  With prime nodes split by anchored
-# closures, the summed decompose rejections took 88, 88 and 92 ms at 2, 3
-# and 4 ranks and the members' median decompose 0.73, 0.81 and 0.90 ms
-# (best-of-7 times, 2 vCPUs, Python 3.11), but the members bench's
-# graphs_per_s, which sums the rejections as the bench times them, was
-# 4,223, 4,307 and 4,439 and its reject_ms 0.0494, 0.0478 and 0.0474 ms
-# (medians of six 8 s runs, seeds 1..3), so 4 ranks stay.
-_PREFIX = 4
+# 606, 655, 702 and 729 of them.  A member pays the whole prefix; a
+# near-member whose first P5 lies past it pays for the tree as well.  Over
+# _twin_kernel's walk, prefixes of 2, 4, 6 and 8 ranks gave the members
+# bench a graphs_per_s, which sums the rejections as the bench times them,
+# of 5,842, 7,656, 8,113 and 9,073, a reject_ms of 0.0213, 0.0206, 0.0213
+# and 0.0209 ms and a recognize_ms of 0.217, 0.237, 0.267 and 0.281 ms
+# (medians of six 8 s runs, seeds 1..3, 2 vCPUs, Python 3.11), so 8 ranks:
+# the most throughput at the same median rejection, for a member's
+# recognize 19% slower than at 4 ranks.
+_PREFIX = 8
 
 
 @dataclass(frozen=True)
@@ -213,17 +218,24 @@ def _embeddings(
 
 
 def _kernel(
-    masks: tuple[int, ...], cycle: bool, first: int = 0, stop: int | None = None
+    masks: tuple[int, ...],
+    cycle: bool,
+    first: int = 0,
+    stop: int | None = None,
+    twins: bool = False,
 ) -> tuple[int, ...] | None:
     """Bit positions of the first induced P5 (v0 < v4) in lexicographic
     order or, with ``cycle``, of the first induced C5 (v0 least, v1 < v4),
-    among the copies whose v0 has a rank in range(first, stop).
+    among the copies whose v0 has a rank in range(first, stop).  With
+    ``twins`` (P5 only) the walk is _twin_kernel's, which gives the same hit.
 
     Nested levels over adjacency masks, one per position.  ``allow`` holds
     the vertices positions 1..3 may take (above v0 for the cycle), and
     ``reach_k`` the vertices still allowed at position 4 once positions
     0..k are fixed, so the fifth vertex is one mask test.
     """
+    if twins:
+        return _twin_kernel(masks, first, stop)
     n = len(masks)
     full = (1 << n) - 1
     for i0 in range(first, n if stop is None else min(stop, n)):
@@ -272,15 +284,87 @@ def _kernel(
     return None
 
 
+def _twin_kernel(
+    masks: tuple[int, ...], first: int, stop: int | None
+) -> tuple[int, ...] | None:
+    """_kernel's P5 walk, which walks one v1 per key ``n1 & ~N[v0]`` and,
+    under it, one v2 per key ``n2 & ~(N[v0] | key1)``: the same first hit.
+
+    Below v1, the walk reads v1's mask only through its key: v4's candidates
+    ``reach1`` and v3's exclusion lie outside N[v0], and v2's candidates are
+    the key itself.  Below v2, it reads v2's mask only through its key,
+    which is v3's candidates, as ``reach1`` lies outside N[v0] and key1.
+    So a vertex whose key an earlier vertex of its level had roots a
+    subtree that was walked already without a hit, and is skipped.  The
+    vertices of a module that holds neither v0 nor v1 share a key, so on a
+    graph built by substitution the walk visits about one vertex of each
+    module at both levels.  On small graphs there is little to skip and the
+    key sets cost more than they save (a fifth more time on six-vertex
+    graphs), so _p5_scan asks for this walk only on its prefix of a graph
+    above _WHOLE_GRAPH_MAX vertices.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    for i0 in range(first, n if stop is None else min(stop, n)):
+        n0 = masks[i0]
+        reach0 = full >> (i0 + 1) << (i0 + 1) & ~n0
+        if not reach0:
+            continue
+        off0 = n0 | 1 << i0
+        seen1 = set()
+        c1 = n0
+        while c1:
+            b1 = c1 & -c1
+            c1 ^= b1
+            key1 = masks[b1.bit_length() - 1] & ~off0
+            if key1 in seen1:
+                continue
+            seen1.add(key1)
+            reach1 = reach0 & ~key1
+            if not reach1:
+                continue
+            off01 = off0 | key1
+            seen2 = set()
+            c2 = key1
+            while c2:
+                b2 = c2 & -c2
+                c2 ^= b2
+                c3 = masks[b2.bit_length() - 1] & ~off01
+                if c3 in seen2:
+                    continue
+                seen2.add(c3)
+                reach2 = reach1 & ~c3
+                if not reach2:
+                    continue
+                while c3:
+                    b3 = c3 & -c3
+                    c3 ^= b3
+                    c4 = masks[b3.bit_length() - 1] & reach2
+                    if c4:
+                        return (
+                            i0,
+                            b1.bit_length() - 1,
+                            b2.bit_length() - 1,
+                            b3.bit_length() - 1,
+                            (c4 & -c4).bit_length() - 1,
+                        )
+    return None
+
+
 def _search(
-    g: Graph, kind: PatternKind, first: int = 0, stop: int | None = None
+    g: Graph,
+    kind: PatternKind,
+    first: int = 0,
+    stop: int | None = None,
+    twins: bool = False,
 ) -> tuple[int, ...] | None:
     """g's first copy of ``kind`` (P5, the house or C5) whose v0 has a rank
-    in range(first, stop), as vertex ids, or None.  The house is the P5 of
-    the complement, whose masks are taken here without building its graph."""
+    in range(first, stop), as vertex ids, or None; a P5 with ``twins`` by
+    _twin_kernel's walk.  The house is the P5 of the complement, whose masks
+    are taken here without building its graph."""
     masks = g._masks
     if kind is _P5:
-        pos = _kernel(masks, False, first, stop)
+        pos = _kernel(masks, False, first, stop, twins)
     elif kind is _HOUSE:
         full = (1 << len(masks)) - 1
         pos = _kernel([full ^ m ^ (1 << i) for i, m in enumerate(masks)], False, first, stop)
@@ -342,13 +426,14 @@ def _p5_scan(g: Graph) -> tuple[PatternHit | None, list[Graph], _Node | None]:
     g's decomposition tree where this made it.  Up to _WHOLE_GRAPH_MAX
     vertices g is scanned whole, the graphs are [g] and no tree is made.
     Above that, g's copies whose v0 has one of its first _PREFIX ranks are
-    scanned; after a miss the tree is made, the graphs are the
-    representative graphs of its prime nodes with five children or more,
-    built here once, and the least P5 from that rank on is read off them
-    (_least_hit)."""
+    scanned, by _twin_kernel's walk, the one call that asks for it; after a
+    miss the tree is made, the graphs are the representative graphs of its
+    prime nodes with five children or more, built here once, and the least
+    P5 from that rank on is read off them (_least_hit), by the plain walk:
+    a prime node's graph has no modules for the twin walk to skip."""
     if g.n <= _WHOLE_GRAPH_MAX:
         return find_induced(g, _P5), [g], None
-    emb = _search(g, _P5, 0, _PREFIX)
+    emb = _search(g, _P5, 0, _PREFIX, True)
     if emb is not None:
         return PatternHit(kind=_P5, embedding=emb), [g], None
     root = _Node(g._full_mask())

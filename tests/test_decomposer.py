@@ -645,14 +645,15 @@ class TestOraclePlacement:
     def test_member_gets_only_the_p5_scan(self, steps, monkeypatch):
         # The finished tree certifies a member: one pattern scan, the P5
         # scan of g, whatever unification steps the build takes.  Above
-        # the size limit that is g over the prefix ranks, then the prime
-        # representatives, all smaller than g, from the next rank on.
+        # the size limit that is g over the prefix ranks, by the twin walk,
+        # then the prime representatives, all smaller than g, from the next
+        # rank on, by the plain walk.
         kernels = []
         kernel = oracle._kernel
 
-        def kernel_logged(masks, cycle, first=0, stop=None):
-            kernels.append((masks, cycle, first, stop))
-            return kernel(masks, cycle, first, stop)
+        def kernel_logged(masks, cycle, first=0, stop=None, twins=False):
+            kernels.append((masks, cycle, first, stop, twins))
+            return kernel(masks, cycle, first, stop, twins)
 
         monkeypatch.setattr(oracle, "_kernel", kernel_logged)
         unified = []
@@ -676,12 +677,13 @@ class TestOraclePlacement:
                 assert verify_tree(t, g).ok
                 if g.n <= oracle._WHOLE_GRAPH_MAX:
                     assert steps == [("scan", g, PatternKind.P5), ("built",)]
-                    assert kernels == [(g._masks, False, 0, None)]
+                    assert kernels == [(g._masks, False, 0, None, False)]
                 else:
                     reps = [g._induced(m) for m in modular._prime_representatives(g, 5)]
                     assert steps == [("scan", g, PatternKind.P5), *reads(reps, PatternKind.P5),
                                      ("built",)]
-                    assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
+                    assert kernels[0] == (g._masks, False, 0, oracle._PREFIX, True)
+                    assert not any(twins for *_, twins in kernels[1:])
                     assert [masks for masks, *_ in kernels[1:]] == [h._masks for h in reps]
                     assert all(len(masks) < g.n for masks, *_ in kernels[1:])
         assert len(unified) >= 10
@@ -794,17 +796,17 @@ class TestOraclePlacement:
 
     def test_refutations_make_no_whole_graph_house_scan(self, steps, monkeypatch):
         # House-only near-members above the size limit: one P5 scan of g
-        # over the prefix ranks, then every scan is of the representative
-        # graph of a prime node of g with five children or more, split ones
-        # included, as in first_forbidden: for a P5 before the build, for
-        # the house after it has raised.  They are built once, off the one
-        # decomposition tree that the build walks.
+        # over the prefix ranks, by the twin walk, then every scan is of the
+        # representative graph of a prime node of g with five children or
+        # more, split ones included, as in first_forbidden: for a P5 before
+        # the build, for the house after it has raised.  They are built
+        # once, off the one decomposition tree that the build walks.
         kernels, roots = [], []
         kernel, reps, build = oracle._kernel, oracle._prime_representatives, decomposer._build
 
-        def kernel_logged(masks, cycle, first=0, stop=None):
-            kernels.append((masks, cycle, first, stop))
-            return kernel(masks, cycle, first, stop)
+        def kernel_logged(masks, cycle, first=0, stop=None, twins=False):
+            kernels.append((masks, cycle, first, stop, twins))
+            return kernel(masks, cycle, first, stop, twins)
 
         def reps_logged(g, least, root=None):
             roots.append(root)
@@ -836,7 +838,8 @@ class TestOraclePlacement:
                 assert rejection(g, triple) == expected
                 assert steps == [("scan", g, PatternKind.P5), *reads(nodes, PatternKind.P5),
                                  ("raised",), *reads(nodes, PatternKind.HOUSE)]
-                assert kernels[0] == (g._masks, False, 0, oracle._PREFIX)
+                assert kernels[0] == (g._masks, False, 0, oracle._PREFIX, True)
+                assert not any(twins for *_, twins in kernels[1:])
                 assert all(len(masks) < g.n for masks, *_ in kernels[1:])
                 assert len(roots) == 2 and all(root is roots[0] for root in roots)
                 assert roots[0].mask == g._full_mask()

@@ -18,6 +18,8 @@ from p5house.oracle import (
     validate_hit,
 )
 
+from test_decomposer import flip, substitution_member
+
 H6_EDGES = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6), (5, 6)]
 
 
@@ -147,6 +149,17 @@ def seeded_random_graphs(count, max_n, seed):
     return out
 
 
+def generic_p5_by_v0(g):
+    """For each vertex v of g in order, the generic search's first P5 whose
+    v0 is v, or None: the pinned search yields the copies with the pinned
+    vertex at position 0 first, in lexicographic order."""
+    out = []
+    for v in g.vertices:
+        emb = next(_embeddings(g, PatternKind.P5, pin=v), None)
+        out.append(emb if emb is not None and emb[0] == v else None)
+    return out
+
+
 class TestKernels:
     def test_first_hits_match_generic_on_all_small_graphs(self):
         # the labelled graphs on 0..n-1 are closed under complement
@@ -165,6 +178,40 @@ class TestKernels:
             assert (None if house is None else house.embedding) == expected
             hits += house is not None
         assert hits > 50
+
+    def test_twin_walk_matches_plain_and_generic_above_the_limit(self):
+        # the prefix scan's walk of _p5_scan, on graphs past 16 vertices and
+        # on rank windows from several offsets to the end: random graphs and
+        # their complements, substitution members and one-flip near-members,
+        # and a graph whose v1 candidates 1 and 2 of v0 = 0 share their
+        # neighbourhood {4} outside N[0] but differ inside it (1 is adjacent
+        # to 3): 2 is skipped, and the hit lies under v1 = 3
+        rng = random.Random(2207)
+        graphs = []
+        for _ in range(25):
+            n = rng.randint(17, 60)
+            ids = rng.sample(range(3 * n), n)
+            p = rng.uniform(0.05, 0.95)
+            g = Graph(ids, [(u, v) for u, v in itertools.combinations(ids, 2) if rng.random() < p])
+            graphs += [g, g.complement()]
+        for _ in range(12):
+            member = substitution_member(rng, rng.randint(17, 28))
+            graphs += [member, flip(rng, member), flip(rng, member)]
+        crafted = Graph(range(17), [(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 4),
+                                    (4, 5), (3, 6), (6, 7), (7, 8)]
+                        + list(itertools.combinations(range(9, 17), 2)))
+        assert _kernel(crafted._masks, False, 0, None, True) == (0, 3, 6, 7, 8)
+        hits = 0
+        for g in graphs + [crafted]:
+            by_v0 = generic_p5_by_v0(g)
+            for first in sorted({0, 1, g.n // 3, 2 * g.n // 3, g.n - 5}):
+                twin = _kernel(g._masks, False, first, None, True)
+                assert twin == _kernel(g._masks, False, first), (first, g.vertices, g.edges())
+                emb = None if twin is None else tuple(g.vertices[i] for i in twin)
+                generic = next((e for e in by_v0[first:] if e is not None), None)
+                assert emb == generic, (first, g.vertices, g.edges())
+                hits += twin is not None
+        assert hits > 200
 
     def test_c5_hit_is_canonical(self):
         # pentagon 3-9-4-7-5-3: least vertex first, then its smaller neighbour

@@ -135,8 +135,8 @@ class TestAgainstTheReference:
 def logged(monkeypatch):
     """The scans and decompositions of the oracle: every P5, house or C5
     scan (oracle._search) as (graph, kind), every _kernel call as (masks,
-    cycle, first, stop) and the decomposition tree of every read of the
-    prime nodes."""
+    cycle, first, stop, twins) and the decomposition tree of every read of
+    the prime nodes."""
     log = {"scans": [], "kernel": [], "roots": []}
     find, kernel, reps = oracle._search, oracle._kernel, oracle._prime_representatives
 
@@ -144,9 +144,9 @@ def logged(monkeypatch):
         log["scans"].append((g, kind))
         return find(g, kind, *args)
 
-    def kernel_logged(masks, cycle, first=0, stop=None):
-        log["kernel"].append((masks, cycle, first, stop))
-        return kernel(masks, cycle, first, stop)
+    def kernel_logged(masks, cycle, first=0, stop=None, twins=False):
+        log["kernel"].append((masks, cycle, first, stop, twins))
+        return kernel(masks, cycle, first, stop, twins)
 
     def reps_logged(g, least, root=None):
         log["roots"].append(root)
@@ -165,11 +165,12 @@ def clear(log):
 
 class TestPlacement:
     def test_is_class_member_above_the_limit(self, logged):
-        # One P5 scan of the whole graph over the prefix ranks, one
-        # decomposition tree, whose prime nodes are read once, for P5 from
-        # the next rank on and then for the other kinds, and scans of
-        # smaller graphs only: no whole-graph house scan, on members,
-        # house-only near-members and late_p5.
+        # One P5 scan of the whole graph over the prefix ranks, the only
+        # kernel call that asks for the twin walk, one decomposition tree,
+        # whose prime nodes are read once, for P5 from the next rank on and
+        # then for the other kinds, and scans of smaller graphs only: no
+        # whole-graph house scan, on members, house-only near-members and
+        # late_p5.
         rng = random.Random(4804)
         members, house_only = [], []
         while len(house_only) < 10:
@@ -186,7 +187,8 @@ class TestPlacement:
                 assert is_class_member(g, triple) == (expected[triple] is None)
                 assert logged["scans"][0] == (g, PatternKind.P5)
                 assert all(h.n < g.n for h, _ in logged["scans"][1:])
-                assert logged["kernel"][0] == (g._masks, False, 0, oracle._PREFIX)
+                assert logged["kernel"][0] == (g._masks, False, 0, oracle._PREFIX, True)
+                assert not any(twins for *_, twins in logged["kernel"][1:])
                 roots = logged["roots"]
                 assert len(roots) == 1 and roots[0].mask == g._full_mask()
                 assert all(len(masks) < g.n for masks, *_ in logged["kernel"][1:])
