@@ -149,16 +149,15 @@ def _prime_parts(masks: tuple[int, ...], m: int) -> list[int]:
     return [mv] + [p for p in parts if not p & mv]
 
 
-def _prime_representatives(g: Graph, least: int, root: _Node | None = None) -> list[int]:
+def _prime_representatives(g: Graph, least: int, root: _Node) -> list[int]:
     """Masks of the representative graphs of the prime nodes of g's
     modular decomposition that have at least ``least`` children: each is
     the least vertex of every child of its node.
 
     Only modules with ``least`` vertices or more are split, since none
     smaller holds such a node.  ``root`` is g's decomposition tree, which
-    keeps the modules split here for its other readers; by default a fresh
-    one."""
-    out, stack = [], [root or _Node(g._full_mask())]
+    keeps the modules split here for its other readers."""
+    out, stack = [], [root]
     while stack:
         node = stack.pop()
         kids = node.kids(g)

@@ -13,9 +13,10 @@ operation.  ``_kernel`` serves P5, C5 (the same walk with the closing edge
 and its order constraints) and the house, which on positions 0..4 is
 exactly the complement of P5 with the same constraint v0 < v4;
 ``_search`` is the one place that picks the walk for each.  For the P5
-scan of a large graph's first ranks, ``_twin_kernel`` walks one vertex at
-positions 1 and 2 per class of vertices that the rest of the walk cannot
-tell apart, as the vertices of a module are, and gives the same hit.
+scan of a large graph's first ranks, ``_p5_scan`` calls ``_twin_kernel``
+itself, which walks one vertex at positions 1 and 2 per class of vertices
+that the rest of the walk cannot tell apart, as the vertices of a module
+are, and gives the same hit.
 ``_h6_kernel`` serves the decorated-H6 search: it walks H6's six
 positions and prunes with the simplicial and anti-simplicial vertex
 masks, which only drops prefixes no decorated copy extends, so it returns
@@ -26,19 +27,20 @@ kernels are tested against.  All are O(n^5) or O(n^6)
 in the worst case; the kernels spend a few mask operations per prefix,
 with no generator frames.
 
-``find_induced`` always searches the whole graph and is the ground truth.
+``find_induced`` always searches the whole graph, by ``_search``'s plain
+walk, and is the ground truth.
 The refutation rule, which every membership answer and witness comes
 from, is stated here alone: the first induced P5, else the first house,
 else (in triple mode) the first pentagon.  Up to 16 vertices
 (``_WHOLE_GRAPH_MAX``) each is sought in the whole graph.  Above that, P5
 is first sought among the copies that start at one of the first few
 vertices (``_PREFIX``), where most non-members met in practice have one,
-by ``_twin_kernel``'s walk;
-after a miss the search reads the modular decomposition: P5, the house
-and C5 are prime graphs, so the least copy of each lies in the graph of
-one prime node, the input restricted to the least vertex of each child
-(``_least_hit``).  ``_p5_scan`` makes this size choice, the only one, and
-builds those graphs once for ``_after_p5_scan``, the house and C5 search.
+by ``_twin_kernel``'s walk; after a miss the search reads the modular
+decomposition: P5, the house and C5 are prime graphs, so the least copy
+of each lies in the graph of one prime node, the input restricted to the
+least vertex of each child (``_least_hit``), by the plain walk.
+``_p5_scan`` makes this size choice, the only one, and builds those
+graphs once for ``_after_p5_scan``, the house and C5 search.
 ``first_forbidden`` is these two calls over one decomposition tree;
 ``decompose`` makes them around its build, over the tree the build walks,
 the second only when its build has raised.
@@ -217,28 +219,19 @@ def _embeddings(
             yield from search(p)
 
 
-def _kernel(
-    masks: tuple[int, ...],
-    cycle: bool,
-    first: int = 0,
-    stop: int | None = None,
-    twins: bool = False,
-) -> tuple[int, ...] | None:
+def _kernel(masks: tuple[int, ...], cycle: bool, first: int = 0) -> tuple[int, ...] | None:
     """Bit positions of the first induced P5 (v0 < v4) in lexicographic
     order or, with ``cycle``, of the first induced C5 (v0 least, v1 < v4),
-    among the copies whose v0 has a rank in range(first, stop).  With
-    ``twins`` (P5 only) the walk is _twin_kernel's, which gives the same hit.
+    among the copies whose v0 has rank ``first`` or above.
 
     Nested levels over adjacency masks, one per position.  ``allow`` holds
     the vertices positions 1..3 may take (above v0 for the cycle), and
     ``reach_k`` the vertices still allowed at position 4 once positions
     0..k are fixed, so the fifth vertex is one mask test.
     """
-    if twins:
-        return _twin_kernel(masks, first, stop)
     n = len(masks)
     full = (1 << n) - 1
-    for i0 in range(first, n if stop is None else min(stop, n)):
+    for i0 in range(first, n):
         n0 = masks[i0]
         above0 = full >> (i0 + 1) << (i0 + 1)
         if cycle:
@@ -300,8 +293,9 @@ def _twin_kernel(
     graph built by substitution the walk visits about one vertex of each
     module at both levels.  On small graphs there is little to skip and the
     key sets cost more than they save (a fifth more time on six-vertex
-    graphs), so _p5_scan asks for this walk only on its prefix of a graph
-    above _WHOLE_GRAPH_MAX vertices.
+    graphs), so _p5_scan, the one caller, walks this way only its prefix
+    of a graph above _WHOLE_GRAPH_MAX vertices; _search, and so
+    find_induced, always takes the plain walk.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -351,25 +345,19 @@ def _twin_kernel(
     return None
 
 
-def _search(
-    g: Graph,
-    kind: PatternKind,
-    first: int = 0,
-    stop: int | None = None,
-    twins: bool = False,
-) -> tuple[int, ...] | None:
-    """g's first copy of ``kind`` (P5, the house or C5) whose v0 has a rank
-    in range(first, stop), as vertex ids, or None; a P5 with ``twins`` by
-    _twin_kernel's walk.  The house is the P5 of the complement, whose masks
-    are taken here without building its graph."""
+def _search(g: Graph, kind: PatternKind, first: int = 0) -> tuple[int, ...] | None:
+    """g's first copy of ``kind`` (P5, the house or C5) whose v0 has rank
+    ``first`` or above, as vertex ids, or None, by _kernel's walk.  The
+    house is the P5 of the complement, whose masks are taken here without
+    building its graph."""
     masks = g._masks
     if kind is _P5:
-        pos = _kernel(masks, False, first, stop, twins)
+        pos = _kernel(masks, False, first)
     elif kind is _HOUSE:
         full = (1 << len(masks)) - 1
-        pos = _kernel([full ^ m ^ (1 << i) for i, m in enumerate(masks)], False, first, stop)
+        pos = _kernel([full ^ m ^ (1 << i) for i, m in enumerate(masks)], False, first)
     else:
-        pos = _kernel(masks, True, first, stop)
+        pos = _kernel(masks, True, first)
     if pos is None:
         return None
     vs = g.vertices
@@ -426,16 +414,16 @@ def _p5_scan(g: Graph) -> tuple[PatternHit | None, list[Graph], _Node | None]:
     g's decomposition tree where this made it.  Up to _WHOLE_GRAPH_MAX
     vertices g is scanned whole, the graphs are [g] and no tree is made.
     Above that, g's copies whose v0 has one of its first _PREFIX ranks are
-    scanned, by _twin_kernel's walk, the one call that asks for it; after a
+    scanned, by _twin_kernel's walk, which is called here alone; after a
     miss the tree is made, the graphs are the representative graphs of its
     prime nodes with five children or more, built here once, and the least
     P5 from that rank on is read off them (_least_hit), by the plain walk:
     a prime node's graph has no modules for the twin walk to skip."""
     if g.n <= _WHOLE_GRAPH_MAX:
         return find_induced(g, _P5), [g], None
-    emb = _search(g, _P5, 0, _PREFIX, True)
-    if emb is not None:
-        return PatternHit(kind=_P5, embedding=emb), [g], None
+    pos = _twin_kernel(g._masks, 0, _PREFIX)
+    if pos is not None:
+        return PatternHit(kind=_P5, embedding=tuple(g.vertices[i] for i in pos)), [g], None
     root = _Node(g._full_mask())
     nodes = [g._induced(m) for m in _prime_representatives(g, 5, root)]
     return _least_hit(nodes, _P5, g.vertices[_PREFIX]), nodes, root

@@ -12,7 +12,7 @@ masks as they are when its ids ascend (as written).  A quotient's marker
 attaches like the least member, a unification part's marker to L
 (marker_c) or B (marker_a); a marker may be any id outside the part it
 joins but no role vertex of its node.  The version field is mandatory and
-checked exactly.
+checked exactly: an int equal to VERSION, so neither true nor 1.0.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def document_to_tree(text: str) -> tuple[DecompTree, Graph]:
         raise TreeDocumentError("the document nests too deeply to parse as JSON") from None
     _require(isinstance(doc, dict), "document is not an object")
     version = doc.get("version")
-    if version != VERSION:
+    if type(version) is not int or version != VERSION:
         raise TreeDocumentError(f"unsupported document version {version!r}")
     for key in ("rootGraph", "vertexIds", "node"):
         _require(key in doc, f"missing field {key!r}")

@@ -349,12 +349,20 @@ class TestTreeDocument:
         with pytest.raises(TreeDocumentError):
             document_to_tree(json.dumps(out_doc))
 
-    def test_version_mismatch_rejected(self):
+    def test_version_mismatch_rejected(self, tmp_path, capsys):
+        # JSON's true and 1.0 compare equal to 1 in Python, but are not the
+        # version: the reader and `verify` reject them like any other
         g, t = generate(GenConfig(seed=1))
         doc = json.loads(tree_to_document(t, g))
-        doc["version"] = 2
-        with pytest.raises(TreeDocumentError):
-            document_to_tree(json.dumps(doc))
+        out = tmp_path / "tree.json"
+        for version in (2, True, 1.0):
+            doc["version"] = version
+            with pytest.raises(TreeDocumentError):
+                document_to_tree(json.dumps(doc))
+            out.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: unsupported document version {version!r}\n"
 
     def test_missing_field_rejected(self):
         with pytest.raises(TreeDocumentError):

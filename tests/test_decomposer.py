@@ -486,7 +486,7 @@ class TestWitness:
         hit = rejection(g)
         assert hit == first_forbidden(g) and set(hit.embedding) == set(house.vertices)
 
-    def test_pentagon_met_before_a_house_gives_the_house(self, steps):
+    def test_pentagon_met_before_a_house_gives_the_house(self, calls):
         # The house on 0..4 is the module split off first, so the walk
         # reaches the pentagon (inside the quotient) before it; the build
         # raises at the house's prime node, and the witness is the house
@@ -494,7 +494,8 @@ class TestWitness:
         # up to the size limit g alone, with no scan of g for a C5.
         g = Graph(range(10), HOUSE_EDGES + cycle_graph(range(5, 10)).edges())
         hit = rejection(g, triple=True)
-        assert steps == [("scan", g, PatternKind.P5), ("raised",), *reads([g], PatternKind.HOUSE)]
+        assert calls.steps() == [("scan", g, PatternKind.P5), ("raised",),
+                                 *calls.reads([g], PatternKind.HOUSE)]
         assert hit == first_forbidden(g, triple=True) and hit.kind is PatternKind.HOUSE
 
     def test_pentagon_leaf_in_triple_mode_gives_its_c5(self):
@@ -503,28 +504,25 @@ class TestWitness:
         hit = rejection(g, triple=True)
         assert hit == first_forbidden(g, triple=True) and set(hit.embedding) == set(c5.vertices)
 
-    def test_node_hit_missing_from_the_root(self, monkeypatch):
+    def test_node_hit_missing_from_the_root(self, calls):
         # Above the size limit the witness comes from the prime node, so a
-        # house scan of the whole graph that saw nothing would change
-        # nothing: none is made.
+        # house scan of the whole graph would change nothing: none is made,
+        # and g's P5 scan is the twin walk of its prefix.
         g = substitute(on_ids(HOUSE_EDGES, [30, 31, 32, 33, 34]), complete_graph(range(13)), 1)
         assert g.n > oracle._WHOLE_GRAPH_MAX
         expected = first_forbidden(g)
-        real = oracle._search
+        for triple in (False, True):
+            calls.clear()
+            assert rejection(g, triple) == expected and expected.kind is PatternKind.HOUSE
+            assert all(h != g for _, h, _ in calls.of("scan"))
 
-        def blind_at_root(h, kind, *args):
-            return None if h == g and kind is not PatternKind.P5 else real(h, kind, *args)
-
-        monkeypatch.setattr(oracle, "_search", blind_at_root)
-        assert rejection(g) == expected and expected.kind is PatternKind.HOUSE
-        assert rejection(g, triple=True) == expected
-
-    def test_least_hit_from_a_later_prime_node(self, steps):
+    def test_least_hit_from_a_later_prime_node(self, calls):
         # A house blown up by a house: the build raises at the quotient's
         # prime node, visited first, but the child's house, on lower ids,
         # is the least.  Up to the size limit it is found by a whole-graph
         # search; above it, in a clique, on the prime representatives,
-        # which the P5 scan has built and read before the build.
+        # which the P5 scan has built and read, after its prefix walk,
+        # before the build.
         outer = on_ids(HOUSE_EDGES, [1, 20, 21, 22, 23])
         inner = on_ids(HOUSE_EDGES, [1, 2, 3, 4, 5])
         g = substitute(inner, outer, 1)
@@ -532,18 +530,18 @@ class TestWitness:
         assert g.n <= oracle._WHOLE_GRAPH_MAX < big.n
         reps = [outer, inner]
         for h, scan, after in (
-            (g, [("scan", g, PatternKind.P5)], reads([g], PatternKind.HOUSE)),
-            (big, [("scan", big, PatternKind.P5), *reads(reps, PatternKind.P5)],
-             reads(reps, PatternKind.HOUSE)),
+            (g, [("scan", g, PatternKind.P5)], calls.reads([g], PatternKind.HOUSE)),
+            (big, [calls.prefix(big), *calls.reads(reps, PatternKind.P5)],
+             calls.reads(reps, PatternKind.HOUSE)),
         ):
             for triple in (False, True):
                 expected = first_forbidden(h, triple)
-                steps.clear()
+                calls.clear()
                 assert rejection(h, triple) == expected
                 assert set(expected.embedding) == set(inner.vertices)
-                assert steps == scan + [("raised",)] + after
+                assert calls.steps() == scan + [("raised",)] + after
 
-    def test_least_c5_from_a_later_pentagon_leaf(self, scans):
+    def test_least_c5_from_a_later_pentagon_leaf(self, calls):
         # The same with pentagons: a member, but in triple mode the least
         # C5 is the child leaf's, reached after the quotient leaf.
         outer = cycle_graph([1, 20, 21, 22, 23])
@@ -552,9 +550,9 @@ class TestWitness:
         decompose(g)
         expected = first_forbidden(g, triple=True)
         assert set(expected.embedding) == set(inner.vertices)
-        scans.clear()
+        calls.clear()
         assert rejection(g, triple=True) == expected
-        assert scans == [(g, PatternKind.P5)]
+        assert calls.of("scan") == [("scan", g, PatternKind.P5)]
 
     def test_least_hit_over_prime_nodes_on_random_non_members(self):
         """The witness is first_forbidden's in both modes on P5-free
@@ -574,58 +572,9 @@ class TestWitness:
                         found[triple] += expected.kind is not PatternKind.P5
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """Every P5, house or C5 scan of the oracle (oracle._search), as
-    (graph, kind), in call order."""
-    log = []
-    real = oracle._search
-
-    def logged(g, kind, *args):
-        log.append((g, kind))
-        return real(g, kind, *args)
-
-    monkeypatch.setattr(oracle, "_search", logged)
-    return log
-
-
-@pytest.fixture
-def steps(monkeypatch):
-    """decompose's steps in call order: ("scan", graph, kind) for every P5,
-    house or C5 scan (oracle._search), ("built",) or ("raised",) as the
-    build ends, ("least_hit", nodes, kind) for every oracle._least_hit
-    call.  The wrappers pass every argument on, so a changed signature
-    fails at its call, not as a missing step."""
-    log = []
-    find, build, least_hit = oracle._search, decomposer._build, oracle._least_hit
-
-    def find_logged(g, kind, *args):
-        log.append(("scan", g, kind))
-        return find(g, kind, *args)
-
-    def build_logged(*args, **kwargs):
-        try:
-            tree = build(*args, **kwargs)
-        except Exception:
-            log.append(("raised",))
-            raise
-        log.append(("built",))
-        return tree
-
-    def least_hit_logged(nodes, kind, *args, **kwargs):
-        log.append(("least_hit", nodes, kind))
-        return least_hit(nodes, kind, *args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_search", find_logged)
-    monkeypatch.setattr(decomposer, "_build", build_logged)
-    monkeypatch.setattr(oracle, "_least_hit", least_hit_logged)
-    return log
-
-
-def reads(nodes, kind):
-    """The steps of one _least_hit over ``nodes``: the call, then a scan of
-    each graph."""
-    return [("least_hit", nodes, kind)] + [("scan", h, kind) for h in nodes]
+def prime_representatives(g):
+    """The masks of g's prime representatives, over a tree of their own."""
+    return modular._prime_representatives(g, 5, modular._Node(g._full_mask()))
 
 
 def is_prime_node(g):
@@ -637,25 +586,17 @@ def is_prime_node(g):
 
 
 class TestOraclePlacement:
-    def test_split_member_gets_only_the_root_p5_scan(self, scans):
+    def test_split_member_gets_only_the_root_p5_scan(self, calls):
         g = Graph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
         assert isinstance(decompose(g), SplitLeaf)
-        assert scans == [(g, PatternKind.P5)]
+        assert calls.of("scan") == [("scan", g, PatternKind.P5)]
 
-    def test_member_gets_only_the_p5_scan(self, steps, monkeypatch):
+    def test_member_gets_only_the_p5_scan(self, calls, monkeypatch):
         # The finished tree certifies a member: one pattern scan, the P5
         # scan of g, whatever unification steps the build takes.  Above
         # the size limit that is g over the prefix ranks, by the twin walk,
         # then the prime representatives, all smaller than g, from the next
         # rank on, by the plain walk.
-        kernels = []
-        kernel = oracle._kernel
-
-        def kernel_logged(masks, cycle, first=0, stop=None, twins=False):
-            kernels.append((masks, cycle, first, stop, twins))
-            return kernel(masks, cycle, first, stop, twins)
-
-        monkeypatch.setattr(oracle, "_kernel", kernel_logged)
         unified = []
         real = decomposer._unification_step
 
@@ -671,29 +612,26 @@ class TestOraclePlacement:
             for triple in (False, True):
                 if triple and not is_class_member(g, triple=True):
                     continue
-                steps.clear()
-                kernels.clear()
+                calls.clear()
                 t = decompose(g, triple=triple)
                 assert verify_tree(t, g).ok
+                walks = calls.of("twin", "kernel")
                 if g.n <= oracle._WHOLE_GRAPH_MAX:
-                    assert steps == [("scan", g, PatternKind.P5), ("built",)]
-                    assert kernels == [(g._masks, False, 0, None, False)]
+                    assert calls.steps() == [("scan", g, PatternKind.P5), ("built",)]
+                    assert walks == [("kernel", g._masks, False, 0)]
                 else:
-                    reps = [g._induced(m) for m in modular._prime_representatives(g, 5)]
-                    assert steps == [("scan", g, PatternKind.P5), *reads(reps, PatternKind.P5),
-                                     ("built",)]
-                    assert kernels[0] == (g._masks, False, 0, oracle._PREFIX, True)
-                    assert not any(twins for *_, twins in kernels[1:])
-                    assert [masks for masks, *_ in kernels[1:]] == [h._masks for h in reps]
-                    assert all(len(masks) < g.n for masks, *_ in kernels[1:])
+                    reps = [g._induced(m) for m in prime_representatives(g)]
+                    assert calls.steps() == [calls.prefix(g), *calls.reads(reps, PatternKind.P5),
+                                             ("built",)]
+                    assert walks[0] == calls.prefix(g)
+                    assert [masks for _, masks, *_ in walks[1:]] == [h._masks for h in reps]
+                    assert all(call[0] == "kernel" and len(call[1]) < g.n for call in walks[1:])
         assert len(unified) >= 10
 
-    def test_p5_rejection_takes_no_homogeneous_set_search(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(decomposer, "_build", lambda *args: calls.append(args))
+    def test_p5_rejection_takes_no_homogeneous_set_search(self, calls):
         g = substitute(complete_graph([10, 11]), path_graph(range(5)), 2)
         assert rejection(g).kind is PatternKind.P5
-        assert calls == []
+        assert calls.of("build") == []
 
     def test_one_decomposition_and_no_homogeneous_set_search(self, monkeypatch):
         # A substitution member over two unification nodes: one modular
@@ -731,7 +669,7 @@ class TestOraclePlacement:
         assert len(factors) == 4 and trees == [h._full_mask() for h in roots]
         assert hosts == set(roots)
 
-    def test_house_rejection_after_a_member_prime_node(self, steps, monkeypatch):
+    def test_house_rejection_after_a_member_prime_node(self, calls, monkeypatch):
         # The build unifies the member's prime node, an H6, before it
         # raises at the house's: the events it held are never handed over.
         module = Graph([10, 11, 12, 13, 14, 15], on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]).edges())
@@ -754,18 +692,19 @@ class TestOraclePlacement:
                 events.append(args)
 
         expected = first_forbidden(g)
-        steps.clear()
+        calls.clear()
         with pytest.raises(NotClassMember) as err:
             decompose(g, observer=Obs())
         assert err.value.hit == expected and expected.kind is PatternKind.HOUSE
-        assert steps == [("scan", g, PatternKind.P5), ("raised",), *reads([g], PatternKind.HOUSE)]
+        assert calls.steps() == [("scan", g, PatternKind.P5), ("raised",),
+                                 *calls.reads([g], PatternKind.HOUSE)]
         assert held == ["on_skew_decomposition", "on_factor"] and events == []
 
-    def test_p5_past_the_prefix_never_reaches_the_build(self, monkeypatch):
+    def test_p5_past_the_prefix_never_reaches_the_build(self, calls, monkeypatch):
         # P5 near-members above the size limit whose first P5 begins at
         # rank _PREFIX or later: the P5 scan finds it on the prime nodes of
         # g's decomposition tree, made once per call, so no build starts.
-        made, calls = [], []
+        made, unified = [], []
 
         class Counted(modular._Node):
             __slots__ = ()
@@ -776,8 +715,7 @@ class TestOraclePlacement:
 
         for module in (modular, oracle, decomposer):
             monkeypatch.setattr(module, "_Node", Counted)
-        for name in ("_build", "_unification_step"):
-            monkeypatch.setattr(decomposer, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(decomposer, "_unification_step", lambda *args: unified.append(args))
         rng = random.Random(917)
         found = 0
         for _ in range(100):
@@ -789,36 +727,19 @@ class TestOraclePlacement:
             found += 1
             for triple in (False, True):
                 made.clear()
+                calls.clear()
                 assert rejection(g, triple) == expected
                 assert made.count(g._full_mask()) == 1
-                assert calls == []
+                assert calls.of("build") == [] and unified == []
         assert found >= 10
 
-    def test_refutations_make_no_whole_graph_house_scan(self, steps, monkeypatch):
+    def test_refutations_make_no_whole_graph_house_scan(self, calls):
         # House-only near-members above the size limit: one P5 scan of g
         # over the prefix ranks, by the twin walk, then every scan is of the
         # representative graph of a prime node of g with five children or
         # more, split ones included, as in first_forbidden: for a P5 before
         # the build, for the house after it has raised.  They are built
         # once, off the one decomposition tree that the build walks.
-        kernels, roots = [], []
-        kernel, reps, build = oracle._kernel, oracle._prime_representatives, decomposer._build
-
-        def kernel_logged(masks, cycle, first=0, stop=None, twins=False):
-            kernels.append((masks, cycle, first, stop, twins))
-            return kernel(masks, cycle, first, stop, twins)
-
-        def reps_logged(g, least, root=None):
-            roots.append(root)
-            return reps(g, least, root)
-
-        def build_logged(g, events, cycles, root):
-            roots.append(root)
-            return build(g, events, cycles, root)
-
-        monkeypatch.setattr(oracle, "_kernel", kernel_logged)
-        monkeypatch.setattr(oracle, "_prime_representatives", reps_logged)
-        monkeypatch.setattr(decomposer, "_build", build_logged)
         rng = random.Random(913)
         found = 0
         while found < 20:
@@ -827,20 +748,19 @@ class TestOraclePlacement:
                     or is_prime_node(g)):
                 continue
             found += 1
-            nodes = [g._induced(m) for m in modular._prime_representatives(g, 5)]
+            nodes = [g._induced(m) for m in prime_representatives(g)]
             assert nodes and all(h != g for h in nodes)
             assert all(find_proper_homogeneous_set(h) is None for h in nodes)
             for triple in (False, True):
                 expected = first_forbidden(g, triple)
-                steps.clear()
-                kernels.clear()
-                roots.clear()
+                calls.clear()
                 assert rejection(g, triple) == expected
-                assert steps == [("scan", g, PatternKind.P5), *reads(nodes, PatternKind.P5),
-                                 ("raised",), *reads(nodes, PatternKind.HOUSE)]
-                assert kernels[0] == (g._masks, False, 0, oracle._PREFIX, True)
-                assert not any(twins for *_, twins in kernels[1:])
-                assert all(len(masks) < g.n for masks, *_ in kernels[1:])
+                assert calls.steps() == [calls.prefix(g), *calls.reads(nodes, PatternKind.P5),
+                                         ("raised",), *calls.reads(nodes, PatternKind.HOUSE)]
+                walks = calls.of("twin", "kernel")
+                assert walks[0] == calls.prefix(g)
+                assert all(call[0] == "kernel" and len(call[1]) < g.n for call in walks[1:])
+                roots = calls.roots()
                 assert len(roots) == 2 and all(root is roots[0] for root in roots)
                 assert roots[0].mask == g._full_mask()
 

@@ -7,8 +7,10 @@ from p5house.oracle import (
     _H6_SWAP,
     H6Hit,
     PatternKind,
+    _PREFIX,
     _embeddings,
     _kernel,
+    _twin_kernel,
     contains_induced_using,
     find_induced,
     find_special_h6,
@@ -180,12 +182,15 @@ class TestKernels:
         assert hits > 50
 
     def test_twin_walk_matches_plain_and_generic_above_the_limit(self):
-        # the prefix scan's walk of _p5_scan, on graphs past 16 vertices and
-        # on rank windows from several offsets to the end: random graphs and
-        # their complements, substitution members and one-flip near-members,
-        # and a graph whose v1 candidates 1 and 2 of v0 = 0 share their
-        # neighbourhood {4} outside N[0] but differ inside it (1 is adjacent
-        # to 3): 2 is skipped, and the hit lies under v1 = 3
+        # the prefix scan's walk of _p5_scan, on graphs past 16 vertices: on
+        # rank windows from several offsets to the end, against the plain
+        # walk and the generic search, and on the windows [0, stop) for stop
+        # in 1, _PREFIX and n - 1, against the plain walk's first hit where
+        # its v0 lies below stop and None otherwise.  The graphs are random
+        # graphs and their complements, substitution members and one-flip
+        # near-members, and a graph whose v1 candidates 1 and 2 of v0 = 0
+        # share their neighbourhood {4} outside N[0] but differ inside it (1
+        # is adjacent to 3): 2 is skipped, and the hit lies under v1 = 3
         rng = random.Random(2207)
         graphs = []
         for _ in range(25):
@@ -200,18 +205,25 @@ class TestKernels:
         crafted = Graph(range(17), [(0, 1), (0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 4),
                                     (4, 5), (3, 6), (6, 7), (7, 8)]
                         + list(itertools.combinations(range(9, 17), 2)))
-        assert _kernel(crafted._masks, False, 0, None, True) == (0, 3, 6, 7, 8)
-        hits = 0
+        assert _twin_kernel(crafted._masks, 0, None) == (0, 3, 6, 7, 8)
+        hits, inside, beyond = 0, 0, 0
         for g in graphs + [crafted]:
             by_v0 = generic_p5_by_v0(g)
             for first in sorted({0, 1, g.n // 3, 2 * g.n // 3, g.n - 5}):
-                twin = _kernel(g._masks, False, first, None, True)
+                twin = _twin_kernel(g._masks, first, None)
                 assert twin == _kernel(g._masks, False, first), (first, g.vertices, g.edges())
                 emb = None if twin is None else tuple(g.vertices[i] for i in twin)
                 generic = next((e for e in by_v0[first:] if e is not None), None)
                 assert emb == generic, (first, g.vertices, g.edges())
                 hits += twin is not None
-        assert hits > 200
+            plain = _kernel(g._masks, False)
+            for stop in (1, _PREFIX, g.n - 1):
+                in_window = plain is not None and plain[0] < stop
+                twin = _twin_kernel(g._masks, 0, stop)
+                assert twin == (plain if in_window else None), (stop, g.vertices, g.edges())
+                inside += in_window
+                beyond += plain is not None and not in_window
+        assert hits > 200 and inside > 150 and beyond > 10
 
     def test_c5_hit_is_canonical(self):
         # pentagon 3-9-4-7-5-3: least vertex first, then its smaller neighbour

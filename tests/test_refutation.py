@@ -126,51 +126,19 @@ class TestAgainstTheReference:
         g = late_p5()
         k = oracle._PREFIX
         assert g.n > oracle._WHOLE_GRAPH_MAX
-        assert oracle._kernel(g._masks, False, 0, k) is None
+        assert oracle._twin_kernel(g._masks, 0, k) is None
+        assert oracle._kernel(g._masks, False)[0] == k
         expected = PatternHit(kind=PatternKind.P5, embedding=tuple(range(k, k + 9, 2)))
         assert assert_matches_reference(g) == {False: expected, True: expected}
 
 
-@pytest.fixture
-def logged(monkeypatch):
-    """The scans and decompositions of the oracle: every P5, house or C5
-    scan (oracle._search) as (graph, kind), every _kernel call as (masks,
-    cycle, first, stop, twins) and the decomposition tree of every read of
-    the prime nodes."""
-    log = {"scans": [], "kernel": [], "roots": []}
-    find, kernel, reps = oracle._search, oracle._kernel, oracle._prime_representatives
-
-    def find_logged(g, kind, *args):
-        log["scans"].append((g, kind))
-        return find(g, kind, *args)
-
-    def kernel_logged(masks, cycle, first=0, stop=None, twins=False):
-        log["kernel"].append((masks, cycle, first, stop, twins))
-        return kernel(masks, cycle, first, stop, twins)
-
-    def reps_logged(g, least, root=None):
-        log["roots"].append(root)
-        return reps(g, least, root)
-
-    monkeypatch.setattr(oracle, "_search", find_logged)
-    monkeypatch.setattr(oracle, "_kernel", kernel_logged)
-    monkeypatch.setattr(oracle, "_prime_representatives", reps_logged)
-    return log
-
-
-def clear(log):
-    for entries in log.values():
-        entries.clear()
-
-
 class TestPlacement:
-    def test_is_class_member_above_the_limit(self, logged):
-        # One P5 scan of the whole graph over the prefix ranks, the only
-        # kernel call that asks for the twin walk, one decomposition tree,
-        # whose prime nodes are read once, for P5 from the next rank on and
-        # then for the other kinds, and scans of smaller graphs only: no
-        # whole-graph house scan, on members, house-only near-members and
-        # late_p5.
+    def test_is_class_member_above_the_limit(self, calls):
+        # One P5 scan of the whole graph over the prefix ranks, the first
+        # call and the only twin walk, one decomposition tree, whose prime
+        # nodes are read once, for P5 from the next rank on and then for the
+        # other kinds, and scans of smaller graphs only: no whole-graph
+        # house scan, on members, house-only near-members and late_p5.
         rng = random.Random(4804)
         members, house_only = [], []
         while len(house_only) < 10:
@@ -183,41 +151,34 @@ class TestPlacement:
         for g in [late_p5()] + members + house_only:
             expected = reference(g)
             for triple in (False, True):
-                clear(logged)
+                calls.clear()
                 assert is_class_member(g, triple) == (expected[triple] is None)
-                assert logged["scans"][0] == (g, PatternKind.P5)
-                assert all(h.n < g.n for h, _ in logged["scans"][1:])
-                assert logged["kernel"][0] == (g._masks, False, 0, oracle._PREFIX, True)
-                assert not any(twins for *_, twins in logged["kernel"][1:])
-                roots = logged["roots"]
+                assert calls[0] == calls.prefix(g) and calls.of("twin") == [calls.prefix(g)]
+                assert all(h.n < g.n for _, h, _ in calls.of("scan"))
+                roots = calls.roots()
                 assert len(roots) == 1 and roots[0].mask == g._full_mask()
-                assert all(len(masks) < g.n for masks, *_ in logged["kernel"][1:])
+                assert all(len(masks) < g.n for _, masks, *_ in calls.of("kernel"))
 
-    def test_whole_graph_scans_up_to_the_limit(self, logged):
+    def test_whole_graph_scans_up_to_the_limit(self, calls):
         g = substitution_member(random.Random(4805), oracle._WHOLE_GRAPH_MAX)
         is_class_member(g)
-        assert logged["scans"] == [(g, PatternKind.P5), (g, PatternKind.HOUSE)]
-        assert logged["roots"] == []
+        assert calls.of("scan") == [("scan", g, PatternKind.P5), ("scan", g, PatternKind.HOUSE)]
+        assert calls.of("twin", "reps") == []
 
-    def test_prime_representatives_built_once(self, logged, monkeypatch):
+    def test_prime_representatives_built_once(self, calls, monkeypatch):
         # Above the size limit the representative graphs of g's prime nodes
         # are built once per call, by the P5 scan, and every later search
         # reads those same graphs: first_forbidden on members, decompose on
         # house-only near-members, whose house is looked for after the
         # build has raised.
-        induced, least_hit = Graph._induced, oracle._least_hit
-        built, read = [], []
+        induced = Graph._induced
+        built = []
 
         def induced_logged(h, *args):
             built.append(h)
             return induced(h, *args)
 
-        def least_hit_logged(nodes, *args):
-            read.append(nodes)
-            return least_hit(nodes, *args)
-
         monkeypatch.setattr(Graph, "_induced", induced_logged)
-        monkeypatch.setattr(oracle, "_least_hit", least_hit_logged)
         rng = random.Random(4806)
         members = house_only = 0
         while members < 20 or house_only < 10:
@@ -228,11 +189,11 @@ class TestPlacement:
                                                or first_forbidden(h) is None):
                     continue
                 for triple in (False, True):
-                    clear(logged)
+                    calls.clear()
                     built.clear()
-                    read.clear()
                     check(h, triple)
-                    assert len(logged["roots"]) == 1
+                    assert len(calls.of("reps")) == 1
+                    read = [nodes for _, nodes, _ in calls.of("least_hit")]
                     assert len(read) >= 2 and all(nodes is read[0] for nodes in read)
                     if check is first_forbidden:
                         assert built.count(h) == len(built) == len(read[0])

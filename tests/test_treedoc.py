@@ -4,10 +4,10 @@ The references are the writer and reader the library had before both moved
 onto the decomposer's one tree walk: the writer builds a nested dict
 recursively and hands it to json.dumps, and the reader recurses and
 rebuilds every child graph from edge lists.  The library must give the
-same bytes, the same trees and the same error messages.  The one intended
-difference: a unification marker that is one of the node's role vertices
+same bytes, the same trees and the same error messages.  The intended
+differences: a unification marker that is one of the node's role vertices
 is rejected when read, where the reference read a merged or self-looped
-graph.
+graph, and so is a version of true or 1.0, which the reference read as 1.
 """
 
 import json
