@@ -4,15 +4,13 @@ Usage, from the root of the repository:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 30 --seed 2301
     python3 tools/bench_pairs.py --parent HEAD --workloads census6 --pairs 1 --seconds 2
-    python3 tools/bench_pairs.py --parent HEAD~1 --checkout ../parent-copy
 
 The parent revision is checked out into a temporary ``git worktree``, which
-is removed afterwards, also on failure, unless ``--checkout`` names a
-directory that already holds it (made, say, with ``git archive``); the
-change is the working tree this script sits in, uncommitted edits
-included.  Pair i runs BENCHMARK.json's command (``bench/run.py``, with
-this interpreter) once on each side, for each workload, with seed
-``--seed`` + i: the parent first on even i, the change first on odd i.  A run that exits non-zero, is not ``correct`` or reports
+is removed afterwards, also on failure; the change is the working tree this
+script sits in, uncommitted edits included.  Pair i runs BENCHMARK.json's
+command (``bench/run.py``, with this interpreter) once on each side, for each
+workload, with seed ``--seed`` + i: the parent first on even i, the change
+first on odd i.  A run that exits non-zero, is not ``correct`` or reports
 ``failed`` > 0 stops the script with exit status 1.
 
 For each workload and end-to-end metric of BENCHMARK.json the script prints
@@ -135,8 +133,6 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, help="per run; default: BENCHMARK.json's")
     parser.add_argument("--seed", type=int, default=1, help="the seed of pair 0")
     parser.add_argument("--out", default="bench_pairs.json")
-    parser.add_argument("--checkout", help="a checkout of --parent to run instead of a "
-                        "temporary git worktree")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -149,12 +145,11 @@ def main() -> int:
     commits = {"parent": parent_commit, "change": git("rev-parse", "HEAD")}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
 
-    tmp = None if args.checkout else Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    worktree = Path(args.checkout).resolve() if args.checkout else tmp / "parent"
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    worktree = tmp / "parent"
     runs = []
     try:
-        if tmp:
-            git("worktree", "add", "--detach", str(worktree), parent_commit)
+        git("worktree", "add", "--detach", str(worktree), parent_commit)
         checkouts = {"parent": worktree, "change": ROOT}
         for i in range(args.pairs):
             seed = args.seed + i
@@ -167,12 +162,10 @@ def main() -> int:
                                  "result": result})
                     print(f"pair {i} seed {seed} {workload} {side}: done", file=sys.stderr)
     finally:
-        if tmp:
-            subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,
-                           capture_output=True, check=False)
-            shutil.rmtree(tmp, ignore_errors=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True,
-                           check=False)
+        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,
+                       capture_output=True, check=False)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True, check=False)
 
     rows = summarize(runs, spec)
     print(f"parent {parent_commit[:12]}, change {commits['change'][:12]}"
