@@ -15,7 +15,9 @@ Branch order: split leaf, pentagon leaf, substitution, unification.  The
 last branch only ever fires on prime, non-split, pentagon-free graphs, where
 a member is guaranteed a decorated H6 in the graph or its complement; on a
 member its absence (or any downstream construction failure) is a loud
-internal error, never a silent fallback.
+internal error, never a silent fallback.  That branch is one function,
+_unification_node, which runs skewpart's private stages on the six-tuple's
+masks and makes observer events only when an observer is given.
 
 decompose() builds first and explains on failure.  By the paper's theorem
 split graphs and pentagons are members and substitution and unification
@@ -151,60 +153,6 @@ def _pentagon_cycle(g: Graph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def _notify(events: list | None, method: str, *args) -> None:
-    """Hold an observer event until the tree is finished (see decompose)."""
-    if events is not None:
-        events.append((method, args))
-
-
-def _run_pipeline(work: Graph, hit, events) -> tuple[bool, ComposablePair]:
-    """Run the skew-partition pipeline on ``work`` (whose complement holds
-    the decorated hit, fresh from its search).  Returns (flipped, pair)
-    where ``flipped`` records a final swap back to the complement of
-    ``work``; on a non-member's hit a stage may raise (ConstructionFailed
-    or another error), which ends the build.  The stages are skewpart's
-    private bodies, which re-check nothing: each obligation is checked
-    once, by the stage that establishes it.
-
-    A six-tuple on the anti-component side is on the component side of the
-    complement under the swapped partition; classification has already
-    built that six-tuple, and the divide is taken there.  A six-tuple on
-    neither side raises NeitherCaseHolds, which no member's does."""
-    x, y = skewpart._maximize(work, *skewpart._construct_on(work, hit))
-    sp = SkewPartition(x=work._set_of(x), y=work._set_of(y))
-    d, dm = skewpart._decompose(work, x, y)
-    i, swapped = skewpart._classify(work, d, dm)
-    if swapped is not None:
-        _notify(events, "on_skew_decomposition", work, sp, d,
-                UsableCase(tag=CaseTag.CASE4, decomposition=d, special_index=i))
-        work, d = swapped
-        sp = SkewPartition(x=sp.y, y=sp.x)
-    case = UsableCase(tag=CaseTag.CASE3, decomposition=d, special_index=i)
-    _notify(events, "on_skew_decomposition", work, sp, d, case)
-    divide = build_divide(work, case)
-    pair = factor(work, divide)
-    _notify(events, "on_factor", work, divide, pair)
-    return swapped is not None, pair
-
-
-def _unification_step(g: Graph, events) -> tuple[bool, ComposablePair]:
-    """Find the composable pair of a prime, non-split, pentagon-free member.
-
-    Takes the decorated H6 of g (pipeline in the complement), or when g has
-    none, the complement's own (pipeline in g); one construction, since a
-    member's decorated H6 always gives one.  Returns (co, pair) where
-    ``co`` says the pair factors the complement of g."""
-    co_g = g.complement()
-    for work_is_complement, host, work in ((True, g, co_g), (False, co_g, g)):
-        hit = find_special_h6(host)
-        if hit is not None:
-            flipped, pair = _run_pipeline(work, hit, events)
-            return work_is_complement != flipped, pair
-    raise InternalStructureError(
-        "no decorated H6 in a prime non-split member or its complement"
-    )
-
-
 def _induced(g: Graph, m: int) -> Graph:
     return g if m == g._full_mask() else g._induced(m)
 
@@ -227,11 +175,47 @@ def _leaf(g: Graph, m: int) -> SplitLeaf | PentagonLeaf | None:
 
 
 def _unification_node(g: Graph, events):
-    """The last branch, at a prime node: a unification's constructor with
-    its two factors, each the root item of its own build, which finishes
-    only if it is a member.  Both are smaller than g: the divide
-    conditions ask for |A|, |C| >= 2."""
-    co, pair = _unification_step(g, events)
+    """The last branch, at a prime node: the unification step, giving a
+    unification's constructor with its two factors, each the root item of
+    its own build, which finishes only if it is a member.  Both are smaller
+    than g: the divide conditions ask for |A|, |C| >= 2.
+
+    The step builds from g's decorated H6, working in the complement, or
+    else from its complement's, working in g: one construction, since a
+    member's decorated H6 always gives one.  skewpart's private stages
+    re-check nothing; on a non-member's hit one may raise, which ends the
+    build.  A six-tuple on the anti-component side is on the component
+    side of the complement under the swapped partition, whose masks
+    classification has taken: the divide is taken there, and the node's
+    side flips.  Observer events are made only when ``events`` collects
+    them."""
+    co_g = g.complement()
+    for co, host, work in ((True, g, co_g), (False, co_g, g)):
+        hit = find_special_h6(host)
+        if hit is not None:
+            break
+    else:
+        raise InternalStructureError(
+            "no decorated H6 in a prime non-split member or its complement"
+        )
+    x, y = skewpart._maximize(work, *skewpart._construct_on(work, hit))
+    dm = skewpart._decompose(work, x, y)
+    i, swapped = skewpart._classify(work, dm)
+    if swapped is not None:
+        if events is not None:
+            d = dm.sets(work)
+            sp = SkewPartition(x=work._set_of(x), y=work._set_of(y))
+            case = UsableCase(tag=CaseTag.CASE4, decomposition=d, special_index=i)
+            events.append(("on_skew_decomposition", (work, sp, d, case)))
+        (work, dm), x, y, co = swapped, y, x, not co
+    d = dm.sets(work)
+    case = UsableCase(tag=CaseTag.CASE3, decomposition=d, special_index=i)
+    divide = build_divide(work, case)
+    pair = factor(work, divide)
+    if events is not None:
+        sp = SkewPartition(x=work._set_of(x), y=work._set_of(y))
+        events.append(("on_skew_decomposition", (work, sp, d, case)))
+        events.append(("on_factor", (work, divide, pair)))
     kids = tuple(((h, _Node(h._full_mask())), None) for h in (pair.g1, pair.g2))
     return partial(CoSgu if co else Sgu, roles=pair.roles), kids
 

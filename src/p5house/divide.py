@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, VertexSet
-from .modular import _lift
 from .skewpart import CaseTag, UsableCase
 
 __all__ = [
@@ -229,6 +228,17 @@ def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
             marker_a=marker_a, marker_c=marker_c,
         ),
     )
+
+
+def _lift(m: int, bits: list[int]) -> int:
+    """Carry a mask over one graph's ranks to the ranks of another graph,
+    where bits[i] is the bit that rank i becomes."""
+    out = 0
+    while m:
+        b = m & -m
+        m ^= b
+        out |= bits[b.bit_length() - 1]
+    return out
 
 
 def unify(p: ComposablePair) -> Graph:

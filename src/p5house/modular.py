@@ -149,24 +149,25 @@ def _prime_parts(masks: tuple[int, ...], m: int) -> list[int]:
     return [mv] + [p for p in parts if not p & mv]
 
 
-def _prime_representatives(g: Graph, least: int, root: _Node) -> list[int]:
+def _prime_representatives(g: Graph, root: _Node) -> list[int]:
     """Masks of the representative graphs of the prime nodes of g's
-    modular decomposition that have at least ``least`` children: each is
-    the least vertex of every child of its node.
+    modular decomposition that have five children or more: each is the
+    least vertex of every child of its node.
 
-    Only modules with ``least`` vertices or more are split, since none
-    smaller holds such a node.  ``root`` is g's decomposition tree, which
-    keeps the modules split here for its other readers."""
+    P5, the house and C5 have five vertices, so only such nodes are read,
+    and only modules of five vertices or more are split, since none
+    smaller holds one.  ``root`` is g's decomposition tree, which keeps the
+    modules split here for its other readers."""
     out, stack = [], [root]
     while stack:
         node = stack.pop()
         kids = node.kids(g)
-        if node.kind(g) == _PRIME and len(kids) >= least:
+        if node.kind(g) == _PRIME and len(kids) >= 5:
             rep = 0
             for kid in kids:
                 rep |= kid.mask & -kid.mask
             out.append(rep)
-        stack.extend(kid for kid in kids if kid.mask.bit_count() >= least)
+        stack.extend(kid for kid in kids if kid.mask.bit_count() >= 5)
     return out
 
 
@@ -250,17 +251,6 @@ def find_proper_homogeneous_set(g: Graph) -> HomogeneousSet | None:
         return None
     picked = pick[1]
     return HomogeneousSet(host=g, members=g._set_of(picked[0].mask | picked[-1].mask))
-
-
-def _lift(m: int, bits: list[int]) -> int:
-    """Carry a mask over one graph's ranks to the ranks of another graph,
-    where bits[i] is the bit that rank i becomes."""
-    out = 0
-    while m:
-        b = m & -m
-        m ^= b
-        out |= bits[b.bit_length() - 1]
-    return out
 
 
 def _compose(subs: list, frontier: list) -> tuple[list, Graph | None]:

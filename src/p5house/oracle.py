@@ -425,7 +425,7 @@ def _p5_scan(g: Graph) -> tuple[PatternHit | None, list[Graph], _Node | None]:
     if pos is not None:
         return PatternHit(kind=_P5, embedding=tuple(g.vertices[i] for i in pos)), [g], None
     root = _Node(g._full_mask())
-    nodes = [g._induced(m) for m in _prime_representatives(g, 5, root)]
+    nodes = [g._induced(m) for m in _prime_representatives(g, root)]
     return _least_hit(nodes, _P5, g.vertices[_PREFIX]), nodes, root
 
 

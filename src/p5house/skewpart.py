@@ -8,7 +8,10 @@ six-tuple produces the witness the divide construction consumes.
 
 Each obligation is checked once: the public functions check their input,
 then run private bodies on masks, which the decomposer chains without
-re-checking what the stage before has just built.  The lemma suite
+re-checking what the stage before has just built.  Between the private
+bodies a six-tuple is only its masks (_SixMasks), taken once, for
+classification; its vertex sets (_SixMasks.sets) are made only where a
+SkewDecomposition is handed out.  The lemma suite
 (lemma_violations, with usability) holds on every six-tuple of a prime
 member, so the decomposer leaves it to the tests.
 
@@ -327,12 +330,12 @@ def _maximize(g: Graph, x_mask: int, y_mask: int) -> tuple[int, int]:
 
 def decompose_skew(g: Graph, sp: SkewPartition) -> SkewDecomposition:
     """Compute the six-tuple of a skew-partition, literally by definition."""
-    return _decompose(g, *sp._masks(g))[0]
+    return _decompose(g, *sp._masks(g)).sets(g)
 
 
-def _decompose(g: Graph, x: int, y: int) -> tuple[SkewDecomposition, "_SixMasks"]:
-    """decompose_skew on the masks of a skew-partition of g, with the
-    six-tuple's masks, which give its mixed sets."""
+def _decompose(g: Graph, x: int, y: int) -> _SixMasks:
+    """decompose_skew on the masks of a skew-partition of g: the six-tuple's
+    masks."""
     x_parts = [m for m in g._components_masks(x) if m.bit_count() >= 2]
     y_parts = [m for m in g._anti_components_masks(y) if m.bit_count() >= 2]
     s, k = x, y
@@ -340,16 +343,7 @@ def _decompose(g: Graph, x: int, y: int) -> tuple[SkewDecomposition, "_SixMasks"
         s &= ~m
     for m in y_parts:
         k &= ~m
-    dm = _SixMasks(g, x_parts, y_parts, s, k)
-    sets = g._set_of
-    return SkewDecomposition(
-        x_parts=tuple(map(sets, x_parts)),
-        y_parts=tuple(map(sets, y_parts)),
-        s=sets(s),
-        k=sets(k),
-        s_mixed=tuple(map(sets, dm.s_mixed)),
-        k_mixed=tuple(map(sets, dm.k_mixed)),
-    ), dm
+    return _SixMasks(g, x_parts, y_parts, s, k)
 
 
 class _SixMasks:
@@ -381,6 +375,18 @@ class _SixMasks:
         self.s_mixed = [s & m for m in self.y_mixed] if s_mixed is None else s_mixed
         self.k_mixed = [k & m for m in self.x_mixed] if k_mixed is None else k_mixed
 
+    def sets(self, g: Graph) -> SkewDecomposition:
+        """The six-tuple as vertex sets, the public view."""
+        sets = g._set_of
+        return SkewDecomposition(
+            x_parts=tuple(map(sets, self.x_parts)),
+            y_parts=tuple(map(sets, self.y_parts)),
+            s=sets(self.s),
+            k=sets(self.k),
+            s_mixed=tuple(map(sets, self.s_mixed)),
+            k_mixed=tuple(map(sets, self.k_mixed)),
+        )
+
 
 def _six_masks(g: Graph, d: SkewDecomposition) -> _SixMasks:
     """The masks of a six-tuple given as vertex sets."""
@@ -409,17 +415,14 @@ def _case3_conditions(g: Graph, d: _SixMasks) -> int | None:
     return None
 
 
-def _complement_side(g: Graph, d: SkewDecomposition,
-                     dm: _SixMasks) -> tuple[Graph, SkewDecomposition, _SixMasks]:
+def _complement_side(g: Graph, d: _SixMasks) -> tuple[Graph, _SixMasks]:
     """The six-tuple of complement(g) under the swapped partition (Y, X):
     the same parts with their sides traded, since the anti-components of
     G[Y] are the components of its complement, and a vertex is mixed on a
     part in g exactly when it is in the complement.  Returns the
-    complement, the six-tuple and its masks."""
+    complement and the six-tuple's masks on it."""
     co = g.complement()
-    cd = SkewDecomposition(x_parts=d.y_parts, y_parts=d.x_parts, s=d.k, k=d.s,
-                           s_mixed=d.k_mixed, k_mixed=d.s_mixed)
-    return co, cd, _SixMasks(co, dm.y_parts, dm.x_parts, dm.k, dm.s, dm.k_mixed, dm.s_mixed)
+    return co, _SixMasks(co, d.y_parts, d.x_parts, d.k, d.s, d.k_mixed, d.s_mixed)
 
 
 def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
@@ -432,21 +435,20 @@ def classify_usable(g: Graph, d: SkewDecomposition) -> UsableCase:
     completeness (resp. anti-completeness) condition.  Raises
     NeitherCaseHolds when neither set of five conditions checks out.
     """
-    i, swapped = _classify(g, d, _six_masks(g, d))
+    i, swapped = _classify(g, _six_masks(g, d))
     return UsableCase(tag=CaseTag.CASE3 if swapped is None else CaseTag.CASE4,
                       decomposition=d, special_index=i)
 
 
-def _classify(g: Graph, d: SkewDecomposition,
-              dm: _SixMasks) -> tuple[int, tuple[Graph, SkewDecomposition] | None]:
-    """classify_usable on the six-tuple's masks, taken once: the special
-    index, with None on the component side, or else the complement and its
-    six-tuple, on whose component side the index lies."""
-    i = _case3_conditions(g, dm)
+def _classify(g: Graph, d: _SixMasks) -> tuple[int, tuple[Graph, _SixMasks] | None]:
+    """classify_usable on the six-tuple's masks: the special index, with
+    None on the component side, or else the complement and its six-tuple's
+    masks, on whose component side the index lies."""
+    i = _case3_conditions(g, d)
     if i is not None:
         return i, None
-    co, cd, cdm = _complement_side(g, d, dm)
-    i = _case3_conditions(co, cdm)
+    co, cd = _complement_side(g, d)
+    i = _case3_conditions(co, cd)
     if i is not None:
         return i, (co, cd)
     raise NeitherCaseHolds(
@@ -509,7 +511,7 @@ def lemma_violations(g: Graph, d: SkewDecomposition) -> list[str]:
         for j, (yj, common) in enumerate(zip(dm.y_parts, dm.y_common)):
             if common & ~touch & ~xi & ~yj:
                 out.extend(_dichotomy_violations(g, d.x_parts[i], d.y_parts[j]))
-    co, _, cdm = _complement_side(g, d, dm)
+    co, cdm = _complement_side(g, dm)
     return out + _component_side_violations(co, cdm, _IN_COMPLEMENT)
 
 

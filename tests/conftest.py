@@ -64,7 +64,7 @@ def calls(monkeypatch):
     spy(oracle, "_search", lambda g, kind, first=0: ("scan", g, kind))
     spy(oracle, "_kernel", lambda masks, cycle, first=0: ("kernel", masks, cycle, first))
     spy(oracle, "_least_hit", lambda nodes, kind, v0_from=None: ("least_hit", nodes, kind))
-    spy(oracle, "_prime_representatives", lambda g, least, root: ("reps", g, root))
+    spy(oracle, "_prime_representatives", lambda g, root: ("reps", g, root))
     build = decomposer._build
 
     def build_logged(g, events, cycles, root):

@@ -26,7 +26,8 @@ from p5house.graph import Graph
 from p5house.graph6 import emit_graph6, read_graph_text
 from p5house.oracle import PatternHit, PatternKind, validate_hit
 
-from test_decomposer import CASE4_MEMBER, h6
+from shared_graphs import h6
+from test_decomposer import CASE4_MEMBER
 
 FUZZ = settings(
     max_examples=300, deadline=None, derandomize=True, database=None,

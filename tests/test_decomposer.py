@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from p5house import decomposer, modular, oracle
+from p5house import decomposer, modular, oracle, skewpart
 from p5house.census import labeled_graphs
 from p5house.graph import Graph, SplitCert, complete_graph, cycle_graph, path_graph, split_certificate
 from p5house.modular import find_proper_homogeneous_set, quotient_factor, substitute
@@ -23,17 +23,7 @@ from p5house.decomposer import (
     tree_stats,
     verify_tree,
 )
-
-H6_EDGES = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (4, 5)]
-
-
-def h6():
-    return Graph(range(6), H6_EDGES)
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph(range(n), edges)
+from shared_graphs import H6_EDGES, h6, random_graph
 
 
 class TestBranches:
@@ -392,13 +382,13 @@ class TestComplementSideOnDemand:
 
         works = []
 
-        def refuse(work, hit, observer):
+        def refuse(work, hit):
             works.append(work)
             raise ConstructionFailed("refused")
 
         # one construction: the complement side is not tried after a
         # failure, and a member's build raises the failure itself
-        monkeypatch.setattr(decomposer, "_run_pipeline", refuse)
+        monkeypatch.setattr(skewpart, "_construct_on", refuse)
         with pytest.raises(ConstructionFailed) as err:
             decompose(BOTH_SIDES)
         assert str(err.value) == "refused" and works == [BOTH_SIDES.complement()]
@@ -574,7 +564,7 @@ class TestWitness:
 
 def prime_representatives(g):
     """The masks of g's prime representatives, over a tree of their own."""
-    return modular._prime_representatives(g, 5, modular._Node(g._full_mask()))
+    return modular._prime_representatives(g, modular._Node(g._full_mask()))
 
 
 def is_prime_node(g):
@@ -598,13 +588,13 @@ class TestOraclePlacement:
         # then the prime representatives, all smaller than g, from the next
         # rank on, by the plain walk.
         unified = []
-        real = decomposer._unification_step
+        real = decomposer._unification_node
 
         def logged(h, events):
             unified.append(h)
             return real(h, events)
 
-        monkeypatch.setattr(decomposer, "_unification_step", logged)
+        monkeypatch.setattr(decomposer, "_unification_node", logged)
         rng = random.Random(915)
         graphs = [substitute(h6().complement(), on_ids(H6_EDGES, range(10, 16)), 10)]
         graphs += [substitution_member(rng, rng.randint(20, 41)) for _ in range(20)]
@@ -675,13 +665,15 @@ class TestOraclePlacement:
         module = Graph([10, 11, 12, 13, 14, 15], on_ids(HOUSE_EDGES, [10, 11, 12, 13, 14]).edges())
         g = substitute(module, h6(), 0)
         held = []
-        notify = decomposer._notify
+        unification_node = decomposer._unification_node
 
-        def notify_logged(events, method, *args):
-            held.append(method)
-            notify(events, method, *args)
+        def node_logged(h, events):
+            try:
+                return unification_node(h, events)
+            finally:
+                held.extend(method for method, _ in events[len(held):])
 
-        monkeypatch.setattr(decomposer, "_notify", notify_logged)
+        monkeypatch.setattr(decomposer, "_unification_node", node_logged)
         events = []
 
         class Obs:
@@ -715,7 +707,7 @@ class TestOraclePlacement:
 
         for module in (modular, oracle, decomposer):
             monkeypatch.setattr(module, "_Node", Counted)
-        monkeypatch.setattr(decomposer, "_unification_step", lambda *args: unified.append(args))
+        monkeypatch.setattr(decomposer, "_unification_node", lambda *args: unified.append(args))
         rng = random.Random(917)
         found = 0
         for _ in range(100):
@@ -846,7 +838,7 @@ class TestUnificationChecksOnce:
                 assert first_forbidden(part, triple=True) is None
 
     def test_each_check_runs_once_per_unification_step(self, monkeypatch):
-        from p5house import divide, skewpart
+        from p5house import divide
 
         calls = {}
 

@@ -13,6 +13,7 @@ from p5house.modular import (
     substitute,
 )
 from p5house.oracle import is_class_member
+from shared_graphs import random_graph
 from test_decomposer import flip, substitution_member
 
 
@@ -28,11 +29,6 @@ def brute_force_proper_homogeneous(g):
             if is_homogeneous(g, frozenset(xs)):
                 out.append(frozenset(xs))
     return out
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph(range(n), edges)
 
 
 def pair_closure(g, seed):

@@ -20,6 +20,7 @@ from p5house.oracle import (
     validate_hit,
 )
 
+from shared_graphs import random_graph
 from test_decomposer import flip, substitution_member
 
 H6_EDGES = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6), (5, 6)]
@@ -61,11 +62,6 @@ def brute_force_contains(g, kind):
         ):
             return True
     return False
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph(range(n), edges)
 
 
 class TestFindInduced:
