@@ -199,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalStructureError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

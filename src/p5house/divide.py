@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, _lift
 from .skewpart import CaseTag, UsableCase
 
 __all__ = [
@@ -230,17 +230,6 @@ def factor(g: Graph, d: SplitGraphDivide) -> ComposablePair:
     )
 
 
-def _lift(m: int, bits: list[int]) -> int:
-    """Carry a mask over one graph's ranks to the ranks of another graph,
-    where bits[i] is the bit that rank i becomes."""
-    out = 0
-    while m:
-        b = m & -m
-        m ^= b
-        out |= bits[b.bit_length() - 1]
-    return out
-
-
 def unify(p: ComposablePair) -> Graph:
     """Glue a composable pair along its common split subgraph.
 
@@ -259,9 +248,9 @@ def unify(p: ComposablePair) -> Graph:
     # dropped; the L-T edges of both factors coincide.
     for part, marker in ((p.g1, r.marker_c), (p.g2, r.marker_a)):
         bits = [0 if v == marker else 1 << pos[v] for v in part._vs]
-        for b, m in zip(bits, part._masks):
+        for b, m in zip(bits, _lift(part._masks, bits)):
             if b:
-                masks[b.bit_length() - 1] |= _lift(m, bits)
+                masks[b.bit_length() - 1] |= m
     a = sum(1 << pos[v] for v in r.a_set)
     b = sum(1 << pos[v] for v in r.b_set)
     for side, other in ((a, b), (b, a)):

@@ -12,7 +12,6 @@ connectivity and completeness checks used in the hot paths are integer ops.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -236,43 +235,31 @@ class Graph:
         no kept vertex) one more vertex, sorted into place among the kept
         ids and adjacent to the vertices of ``attach``, which must lie
         inside ``keep``."""
-        rank = [0] * len(self._vs)
-        vs = []
+        # The marker takes rank n, one past the host's, in the lifted masks.
+        n = len(self._vs)
+        bits = [0] * (n + 1)
+        vs, rows = [], []
+        hook = 1 << n
         rest = keep
         while rest:
             b = rest & -rest
             rest ^= b
             i = b.bit_length() - 1
-            rank[i] = 1 << len(vs)
-            vs.append(self._vs[i])
-        k = len(vs)
-        masks = []
-        around = 0
-        rest = keep
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            m = self._masks[b.bit_length() - 1] & keep
-            out = 0
-            while m:
-                c = m & -m
-                m ^= c
-                out |= rank[c.bit_length() - 1]
-            if attach & b:
-                out |= 1 << k
-                around |= 1 << len(masks)
-            masks.append(out)
+            v = self._vs[i]
+            if marker is not None and marker < v:
+                bits[n] = 1 << len(vs)
+                vs.append(marker)
+                rows.append(attach)
+                marker = None
+            bits[i] = 1 << len(vs)
+            vs.append(v)
+            row = self._masks[i] & keep
+            rows.append(row | hook if attach & b else row)
         if marker is not None:
-            masks.append(around)
+            bits[n] = 1 << len(vs)
             vs.append(marker)
-            if k and marker < vs[k - 1]:
-                # sort the marker into place: ranks at..k-1 move up by one
-                at = bisect_left(vs, marker, 0, k)
-                low, high = (1 << at) - 1, (1 << k) - 1
-                masks = [m & low | (m & high & ~low) << 1 | (m >> k & 1) << at for m in masks]
-                masks.insert(at, masks.pop())
-                vs.insert(at, vs.pop())
-        return Graph._from_masks(tuple(vs), tuple(masks))
+            rows.append(attach)
+        return Graph._from_masks(tuple(vs), tuple(_lift(rows, bits)))
 
     def minus(self, xs: Iterable[int]) -> "Graph":
         drop = set(xs)
@@ -346,6 +333,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _lift(masks: Iterable[int], bits: list[int]) -> list[int]:
+    """Carry masks over one vertex ranking to another: bit i of a mask
+    becomes ``bits[i]``, which is 0 for a rank the other ranking drops.
+    Every derived graph that renumbers vertices builds its masks here."""
+    out = []
+    for m in masks:
+        lifted = 0
+        while m:
+            b = m & -m
+            m ^= b
+            lifted |= bits[b.bit_length() - 1]
+        out.append(lifted)
+    return out
 
 
 # -- small builders ----------------------------------------------------------

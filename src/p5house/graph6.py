@@ -117,9 +117,11 @@ def parse_edge_list(text: str) -> Graph:
     """Parse 'u v' pairs, one per line, 0-based ids; blank lines ignored.
 
     The vertex set is the union of the endpoints, so isolated vertices are
-    not expressible in this format.  Use graph6 for those.
+    not expressible in this format.  Use graph6 for those.  At most
+    258,047 distinct vertices are accepted, the most emit_graph6 can write.
     """
     edges = []
+    verts = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -135,7 +137,10 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise ValueError(f"line {lineno}: self-loop at {u}")
         edges.append((u, v))
-    verts = {v for e in edges for v in e}
+        verts.add(u)
+        verts.add(v)
+        if len(verts) > _LONG_MAX_N:
+            raise ValueError(f"line {lineno}: more than {_LONG_MAX_N} distinct vertices")
     return Graph(verts, edges)
 
 

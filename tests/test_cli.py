@@ -96,6 +96,20 @@ class TestRecognize:
         p.write_text("0 1\n1 2\n2 3\n")
         assert main(["recognize", str(p)]) == 0
 
+    def test_edge_list_past_the_graph6_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a matching on 258,048 vertices, one more than graph6 can hold, is
+        # refused at its last line before any graph is built (the spy builds
+        # none either: the masks of this graph would take gigabytes)
+        built = []
+        monkeypatch.setattr(Graph, "__init__", lambda self, vs, es: built.append(len(vs)))
+        p = tmp_path / "matching.txt"
+        p.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(129_024)))
+        assert main(["decompose", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 129024: more than 258047 distinct vertices\n"
+        assert captured.out == ""
+        assert built == []
+
 
 class TestDecomposeRecompose:
     def test_split_input_single_leaf(self, tmp_path, capsys):
@@ -187,6 +201,59 @@ class TestVerifyCommand:
         doc["node"]["children"][0]["stable"] = []
         out.write_text(json.dumps(doc))
         assert main(["verify", str(out)]) == 1
+
+
+class TestInternalErrors:
+    """Exit 3, one line on stderr, and no document written."""
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        from p5house import cli
+
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "read_graph_text", exhausted)
+        out = tmp_path / "tree.json"
+        assert main(["decompose", write_graph(tmp_path, H6), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: out of memory\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_internal_structure_error(self, tmp_path, capsys, monkeypatch):
+        from p5house import decomposer
+
+        monkeypatch.setattr(decomposer, "find_special_h6", lambda g: None)
+        out = tmp_path / "tree.json"
+        assert main(["decompose", write_graph(tmp_path, H6), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "internal error: no decorated H6 in a prime non-split member or its complement\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_tree_failing_verification(self, tmp_path, capsys, monkeypatch, to_file):
+        from p5house import cli
+        from p5house.decomposer import SplitLeaf
+        from p5house.graph import SplitCert
+
+        # a split graph whose certificate puts the edge 0-1 in the stable side
+        g = Graph(range(3), [(0, 1), (0, 2)])
+        wrong = SplitLeaf(graph=g, cert=SplitCert(clique=frozenset({2}), stable=frozenset({0, 1})))
+        monkeypatch.setattr(cli, "decompose", lambda g, triple: wrong)
+        out = tmp_path / "tree.json"
+        argv = ["decompose", write_graph(tmp_path, g)] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "internal: tree failed verification: "
+            "('root', 'certificate sides are not clique/stable')\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

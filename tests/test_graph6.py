@@ -215,6 +215,20 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             parse_edge_list("3 3")
 
+    def test_vertex_limit(self, monkeypatch):
+        # up to 258,047 distinct vertices, the most emit_graph6 can write;
+        # the spy stands in for Graph.__init__, which would take gigabytes
+        # of masks at this size
+        built = []
+        monkeypatch.setattr(Graph, "__init__", lambda self, vs, es: built.append(len(vs)))
+        pairs = [f"{2 * i} {2 * i + 1}" for i in range(129_023)]
+        parse_edge_list("\n".join(pairs + ["0 258046"]))
+        assert built == [258_047]
+        with pytest.raises(ValueError) as err:
+            parse_edge_list("\n".join(pairs + ["1 2", "258046 258047"]))
+        assert str(err.value) == "line 129025: more than 258047 distinct vertices"
+        assert built == [258_047]
+
     def test_autodetect(self):
         assert read_graph_text("0 1\n1 2\n") == path_graph(range(3))
         assert read_graph_text("Ch\n") == path_graph(range(4))

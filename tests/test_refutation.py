@@ -9,7 +9,8 @@ import pytest
 
 from p5house import oracle
 from p5house.decomposer import NotClassMember, decompose
-from p5house.graph import Graph
+from p5house.graph import Graph, split_certificate
+from p5house.modular import find_proper_homogeneous_set
 from p5house.oracle import PatternHit, PatternKind, find_induced, first_forbidden, is_class_member
 
 from test_decomposer import chain, flip, substitution_member
@@ -60,6 +61,17 @@ def random_graph(rng, n):
     return Graph(ids, [(u, v) for u, v in itertools.combinations(ids, 2) if rng.random() < p])
 
 
+def random_split(rng, n):
+    """A split graph on n scattered ids: a clique on a random half, rounded
+    up, a stable set on the rest, and each clique-stable pair an edge with
+    probability 1/2."""
+    ids = rng.sample(range(3 * n), n)
+    clique, stable = ids[: (n + 1) // 2], ids[(n + 1) // 2 :]
+    edges = list(itertools.combinations(clique, 2))
+    edges += [(s, c) for s in stable for c in clique if rng.random() < 0.5]
+    return Graph(ids, edges)
+
+
 def late_p5():
     """A non-member above the size limit whose only P5, k, k+2, ..., k+8
     for k = oracle._PREFIX, begins at rank k, the first rank past the
@@ -104,6 +116,22 @@ class TestAgainstTheReference:
                     beyond_prefix += (hit.kind is PatternKind.P5
                                       and h.vertices.index(hit.embedding[0]) >= oracle._PREFIX)
         assert house_only >= 10 and beyond_prefix >= 10
+
+    def test_split_graphs_and_near_members(self):
+        # A prime split graph is its own prime representative, which the
+        # P5 scan reads in full; its complement is split too.
+        rng = random.Random(4804)
+        prime = hits = 0
+        for _ in range(6):
+            g = random_split(rng, rng.randint(17, 60))
+            prime += find_proper_homogeneous_set(g) is None
+            near = flip(rng, g)
+            for h in (g, g.complement()):
+                assert split_certificate(h) is not None
+                assert assert_matches_reference(h) == {False: None, True: None}
+            for h in (near, near.complement()):
+                hits += assert_matches_reference(h)[False] is not None
+        assert prime >= 4 and hits >= 4
 
     @pytest.mark.parametrize("n", [60, 200])
     def test_chain(self, n):
