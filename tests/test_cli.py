@@ -248,10 +248,9 @@ class TestInternalErrors:
         argv = ["decompose", write_graph(tmp_path, g)] + (["--out", str(out)] if to_file else [])
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.err == (
-            "internal: tree failed verification: "
-            "('root', 'certificate sides are not clique/stable')\n"
-        )
+        assert captured.err.startswith("internal: tree failed verification: ")
+        assert "certificate sides are not clique/stable" in captured.err
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
 
