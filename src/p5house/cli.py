@@ -66,7 +66,8 @@ def cmd_decompose(args) -> int:
         return EXIT_SEMANTIC
     report = verify_tree(tree, g)
     if not report.ok:
-        print(f"internal: tree failed verification: {report.failures[0]}", file=sys.stderr)
+        path, reason = report.failures[0]
+        print(f"internal: tree failed verification: {path}: {reason}", file=sys.stderr)
         return EXIT_INTERNAL
     doc = tree_to_document(tree, g)
     if args.out:

@@ -368,18 +368,16 @@ def _run_kids(node, path):
     substitution nodes (a substitution and every substitution directly
     below it) is one node over its frontier, the leaves and unification
     nodes where the run stops.  The node is (the run's substitutions for
-    modular._compose; the same, each as its node and path; the frontier in
-    order, each leaf with its path and None for any other node), and its
-    children are the frontier's other nodes with their paths, so the walk
-    meets no leaf of a run.  Any other node is _tree_kids'."""
+    modular._compose; the same, each as its node and path), and its
+    children are the frontier in preorder with their paths.  Any other
+    node is _tree_kids'."""
     if type(node) is not Subst:
         return _tree_kids(node, path)
-    subs, substs, frontier, kids = [], [], [], []
+    subs, substs, kids = [], [], []
     stack = [(node, path, None, 0)]
     while stack:
         node, path, parent, part = stack.pop()
-        kind = type(node)
-        if kind is Subst:
+        if type(node) is Subst:
             if parent is not None:
                 parent[part] = -len(subs)
             record = [node.marker, 0, 0]
@@ -389,13 +387,16 @@ def _run_kids(node, path):
             stack.append((node.child, (".child", path, depth), record, 2))
             stack.append((node.quotient, (".quotient", path, depth), record, 1))
         else:
-            parent[part] = len(frontier)
-            if kind is SplitLeaf or kind is PentagonLeaf:
-                frontier.append((node, path))
-            else:
-                frontier.append(None)
-                kids.append((node, path))
-    return (subs, substs, frontier), kids
+            parent[part] = len(kids)
+            kids.append((node, path))
+    return (subs, substs), kids
+
+
+def _glue(node, kids) -> Graph:
+    """A unification node's graph from its parts' graphs (complemented for
+    CoSgu); unify raises InvalidPair when the pair conditions fail."""
+    glued = unify(ComposablePair(g1=kids[0], g2=kids[1], roles=node.roles))
+    return glued.complement() if type(node) is CoSgu else glued
 
 
 _BRANCH = {"quotient": 0, "child": 1, "part1": 0, "part2": 1}
@@ -406,43 +407,6 @@ def _postorder(path: str) -> list[int]:
     return [_BRANCH[label] for label in path.split(".")[1:]] + [2]
 
 
-def _recompose_node(node, path, kids):
-    """recompose's bottom-up hook: a node's graph, or the MalformedTree of
-    the first node in postorder that does not compose, handed up as a value
-    so that a run can tell whether one of its own substitutions fails
-    first."""
-    kind = type(node)
-    if kind is tuple:  # a run of substitutions
-        subs, substs, frontier = node
-        rest = iter(kids)
-        graphs = [next(rest) if item is None else item[0].graph for item in frontier]
-        checks, g = _compose(subs, graphs)
-        if g is not None:
-            return g
-        errors = [value for value in kids if type(value) is not Graph]
-        for i, overlap, _, _ in checks:
-            if overlap is None or overlap:
-                sub, sub_path = substs[i]
-                reason = (f"marker {sub.marker} missing from quotient" if overlap is None
-                          else _problem(sub.marker, overlap))
-                errors.append(MalformedTree(_render(sub_path), reason))
-        return min(errors, key=lambda err: _postorder(err.path))
-    if kind is SplitLeaf or kind is PentagonLeaf:
-        return node.graph
-    if kind is Sgu or kind is CoSgu:
-        for value in kids:
-            if type(value) is not Graph:
-                return value
-        try:
-            glued = unify(ComposablePair(g1=kids[0], g2=kids[1], roles=node.roles))
-        except Exception as exc:
-            err = MalformedTree(_render(path), str(exc))
-            err.__cause__ = exc
-            return err
-        return glued.complement() if kind is CoSgu else glued
-    return MalformedTree(_render(path), f"unknown node type {kind.__name__}")
-
-
 def recompose(t: DecompTree) -> Graph:
     """Rebuild the graph a tree stands for, label-exactly.
 
@@ -451,14 +415,45 @@ def recompose(t: DecompTree) -> Graph:
     (modular._compose): its frontier's vertex ids are ranked once, and a
     graph is built only for the run's result, so a chain of substitutions
     costs time linear in its size.  A unification node glues its parts'
-    graphs (complemented for CoSgu).  Structural problems raise
-    MalformedTree with the path of the first failing node in postorder."""
+    graphs (complemented for CoSgu).  Structural problems are collected,
+    as verify_tree collects its failures, and a node that cannot be built
+    hands None up; the first in postorder is raised as MalformedTree."""
     kind = type(t)
     if kind is SplitLeaf or kind is PentagonLeaf:  # the commonest tree, off the walk
         return t.graph
-    g = _walk(t, _ROOT, _run_kids, _recompose_node)
-    if type(g) is not Graph:
-        raise g
+    errors = []
+
+    def build(node, path, kids) -> Graph | None:
+        kind = type(node)
+        if kind is SplitLeaf or kind is PentagonLeaf:
+            return node.graph
+        if kind is tuple:  # a run of substitutions
+            subs, substs = node
+            checks, g = _compose(subs, kids)
+            if g is None:
+                for i, overlap, _, _ in checks:
+                    if overlap is None or overlap:
+                        sub, sub_path = substs[i]
+                        reason = (f"marker {sub.marker} missing from quotient" if overlap is None
+                                  else _problem(sub.marker, overlap))
+                        errors.append(MalformedTree(_render(sub_path), reason))
+            return g
+        if kind is Sgu or kind is CoSgu:
+            if None in kids:
+                return None
+            try:
+                return _glue(node, kids)
+            except Exception as exc:
+                err = MalformedTree(_render(path), str(exc))
+                err.__cause__ = exc
+                errors.append(err)
+                return None
+        errors.append(MalformedTree(_render(path), f"unknown node type {kind.__name__}"))
+        return None
+
+    g = _walk(t, _ROOT, _run_kids, build)
+    if errors:
+        raise min(errors, key=lambda err: _postorder(err.path))
     return g
 
 
@@ -538,10 +533,8 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
         if kind is SplitLeaf or kind is PentagonLeaf:
             return leaf(node, path)
         if kind is tuple:  # a run of substitutions
-            subs, substs, frontier = node
-            rest = iter(kids)
-            graphs = [next(rest) if item is None else leaf(*item) for item in frontier]
-            checks, composed = _compose(subs, graphs)
+            subs, substs = node
+            checks, composed = _compose(subs, kids)
             for i, overlap, q, c in checks:
                 sub, sub_path = substs[i]
                 if overlap is None or overlap:
@@ -558,11 +551,10 @@ def verify_tree(t: DecompTree, g: Graph) -> TreeReport:
             if None in kids:
                 return None
             try:
-                glued = unify(ComposablePair(g1=kids[0], g2=kids[1], roles=node.roles))
+                composed = _glue(node, kids)
             except InvalidPair as exc:
                 fail(path, str(exc))
                 return None
-            composed = glued.complement() if kind is CoSgu else glued
             if kids[0].n >= composed.n or kids[1].n >= composed.n:
                 fail(path, "children fail to shrink")
             return composed

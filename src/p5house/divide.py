@@ -138,8 +138,6 @@ def build_divide(g: Graph, case: UsableCase) -> SplitGraphDivide:
         if j != i:
             c |= g._mask_of(xj)
     s = g._mask_of(d.s)
-    if s and not l_mask:  # where classing S against L would ask mixed_status
-        raise ValueError("mixed_status against an empty set")
     l_common = g._attach(l_mask)[1]
     c |= s & l_common
     t = s & ~l_common

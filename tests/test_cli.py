@@ -111,6 +111,19 @@ class TestRecognize:
         assert built == []
 
 
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n1 2 3\n", "error: line 2: expected 'u v', got '1 2 3'"),
+        ("0 1\n1 -2\n", "error: line 2: vertex ids must be nonnegative"),
+    ])
+    def test_edge_list_errors_exit_2(self, tmp_path, capsys, text, line):
+        src = tmp_path / "g.txt"
+        src.write_text(text)
+        assert main(["recognize", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+
 class TestDecomposeRecompose:
     def test_split_input_single_leaf(self, tmp_path, capsys):
         g = Graph(range(3), [(0, 1), (0, 2)])
@@ -175,6 +188,27 @@ class TestDecomposeRecompose:
         )
 
 
+    def test_recompose_of_a_document_whose_root_graph_disagrees_exits_1(self, tmp_path, capsys):
+        # the 5-cycle with vertex 0 doubled by its true twin 5, then the
+        # pair (2, 5) flipped in the document's root graph only
+        g = Graph(range(6), cycle_graph(range(5)).edges() + [(0, 5), (1, 5), (4, 5)])
+        out = tmp_path / "tree.json"
+        assert main(["decompose", write_graph(tmp_path, g), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["node"]["kind"] == "subst" and doc["node"]["members"] == [0, 5]
+        doc["rootGraph"] = emit_graph6(Graph(g.vertices, set(g.edges()) ^ {(2, 5)}))
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["recompose", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "document root graph disagrees with its tree\n"
+        assert main(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "fail root: recomposition does not match the input graph\n"
+        assert captured.err == ""
+
+
 class TestVerifyCommand:
     def test_ok(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
@@ -192,6 +226,20 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 2
         assert "node: missing field 'members'" in capsys.readouterr().err
+
+    def test_subst_with_empty_members_exits_2(self, tmp_path, capsys):
+        g = c4_plus_universal()
+        out = tmp_path / "tree.json"
+        assert main(["decompose", write_graph(tmp_path, g), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["node"]["kind"] == "subst"
+        doc["node"]["members"] = []
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node: empty substitution members\n"
 
     def test_tampered_document(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
@@ -248,9 +296,8 @@ class TestInternalErrors:
         argv = ["decompose", write_graph(tmp_path, g)] + (["--out", str(out)] if to_file else [])
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.err.startswith("internal: tree failed verification: ")
-        assert "certificate sides are not clique/stable" in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err == ("internal: tree failed verification: "
+                                "root: certificate sides are not clique/stable\n")
         assert captured.out == ""
         assert not out.exists()
 

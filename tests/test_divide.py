@@ -283,3 +283,115 @@ class TestBuildDivide:
         fake = UsableCase(tag=CaseTag.CASE4, decomposition=d, special_index=0)
         with pytest.raises(ValueError):
             build_divide(g, fake)
+
+
+def table_graph():
+    """A = {0,1}, B = {2}, C = {3,4}, L = {5,7}, T = {6,8}: every divide
+    condition holds, and each has two vertices to break it on."""
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 7), (0, 5), (0, 7),
+             (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (7, 4), (6, 2), (8, 5)]
+    return Graph(range(9), edges)
+
+
+def table_divide(**moved):
+    sets = dict(a={0, 1}, b={2}, c={3, 4}, l={5, 7}, t={6, 8})
+    sets.update(moved)
+    return SplitGraphDivide(**{k: frozenset(v) for k, v in sets.items()})
+
+
+def flip(g, *pairs):
+    """g with the adjacency of each pair flipped."""
+    edges = set(g.edges())
+    for u, v in pairs:
+        edges ^= {(min(u, v), max(u, v))}
+    return Graph(g.vertices, edges)
+
+
+def relabel(g, old, new):
+    pos = {old: new}
+    return Graph([pos.get(v, v) for v in g.vertices],
+                 [(pos.get(u, u), pos.get(v, v)) for u, v in g.edges()])
+
+
+class TestDivideConditions:
+    """One mutant of table_graph's divide per condition, each breaking it
+    alone: validate_divide is False and factor refuses it.  |A| >= 2 has
+    no row: it follows from L being non-empty and mixed on A."""
+
+    CASES = {
+        "roles overlap": (table_graph(), table_divide(a={0, 1, 6})),
+        "roles miss a vertex": (Graph(range(10), table_graph().edges()), table_divide()),
+        "C is too small": (table_graph().minus({4}), table_divide(c={3})),
+        "L is empty": (table_graph().minus({5, 7}), table_divide(l=set())),
+        "L is not a clique": (flip(table_graph(), (5, 7)), table_divide()),
+        "T is not stable": (flip(table_graph(), (6, 8)), table_divide()),
+        "L is not mixed on A": (flip(table_graph(), (5, 1)), table_divide()),
+        "A is not complete to B": (flip(table_graph(), (1, 2)), table_divide()),
+        "A is not anti-complete to C": (flip(table_graph(), (1, 3)), table_divide()),
+        "A is not anti-complete to T": (flip(table_graph(), (0, 6)), table_divide()),
+        "L is not complete to B": (flip(table_graph(), (7, 2)), table_divide()),
+        "L is not complete to C": (flip(table_graph(), (5, 4)), table_divide()),
+        "T is not anti-complete to C": (flip(table_graph(), (6, 3)), table_divide()),
+    }
+
+    def test_table_graph_is_a_divide(self):
+        g, d = table_graph(), table_divide()
+        assert validate_divide(g, d)
+        assert unify(factor(g, d)) == g
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_broken_condition_is_refused(self, name):
+        g, d = self.CASES[name]
+        assert not validate_divide(g, d)
+        with pytest.raises(DivideInvalid):
+            factor(g, d)
+
+
+def table_pair(**roles):
+    """table_graph's composable pair: g1 on A, L, T plus marker 9, g2 on
+    B, C, L, T plus marker 10; ``roles`` replaces some of its roles."""
+    pair = factor(table_graph(), table_divide())
+    r = pair.roles
+    assert (r.marker_c, r.marker_a) == (9, 10)
+    fields = dict(a_set=r.a_set, b_set=r.b_set, c_set=r.c_set, l_set=r.l_set,
+                  t_set=r.t_set, marker_a=r.marker_a, marker_c=r.marker_c)
+    fields.update((k, frozenset(v) if isinstance(v, set) else v) for k, v in roles.items())
+    return pair.g1, pair.g2, PairRoles(**fields)
+
+
+G1, G2, ROLES = table_pair()
+
+
+class TestPairConditions:
+    """One mutant of table_graph's composable pair per pair condition,
+    each breaking it alone: unify names that condition."""
+
+    CASES = [
+        ("role sets overlap", G1, G2, table_pair(a_set={0, 1, 6})[2]),
+        ("A side is empty", G1.minus({0, 1}), G2, table_pair(a_set=set())[2]),
+        ("C side is empty", G1, G2.minus({3, 4}), table_pair(c_set=set())[2]),
+        ("markers coincide", G1, relabel(G2, 10, 9), table_pair(marker_a=9)[2]),
+        ("a marker collides with a role vertex", G1, relabel(G2, 10, 0),
+         table_pair(marker_a=0)[2]),
+        ("g1 vertex set is not A, L, T plus its marker", G1.minus({1}), G2, ROLES),
+        ("L is not a clique in g1", flip(G1, (5, 7)), flip(G2, (5, 7)), ROLES),
+        ("T is not stable in g1", flip(G1, (6, 8)), flip(G2, (6, 8)), ROLES),
+        ("A is not anti-complete to T in g1", flip(G1, (1, 8)), G2, ROLES),
+        ("g1 marker is not complete to L", flip(G1, (9, 7)), G2, ROLES),
+        ("g1 marker is not anti-complete to A and T", flip(G1, (9, 6)), G2, ROLES),
+        ("g2 vertex set is not B, C, L, T plus its marker", G1, G2.minus({4}), ROLES),
+        ("the two sides disagree on the common split subgraph", G1, flip(G2, (8, 5)), ROLES),
+        ("T is not anti-complete to C in g2", G1, flip(G2, (8, 4)), ROLES),
+        ("L is not complete to B and C in g2", G1, flip(G2, (7, 3)), ROLES),
+        ("g2 marker is not complete to B", G1, flip(G2, (10, 2)), ROLES),
+        ("g2 marker is not anti-complete to C, L and T", G1, flip(G2, (10, 5)), ROLES),
+    ]
+
+    def test_table_pair_unifies(self):
+        assert unify(ComposablePair(g1=G1, g2=G2, roles=ROLES)) == table_graph()
+
+    @pytest.mark.parametrize("bullet, g1, g2, roles", CASES, ids=[case[0] for case in CASES])
+    def test_broken_condition_is_named(self, bullet, g1, g2, roles):
+        with pytest.raises(InvalidPair) as err:
+            unify(ComposablePair(g1=g1, g2=g2, roles=roles))
+        assert err.value.bullet == bullet

@@ -185,6 +185,36 @@ class TestMalformedTrees:
         ]
 
 
+    def test_unification_over_a_failing_substitution(self):
+        g, sgu = member_tree(0)
+        for kind, side in ((Sgu, "part1"), (CoSgu, "part2")):
+            missing = Subst(quotient=leaf([900, 901]), child=leaf([902, 903]), marker=998)
+            parts = {"part1": sgu.part1, "part2": sgu.part2, side: missing}
+            tree = kind(roles=sgu.roles, **parts)
+            assert assert_same(tree) == (
+                "malformed", f"root.{side}",
+                f"malformed tree at root.{side}: marker 998 missing from quotient")
+            assert assert_same(tree, g)[1] == f"root.{side}"
+
+    def test_unification_over_two_failing_parts(self):
+        roles = bad_unification().roles
+        tree = Sgu(part1=Subst(quotient=leaf([1, 2]), child=leaf([3, 4]), marker=998),
+                   part2=Subst(quotient=leaf([5, 6]), child=leaf([7, 8]), marker=999),
+                   roles=roles)
+        assert assert_same(tree) == ("malformed", "root.part1",
+                                     "malformed tree at root.part1: marker 998 missing from quotient")
+        rep = verify_tree(tree, Graph([0]))
+        assert [path for path, _ in rep.failures] == ["root.part1", "root.part2"]
+
+    def test_run_over_an_object_of_no_node_type(self):
+        tree = Subst(quotient=leaf([1, 2], [(1, 2)]), child=object(), marker=1)
+        assert assert_same(tree) == ("malformed", "root.child",
+                                     "malformed tree at root.child: unknown node type object")
+        rep = verify_tree(tree, Graph([0]))
+        assert rep.failures == [("root.child", "unknown node type object")]
+        assert rep.depth == 1 and rep.leaf_counts == {"split": 1, "pentagon": 0}
+
+
 def random_tree(rng, depth, ids, must=()):
     """A random tree, malformed now and then.  Leaves are on fresh ids from
     ``ids`` (from 100 on), and now and then on one of the first 30 again.

@@ -5,9 +5,10 @@ Usage, from the root of the repository:
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 30 --seed 2301
     python3 tools/bench_pairs.py --parent HEAD --workloads census6 --pairs 1 --seconds 2
 
-The parent revision is checked out into a temporary ``git worktree``, which
-is removed afterwards, also on failure; the change is the working tree this
-script sits in, uncommitted edits included.  Pair i runs BENCHMARK.json's
+The parent revision is extracted from ``git archive`` into a temporary
+directory (under ``TMPDIR``, if set), which is removed afterwards, also on
+failure; nothing is written under ``.git``.  The change is the working tree
+this script sits in, uncommitted edits included.  Pair i runs BENCHMARK.json's
 command (``bench/run.py``, with this interpreter) once on each side, for each
 workload, with seed ``--seed`` + i: the parent first on even i, the change
 first on odd i.  A run that exits non-zero, is not ``correct`` or reports
@@ -27,12 +28,14 @@ script uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -40,11 +43,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def git(*args: str) -> str:
-    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=False)
+def git(*args: str, text: bool = True):
+    """git's output, stripped text or raw bytes; optional locks off, so that
+    nothing is written under .git."""
+    proc = subprocess.run(["git", "--no-optional-locks", *args], cwd=ROOT, capture_output=True,
+                          check=False)
     if proc.returncode != 0:
-        raise SystemExit(f"bench_pairs: git {' '.join(args)}: {proc.stderr.strip()}")
-    return proc.stdout.strip()
+        raise SystemExit(f"bench_pairs: git {' '.join(args)}: "
+                         f"{proc.stderr.decode(errors='replace').strip()}")
+    return proc.stdout.decode().strip() if text else proc.stdout
+
+
+def extract(commit: str, dest: Path) -> None:
+    """The files of ``commit`` in ``dest``, from ``git archive``."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit, text=False))) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
@@ -146,11 +159,10 @@ def main() -> int:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
-    worktree = tmp / "parent"
     runs = []
     try:
-        git("worktree", "add", "--detach", str(worktree), parent_commit)
-        checkouts = {"parent": worktree, "change": ROOT}
+        extract(parent_commit, tmp)
+        checkouts = {"parent": tmp, "change": ROOT}
         for i in range(args.pairs):
             seed = args.seed + i
             for workload in workloads:
@@ -162,10 +174,7 @@ def main() -> int:
                                  "result": result})
                     print(f"pair {i} seed {seed} {workload} {side}: done", file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,
-                       capture_output=True, check=False)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True, check=False)
 
     rows = summarize(runs, spec)
     print(f"parent {parent_commit[:12]}, change {commits['change'][:12]}"
